@@ -19,7 +19,9 @@ fn main() {
     exp.param("window", WINDOW as f64);
     let sys = standard_system();
     let pdn = sys.pdn_at(150.0).expect("pdn");
-    let test = ChiSquaredGof::new(8).expect("gof");
+    let test = ChiSquaredGof::new(8)
+        .and_then(|gof| gof.prepare(0.95))
+        .expect("gof");
 
     // Buckets by L2 misses per 64-cycle window.
     const BUCKETS: usize = 4;
@@ -57,7 +59,7 @@ fn main() {
         for (wi, w) in t.trace.samples.chunks_exact(WINDOW).enumerate() {
             let start = wi * WINDOW;
             let b = bucket_of(t.l2_misses_in(start, WINDOW));
-            let r = test.test_normality(w, 0.95).expect("test");
+            let r = test.test(w).expect("test");
             tested[b] += 1;
             if r.decision == GofOutcome::Accepted {
                 accepted[b] += 1;

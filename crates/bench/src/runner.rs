@@ -26,6 +26,7 @@
 //! rayon), then [`std::thread::available_parallelism`].
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -171,10 +172,17 @@ impl std::hash::Hasher for FnvHasher {
 
 /// A concurrent compute-once cache, sharded by key hash.
 ///
-/// The first caller of [`MemoCache::get_or_compute`] for a key runs the
-/// closure; concurrent callers for the same key block on the same
-/// [`OnceLock`] slot and share the resulting [`Arc`] — the closure runs
-/// **exactly once per key** per process, no matter the interleaving.
+/// The first caller of [`MemoCache::try_get_or_compute`] for a key runs
+/// the closure; concurrent callers for the same key wait on the same
+/// slot and share the resulting [`Arc`] — a value is computed **exactly
+/// once per key** per process, no matter the interleaving. A hit runs
+/// nothing but the slot lookup.
+///
+/// Errors are never memoized: a fill whose closure fails removes its
+/// slot before any waiter can see it, so a failed key leaves no slot,
+/// no computation count, no request count and no exported entry behind
+/// (a hostile caller cannot grow the map with bad keys), and the next
+/// caller for that key computes afresh.
 ///
 /// The key map is split across [`MEMO_SHARDS`] independent mutexes
 /// (selected by FNV-1a key hash), and a shard lock is held only while
@@ -191,9 +199,38 @@ pub struct MemoCache<K, V> {
     contended: AtomicUsize,
 }
 
-/// One shard's key map: each key owns a compute-once slot shared by
-/// every caller that raced on it.
-type Shard<K, V> = HashMap<K, Arc<OnceLock<Arc<V>>>>;
+/// One key's slot, shared by every caller that raced on the key.
+/// `value` is set at most once, by the holder of `fill`. A failed fill
+/// removes the slot from its shard while still holding `fill`, so a
+/// waiter that then takes `fill` finds either the value or a slot no
+/// longer in the map, and starts over.
+#[derive(Debug)]
+struct Slot<V> {
+    value: OnceLock<Arc<V>>,
+    fill: Mutex<()>,
+}
+
+impl<V> Default for Slot<V> {
+    fn default() -> Self {
+        Slot {
+            value: OnceLock::new(),
+            fill: Mutex::new(()),
+        }
+    }
+}
+
+/// One shard's key map.
+type Shard<K, V> = HashMap<K, Arc<Slot<V>>>;
+
+/// What a caller holding a slot's fill lock finds in the slot.
+enum Fill<'s, V> {
+    /// Empty and still in its shard: this caller fills it.
+    Mine(std::sync::MutexGuard<'s, ()>),
+    /// Another caller filled it meanwhile.
+    Filled(Arc<V>),
+    /// A failed fill evicted it; look the key up again.
+    Evicted,
+}
 
 impl<K, V> Default for MemoCache<K, V> {
     fn default() -> Self {
@@ -214,7 +251,7 @@ pub struct MemoStats {
     pub keys: usize,
     /// Compute closures actually run.
     pub computations: usize,
-    /// Total `get_or_compute` calls.
+    /// Calls that returned a value.
     pub requests: usize,
     /// Requests served from cache (`requests - computations`).
     pub hits: usize,
@@ -238,28 +275,88 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
         ((h ^ (h >> 32)) as usize) & (MEMO_SHARDS - 1)
     }
 
+    fn shard(&self, key: &K) -> std::sync::MutexGuard<'_, Shard<K, V>> {
+        let shard = &self.shards[self.shard_of(key)];
+        match shard.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::WouldBlock) => {
+                self.contended.fetch_add(1, Ordering::Relaxed);
+                didt_telemetry::MetricsRegistry::global()
+                    .counter("runner.cache.shard_contention")
+                    .incr();
+                shard.lock().expect("memo cache poisoned")
+            }
+            Err(std::sync::TryLockError::Poisoned(e)) => panic!("memo cache poisoned: {e}"),
+        }
+    }
+
+    /// The slot for `key`, inserted empty on first sight.
+    fn slot(&self, key: &K) -> Arc<Slot<V>> {
+        Arc::clone(self.shard(key).entry(key.clone()).or_default())
+    }
+
+    /// Take `slot`'s fill lock and see what the slot holds now.
+    fn lock_fill<'s>(&self, key: &K, slot: &'s Slot<V>) -> Fill<'s, V> {
+        // A closure that panicked mid-fill left the slot empty and its
+        // lock poisoned; the next caller simply fills it.
+        let guard = slot
+            .fill
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(value) = slot.value.get() {
+            return Fill::Filled(Arc::clone(value));
+        }
+        let resident = self
+            .shard(key)
+            .get(key)
+            .is_some_and(|s| std::ptr::eq(Arc::as_ptr(s), slot));
+        if resident {
+            Fill::Mine(guard)
+        } else {
+            Fill::Evicted
+        }
+    }
+
     /// The value for `key`, computing it with `compute` on first use.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_of(&key)];
-        let slot = {
-            let mut slots = match shard.try_lock() {
-                Ok(guard) => guard,
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    self.contended.fetch_add(1, Ordering::Relaxed);
-                    didt_telemetry::MetricsRegistry::global()
-                        .counter("runner.cache.shard_contention")
-                        .incr();
-                    shard.lock().expect("memo cache poisoned")
-                }
-                Err(std::sync::TryLockError::Poisoned(e)) => panic!("memo cache poisoned: {e}"),
+        let Ok(value) = self.try_get_or_compute(key, || Ok::<V, Infallible>(compute()));
+        value
+    }
+
+    /// The value for `key`, computing it with the fallible `compute` on
+    /// first use. On `Err` nothing is cached or counted: the key's slot
+    /// is removed and the next caller computes again.
+    ///
+    /// # Errors
+    ///
+    /// Returns `compute`'s error when this call ran it and it failed.
+    pub fn try_get_or_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        loop {
+            let slot = self.slot(&key);
+            let value = match slot.value.get() {
+                Some(value) => Arc::clone(value),
+                None => match self.lock_fill(&key, &slot) {
+                    Fill::Filled(value) => value,
+                    Fill::Evicted => continue,
+                    Fill::Mine(_fill) => match compute() {
+                        Ok(value) => {
+                            self.computations.fetch_add(1, Ordering::Relaxed);
+                            Arc::clone(slot.value.get_or_init(|| Arc::new(value)))
+                        }
+                        Err(e) => {
+                            self.shard(&key).remove(&key);
+                            return Err(e);
+                        }
+                    },
+                },
             };
-            Arc::clone(slots.entry(key).or_default())
-        };
-        Arc::clone(slot.get_or_init(|| {
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            Arc::new(compute())
-        }))
+            self.requests.fetch_add(1, Ordering::Relaxed);
+            return Ok(value);
+        }
     }
 
     /// Number of distinct keys resident, summed over shards. Shard
@@ -287,9 +384,10 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
         self.computations.load(Ordering::Relaxed)
     }
 
-    /// Total [`MemoCache::get_or_compute`] calls. Depends only on the
-    /// set of points run — not on thread count or interleaving — so it
-    /// is safe to include in a run manifest's non-timing fields.
+    /// Calls that returned a value; failed fills are not counted.
+    /// Depends only on the set of points run — not on thread count or
+    /// interleaving — so it is safe to include in a run manifest's
+    /// non-timing fields.
     #[must_use]
     pub fn requests(&self) -> usize {
         self.requests.load(Ordering::Relaxed)
@@ -319,17 +417,18 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
     /// entries count as hits when first requested, which is exactly the
     /// effect cache warming is meant to have on the hit ratio.
     pub fn seed(&self, key: K, value: V) -> bool {
-        let shard = &self.shards[self.shard_of(&key)];
-        let slot = {
-            let mut slots = shard.lock().expect("memo cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
-        let mut installed = false;
-        slot.get_or_init(|| {
-            installed = true;
-            Arc::new(value)
-        });
-        installed
+        loop {
+            let slot = self.slot(&key);
+            let installed = match self.lock_fill(&key, &slot) {
+                Fill::Filled(_) => false,
+                Fill::Evicted => continue,
+                Fill::Mine(_fill) => {
+                    slot.value.get_or_init(|| Arc::new(value));
+                    true
+                }
+            };
+            return installed;
+        }
     }
 
     /// Snapshot of every completed entry: `(key, value)` pairs whose
@@ -342,7 +441,7 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
         for shard in &self.shards {
             let slots = shard.lock().expect("memo cache poisoned");
             for (key, slot) in slots.iter() {
-                if let Some(value) = slot.get() {
+                if let Some(value) = slot.value.get() {
                     out.push((key.clone(), Arc::clone(value)));
                 }
             }
@@ -1188,12 +1287,10 @@ impl SweepContext {
     ///
     /// Propagates [`DidtSystem::pdn_at`]'s error for invalid percentages.
     pub fn pdn(&self, pct: f64) -> Result<Arc<SecondOrderPdn>, DidtError> {
-        // Probe outside the cache so errors are not memoized.
-        self.system.pdn_at(pct)?;
-        Ok(self.pdns.get_or_compute(pct_millis(pct), || {
+        self.pdns.try_get_or_compute(pct_millis(pct), || {
             let _span = didt_telemetry::span("cache.fill.pdns");
-            self.system.pdn_at(pct).expect("probed above")
-        }))
+            self.system.pdn_at(pct)
+        })
     }
 
     /// The wavelet monitor design (full DWT of the PDN impulse
@@ -1209,11 +1306,11 @@ impl SweepContext {
         window: usize,
     ) -> Result<Arc<WaveletMonitorDesign>, DidtError> {
         let pdn = self.pdn(pct)?;
-        WaveletMonitorDesign::new(&pdn, window)?;
-        Ok(self.designs.get_or_compute((pct_millis(pct), window), || {
-            let _span = didt_telemetry::span("cache.fill.designs");
-            WaveletMonitorDesign::new(&pdn, window).expect("probed above")
-        }))
+        self.designs
+            .try_get_or_compute((pct_millis(pct), window), || {
+                let _span = didt_telemetry::span("cache.fill.designs");
+                WaveletMonitorDesign::new(&pdn, window)
+            })
     }
 
     /// The filter-generic monitor design (wavelet-compressed impulse
@@ -1231,12 +1328,11 @@ impl SweepContext {
         boundary: BoundaryMode,
     ) -> Result<Arc<FamilyMonitorDesign>, DidtError> {
         let pdn = self.pdn(pct)?;
-        FamilyMonitorDesign::new(&pdn, window, family, boundary)?;
         let key = (pct_millis(pct), window, family.name(), boundary.name());
-        Ok(self.family_designs.get_or_compute(key, || {
+        self.family_designs.try_get_or_compute(key, || {
             let _span = didt_telemetry::span("cache.fill.family_designs");
-            FamilyMonitorDesign::new(&pdn, window, family, boundary).expect("probed above")
-        }))
+            FamilyMonitorDesign::new(&pdn, window, family, boundary)
+        })
     }
 
     /// A captured current trace, keyed by (processor config, benchmark,
@@ -1293,13 +1389,11 @@ impl SweepContext {
         seed: u64,
     ) -> Result<Arc<ScaleGainModel>, DidtError> {
         let pdn = self.pdn(pct)?;
-        ScaleGainModel::calibrate(&pdn, window, seed)?;
-        Ok(self
-            .gains
-            .get_or_compute((pct_millis(pct), window, seed), || {
+        self.gains
+            .try_get_or_compute((pct_millis(pct), window, seed), || {
                 let _span = didt_telemetry::span("cache.fill.gains");
-                ScaleGainModel::calibrate(&pdn, window, seed).expect("probed above")
-            }))
+                ScaleGainModel::calibrate(&pdn, window, seed)
+            })
     }
 
     /// A per-scale gain calibration in an arbitrary wavelet basis.
@@ -1321,12 +1415,11 @@ impl SweepContext {
             return self.gain_model(pct, window, seed);
         }
         let pdn = self.pdn(pct)?;
-        ScaleGainModel::calibrate_family(&pdn, window, seed, family)?;
         let key = (pct_millis(pct), window, seed, family.name());
-        Ok(self.family_gains.get_or_compute(key, || {
+        self.family_gains.try_get_or_compute(key, || {
             let _span = didt_telemetry::span("cache.fill.family_gains");
-            ScaleGainModel::calibrate_family(&pdn, window, seed, family).expect("probed above")
-        }))
+            ScaleGainModel::calibrate_family(&pdn, window, seed, family)
+        })
     }
 
     /// Export completed gain-model calibrations (both the Haar cache
@@ -1825,6 +1918,128 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 16 * 50);
         assert_eq!(cache.computations(), 1, "value computed more than once");
+    }
+
+    #[test]
+    fn invalid_keys_leave_no_trace_in_the_memo() {
+        let ctx = SweepContext::standard().unwrap();
+        ctx.gain_model(150.0, 256, 11).unwrap();
+        let snapshot = |ctx: &SweepContext| {
+            (
+                (ctx.pdns.len(), ctx.pdns.computations(), ctx.pdns.requests()),
+                (
+                    ctx.gains.len(),
+                    ctx.gains.computations(),
+                    ctx.gains.requests(),
+                ),
+                ctx.gains.completed_entries().len(),
+                ctx.export_gain_entries(usize::MAX).len(),
+            )
+        };
+        let baseline = snapshot(&ctx);
+        for _ in 0..3 {
+            // A bad pct fails in the pdn fill; a bad window in the gain
+            // fill, after a pdn hit (which counts as a pdn request).
+            assert!(ctx.gain_model(-5.0, 256, 11).is_err());
+            assert!(ctx.gain_model(f64::NAN, 256, 11).is_err());
+            assert!(ctx.pdn(0.0).is_err());
+            assert!(ctx.monitor_design(-1.0, 256).is_err());
+        }
+        assert_eq!(snapshot(&ctx), baseline, "bad pct left an entry behind");
+        let pdn_requests = ctx.pdns.requests();
+        for _ in 0..3 {
+            assert!(ctx.gain_model(150.0, 7, 11).is_err());
+            assert!(ctx
+                .gain_model_family(150.0, 4, 11, WaveletFamily::Db8)
+                .is_err());
+        }
+        assert_eq!(ctx.pdns.requests(), pdn_requests + 6);
+        assert_eq!(
+            (
+                ctx.gains.len(),
+                ctx.gains.computations(),
+                ctx.gains.requests()
+            ),
+            baseline.1,
+            "bad window left a gain entry behind"
+        );
+        assert!(ctx.family_gains.is_empty());
+        assert_eq!(ctx.family_gains.computations(), 0);
+        assert_eq!(ctx.gains.completed_entries().len(), baseline.2);
+        assert_eq!(ctx.export_gain_entries(usize::MAX).len(), baseline.3);
+    }
+
+    #[test]
+    fn warm_hits_count_requests_but_never_compute() {
+        let ctx = SweepContext::standard().unwrap();
+        let first = ctx.gain_model(150.0, 256, 11).unwrap();
+        let stats = ctx.gains.stats();
+        assert_eq!((stats.computations, stats.requests, stats.hits), (1, 1, 0));
+        for i in 1..=4 {
+            let again = ctx.gain_model(150.0, 256, 11).unwrap();
+            assert!(Arc::ptr_eq(&first, &again));
+            assert_eq!(ctx.gains.computations(), 1);
+            assert_eq!(ctx.gains.hits(), i);
+        }
+        assert_eq!(ctx.pdns.computations(), 1);
+        assert_eq!(ctx.pdns.requests(), 5);
+    }
+
+    #[test]
+    fn fallible_fill_computes_once_under_contention_and_never_memoizes_errors() {
+        let cache: MemoCache<u8, u64> = MemoCache::new();
+        let calls = AtomicUsize::new(0);
+        let race = |outcome: Result<u64, &'static str>| {
+            let start = std::sync::Barrier::new(16);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..16)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            cache.try_get_or_compute(1, || {
+                                calls.fetch_add(1, Ordering::Relaxed);
+                                // Widen the race window.
+                                std::thread::sleep(std::time::Duration::from_micros(200));
+                                outcome
+                            })
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .collect::<Vec<_>>()
+            })
+        };
+
+        // Every caller of a failing key runs its own fill and fails;
+        // nothing is left behind.
+        let failed = race(Err("bad key"));
+        assert!(failed.iter().all(|r| *r == Err("bad key")));
+        assert_eq!(calls.load(Ordering::Relaxed), 16);
+        assert_eq!(
+            (cache.len(), cache.computations(), cache.requests()),
+            (0, 0, 0)
+        );
+        assert!(cache.completed_entries().is_empty());
+
+        // The same key then succeeds, computed exactly once.
+        calls.store(0, Ordering::Relaxed);
+        let filled = race(Ok(42));
+        assert!(filled.iter().all(|r| r.as_deref() == Ok(&42)));
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "value computed more than once"
+        );
+        assert_eq!(
+            (cache.len(), cache.computations(), cache.requests()),
+            (1, 1, 16)
+        );
+        assert_eq!(
+            cache.try_get_or_compute(1, || Err::<u64, _>("a hit runs nothing")),
+            Ok(Arc::new(42))
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use crate::characterize::WindowSampler;
 use crate::DidtError;
-use didt_stats::chi_squared::{ChiSquaredGof, GofOutcome, GofReport};
-use didt_stats::{jarque_bera, variance, LillieforsTest};
+use didt_stats::chi_squared::{ChiSquaredGof, GofOutcome, GofReport, PreparedGof};
+use didt_stats::{variance, LillieforsTest, PreparedJarqueBera, StatsError};
 
 /// Which normality test classifies the windows.
 ///
@@ -20,6 +20,25 @@ pub enum NormalityTest {
     Lilliefors,
     /// Jarque–Bera (skewness + kurtosis).
     JarqueBera,
+}
+
+/// A [`NormalityTest`] at one significance, ready to run per window.
+enum PreparedTest {
+    ChiSquared(PreparedGof),
+    Lilliefors(f64),
+    JarqueBera(PreparedJarqueBera),
+}
+
+impl PreparedTest {
+    fn run(&self, window: &[f64]) -> Result<GofReport, StatsError> {
+        match self {
+            PreparedTest::ChiSquared(test) => test.test(window),
+            PreparedTest::Lilliefors(significance) => {
+                LillieforsTest.test_normality(window, *significance)
+            }
+            PreparedTest::JarqueBera(test) => test.test(window),
+        }
+    }
 }
 
 /// Results of classifying one benchmark's windows at one window size.
@@ -134,14 +153,6 @@ impl GaussianityStudy {
     ) -> Result<GaussianityReport, DidtError> {
         let sampler = WindowSampler::new(window, self.seed);
         let windows = sampler.sample(trace, count)?;
-        let chi = ChiSquaredGof::new(Self::bins_for(window))?;
-        let classify = |w: &[f64]| -> Result<GofReport, DidtError> {
-            Ok(match self.test {
-                NormalityTest::ChiSquared => chi.test_normality(w, self.significance)?,
-                NormalityTest::Lilliefors => LillieforsTest.test_normality(w, self.significance)?,
-                NormalityTest::JarqueBera => jarque_bera(w, self.significance)?,
-            })
-        };
         let mut report = GaussianityReport {
             window,
             tested: 0,
@@ -151,11 +162,26 @@ impl GaussianityStudy {
             non_gaussian_variance: 0.0,
             overall_variance: 0.0,
         };
+        // A study over no windows runs no test, so it never checks its
+        // significance either.
+        if windows.is_empty() {
+            return Ok(report);
+        }
+        // The test's data-independent constants, built once per study.
+        let test = match self.test {
+            NormalityTest::ChiSquared => PreparedTest::ChiSquared(
+                ChiSquaredGof::new(Self::bins_for(window))?.prepare(self.significance)?,
+            ),
+            NormalityTest::Lilliefors => PreparedTest::Lilliefors(self.significance),
+            NormalityTest::JarqueBera => {
+                PreparedTest::JarqueBera(PreparedJarqueBera::new(self.significance)?)
+            }
+        };
         let mut ng_var_sum = 0.0;
         let mut ng_count = 0usize;
         let mut var_sum = 0.0;
         for w in windows {
-            let outcome = classify(w)?;
+            let outcome = test.run(w)?;
             let v = variance(w);
             var_sum += v;
             report.tested += 1;
@@ -173,11 +199,7 @@ impl GaussianityStudy {
                 }
             }
         }
-        report.overall_variance = if report.tested > 0 {
-            var_sum / report.tested as f64
-        } else {
-            0.0
-        };
+        report.overall_variance = var_sum / report.tested as f64;
         report.non_gaussian_variance = if ng_count > 0 {
             ng_var_sum / ng_count as f64
         } else {
@@ -233,6 +255,22 @@ mod tests {
         assert_eq!(r.degenerate, 50);
         assert_eq!(r.acceptance_rate(), 0.0);
         assert_eq!(r.non_gaussian_variance, 0.0);
+    }
+
+    #[test]
+    fn significance_is_checked_only_when_a_window_is_tested() {
+        let trace = xorshift_gaussianish(2_000, 7);
+        for test in [
+            NormalityTest::ChiSquared,
+            NormalityTest::Lilliefors,
+            NormalityTest::JarqueBera,
+        ] {
+            let study = GaussianityStudy::new(0.0, 1).with_test(test);
+            let empty = study.classify(&trace, 64, 0).unwrap();
+            assert_eq!(empty.tested, 0, "{test:?}");
+            assert_eq!(empty.overall_variance, 0.0, "{test:?}");
+            assert!(study.classify(&trace, 64, 3).is_err(), "{test:?}");
+        }
     }
 
     #[test]

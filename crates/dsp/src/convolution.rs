@@ -561,8 +561,14 @@ mod tests {
         }
     }
 
+    /// Held by every test here that calls [`fir_filter_auto`], so the
+    /// dispatch-count test sees only its own calls on the process-global
+    /// counters.
+    static AUTO_DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn auto_tier_matches_reference_and_counts_dispatch() {
+        let _serial = AUTO_DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
         let metrics = didt_telemetry::MetricsRegistry::global();
         let td_before = metrics.counter("dsp.fir_auto.time_domain").get();
         let fft_before = metrics.counter("dsp.fir_auto.fft").get();
@@ -600,6 +606,7 @@ mod tests {
 
     #[test]
     fn impulse_through_every_tier_is_identity() {
+        let _serial = AUTO_DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
         let mut x = vec![0.0; 777];
         x[0] = 1.0;
         x[300] = -2.5;

@@ -12,6 +12,8 @@ use didt_bench::{ControllerSpec, ExperimentRunner, RunParams, Sweep, SweepContex
 use didt_core::characterize::{ScaleGainModel, VarianceModel};
 use didt_core::monitor::FamilyMonitorDesign;
 use didt_dsp::{BoundaryMode, Wavelet, WaveletFamily};
+use didt_serve::{CharacterizeSpec, Request, RequestBody, ResponsePayload, Service, TraceSource};
+use didt_telemetry::Json;
 use didt_uarch::{capture_trace, Benchmark};
 
 /// Tolerance for golden floats: far wider than f64 noise (the runs are
@@ -229,3 +231,171 @@ fn tab02_scheme_comparison_goldens() {
     eprintln!("tab02 golden baseline emergencies: {base}");
     assert_eq!(base, 30, "uncontrolled baseline emergencies changed");
 }
+
+/// A report's numbers as `(path, f64::to_bits)` pairs, in report order.
+type ReportGolden = &'static [(&'static str, u64)];
+
+/// Every number in a `Characterize` report, flattened to
+/// `(path, f64::to_bits)` pairs in report order.
+fn flatten_numbers(json: &Json, path: &str, out: &mut Vec<(String, u64)>) {
+    match json {
+        Json::Num(x) => out.push((path.to_string(), x.to_bits())),
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                flatten_numbers(item, &format!("{path}[{i}]"), out);
+            }
+        }
+        Json::Obj(pairs) => {
+            for (key, value) in pairs {
+                let child = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                flatten_numbers(value, &child, out);
+            }
+        }
+        Json::Null | Json::Bool(_) | Json::Str(_) => {}
+    }
+}
+
+/// The §4 `Characterize` report, bit for bit: per-scale variance and
+/// correlation, the χ² Gaussianity counts and variances, and the
+/// Gaussian emergency estimate, on a fixed-seed Crafty trace against
+/// the 150 % network. One spec takes the streaming Haar/periodic path
+/// at window 64 (8 χ² bins), the other the batch db4/symmetric path at
+/// window 32 (4 bins); both mix accepted, rejected and degenerate
+/// windows.
+#[test]
+fn characterize_report_goldens() {
+    let service = Service::standard().unwrap();
+    let trace = capture_trace(
+        Benchmark::Crafty,
+        service.context().system().processor(),
+        0xD1D7_2004,
+        20_000,
+        1 << 14,
+    )
+    .samples;
+    let cases: [(WaveletFamily, BoundaryMode, usize, ReportGolden); 2] = [
+        (
+            WaveletFamily::Haar,
+            BoundaryMode::Periodic,
+            64,
+            CHARACTERIZE_HAAR_PERIODIC,
+        ),
+        (
+            WaveletFamily::Db4,
+            BoundaryMode::Symmetric,
+            32,
+            CHARACTERIZE_DB4_SYMMETRIC,
+        ),
+    ];
+    for (family, boundary, window, golden) in cases {
+        let request = Request {
+            id: 1,
+            deadline_ms: None,
+            body: RequestBody::Characterize(CharacterizeSpec {
+                trace: TraceSource::Inline(trace.clone()),
+                pdn_pct: 150.0,
+                window,
+                family,
+                boundary,
+                ..CharacterizeSpec::default()
+            }),
+        };
+        let report = match service.handle(&request, None).payload {
+            ResponsePayload::Ok { result, .. } => result,
+            other => panic!("characterize failed: {other:?}"),
+        };
+        let mut actual = Vec::new();
+        flatten_numbers(&report, "", &mut actual);
+        let want: Vec<(String, u64)> = golden.iter().map(|&(p, b)| (p.to_string(), b)).collect();
+        assert_eq!(
+            actual,
+            want,
+            "{}/{}: Characterize report changed",
+            family.name(),
+            boundary.name()
+        );
+    }
+}
+
+/// Captured from the per-window χ² implementation that rebuilt its
+/// constants for every window; any change here is a change in the
+/// analysis.
+const CHARACTERIZE_HAAR_PERIODIC: ReportGolden = &[
+    ("trace_len", 0x40d0000000000000),
+    ("window", 0x4050000000000000),
+    ("scales[0].level", 0x3ff0000000000000),
+    ("scales[0].span", 0x4000000000000000),
+    ("scales[0].variance", 0x3fed44a173be3120),
+    ("scales[0].adjacent_correlation", 0x3fc34c6fd6e0fefc),
+    ("scales[1].level", 0x4000000000000000),
+    ("scales[1].span", 0x4010000000000000),
+    ("scales[1].variance", 0x400133971b0f45a2),
+    ("scales[1].adjacent_correlation", 0xbfbf26d13c1ce7e1),
+    ("scales[2].level", 0x4008000000000000),
+    ("scales[2].span", 0x4020000000000000),
+    ("scales[2].variance", 0x4012ae0ee7fe6587),
+    ("scales[2].adjacent_correlation", 0x3f95a34ea7aa62dc),
+    ("scales[3].level", 0x4010000000000000),
+    ("scales[3].span", 0x4030000000000000),
+    ("scales[3].variance", 0x402157a92ee45004),
+    ("scales[3].adjacent_correlation", 0xbfd4919d81ec756e),
+    ("scales[4].level", 0x4014000000000000),
+    ("scales[4].span", 0x4040000000000000),
+    ("scales[4].variance", 0x402a1dff795865bc),
+    ("scales[4].adjacent_correlation", 0xbfb350a12337c36d),
+    ("scales[5].level", 0x4018000000000000),
+    ("scales[5].span", 0x4050000000000000),
+    ("scales[5].variance", 0x402ce274f6576020),
+    ("scales[5].adjacent_correlation", 0xbfc8453792d42de5),
+    ("gaussianity.tested", 0x4069000000000000),
+    ("gaussianity.accepted", 0x4035000000000000),
+    ("gaussianity.rejected", 0x4056400000000000),
+    ("gaussianity.degenerate", 0x4056800000000000),
+    ("gaussianity.acceptance_rate", 0x3fbae147ae147ae1),
+    ("gaussianity.overall_variance", 0x4048954d9079da6e),
+    ("gaussianity.non_gaussian_variance", 0x40472538babbb2ce),
+    ("emergency.threshold", 0x3fee666666666666),
+    ("emergency.estimated_fraction", 0x3f4585b78bf84c9e),
+    ("emergency.windows", 0x4070000000000000),
+    ("emergency.mean_voltage", 0x3fefbb30650f5500),
+];
+
+const CHARACTERIZE_DB4_SYMMETRIC: ReportGolden = &[
+    ("trace_len", 0x40d0000000000000),
+    ("window", 0x4040000000000000),
+    ("scales[0].level", 0x3ff0000000000000),
+    ("scales[0].span", 0x4000000000000000),
+    ("scales[0].variance", 0x3fd7219ea4b3339d),
+    ("scales[0].adjacent_correlation", 0xbfc2b49b43fc7515),
+    ("scales[1].level", 0x4000000000000000),
+    ("scales[1].span", 0x4010000000000000),
+    ("scales[1].variance", 0x3ff3d443ec7152af),
+    ("scales[1].adjacent_correlation", 0xbfe6965579211ea4),
+    ("scales[2].level", 0x4008000000000000),
+    ("scales[2].span", 0x4020000000000000),
+    ("scales[2].variance", 0x40050601bf6374d8),
+    ("scales[2].adjacent_correlation", 0xbfc3b50c1ec20e76),
+    ("scales[3].level", 0x4010000000000000),
+    ("scales[3].span", 0x4030000000000000),
+    ("scales[3].variance", 0x401f29b3a8848c8d),
+    ("scales[3].adjacent_correlation", 0xbfe0ee204ee187d0),
+    ("scales[4].level", 0x4014000000000000),
+    ("scales[4].span", 0x4040000000000000),
+    ("scales[4].variance", 0x402b66f86e78de1b),
+    ("scales[4].adjacent_correlation", 0xbfc6aee8ea6e5f8e),
+    ("gaussianity.tested", 0x4069000000000000),
+    ("gaussianity.accepted", 0x4041800000000000),
+    ("gaussianity.rejected", 0x4043000000000000),
+    ("gaussianity.degenerate", 0x405fc00000000000),
+    ("gaussianity.acceptance_rate", 0x3fc6666666666666),
+    ("gaussianity.overall_variance", 0x4037ae424d77442a),
+    ("gaussianity.non_gaussian_variance", 0x402ccf784e6f2afa),
+    ("emergency.threshold", 0x3fee666666666666),
+    ("emergency.estimated_fraction", 0x3cd398d832086118),
+    ("emergency.windows", 0x4080000000000000),
+    ("emergency.mean_voltage", 0x3fefbb30650f5509),
+];

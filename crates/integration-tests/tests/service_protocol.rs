@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use didt_serve::{
     write_frame, CharacterizeSpec, Client, ClientError, ClosedLoopSpec, ErrorCode, FrameError,
-    FrameReader, ServeConfig, Server, Service, TraceSource, MAX_FRAME_LEN,
+    FrameReader, ServeConfig, Server, Service, SessionSpec, TraceSource, MAX_FRAME_LEN,
 };
 use didt_telemetry::Json;
 
@@ -503,6 +503,55 @@ fn characterize_family_requests_over_tcp() {
         other => panic!("expected bad_request, got {other:?}"),
     }
     assert!(client.ping().is_ok());
+
+    drop(client);
+    let report = server.shutdown();
+    assert_eq!(report.worker_panics, 0);
+}
+
+/// A significance outside (0, 1) — 0 included — is refused before any
+/// analysis runs, both by one-shot `Characterize` and at session open,
+/// and the connection keeps serving.
+#[test]
+fn significance_outside_open_unit_interval_is_a_bad_request() {
+    let server = small_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let expect_bad = |outcome: Result<_, ClientError>, what: &str| match outcome {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest, "{what}");
+            // The edge check's message, not an error from deep inside
+            // the analysis.
+            assert!(
+                message.contains("`significance` must be in (0, 1)"),
+                "{what}: {message}"
+            );
+        }
+        other => panic!("{what}: expected bad_request, got {other:?}"),
+    };
+    for significance in [0.0, -0.0, 1.0, -0.5, 1.5] {
+        expect_bad(
+            client
+                .characterize(
+                    CharacterizeSpec {
+                        significance,
+                        ..tiny_characterize()
+                    },
+                    Some(60_000),
+                )
+                .map(|_| ()),
+            &format!("characterize at {significance}"),
+        );
+        expect_bad(
+            client
+                .session_open(SessionSpec {
+                    significance,
+                    ..SessionSpec::default()
+                })
+                .map(|_| ()),
+            &format!("session open at {significance}"),
+        );
+        assert!(client.ping().is_ok());
+    }
 
     drop(client);
     let report = server.shutdown();

@@ -461,7 +461,7 @@ impl Service {
         if !spec.window.is_power_of_two() || spec.window < 8 {
             return Err(bad("`window` must be a power of two, at least 8"));
         }
-        if !(0.0..1.0).contains(&spec.significance) {
+        if !(spec.significance > 0.0 && spec.significance < 1.0) {
             return Err(bad("`significance` must be in (0, 1)"));
         }
         let trace = self.resolve_trace(&spec.trace)?;
@@ -636,7 +636,7 @@ impl Service {
         if !spec.window.is_power_of_two() || spec.window < 8 {
             return Err(bad("`window` must be a power of two, at least 8"));
         }
-        if !(0.0..1.0).contains(&spec.significance) {
+        if !(spec.significance > 0.0 && spec.significance < 1.0) {
             return Err(bad("`significance` must be in (0, 1)"));
         }
         if spec.family != WaveletFamily::Haar || spec.boundary != BoundaryMode::Periodic {

@@ -6,7 +6,7 @@
 //! and 12 report acceptance rates; this module implements that exact test.
 
 use crate::gamma::gamma_p;
-use crate::normal::Normal;
+use crate::normal::{standard_quantile, Normal};
 use crate::{mean, variance, StatsError};
 
 /// Chi-squared distribution with `k` degrees of freedom.
@@ -207,33 +207,89 @@ impl ChiSquaredGof {
     /// mean and variance match the sample, at the given `significance`
     /// (e.g. `0.95` for the paper's 95 % test).
     ///
+    /// Shorthand for `self.prepare(significance)?.test(data)`; callers
+    /// testing many windows should [`prepare`](Self::prepare) once.
+    ///
     /// # Errors
     ///
-    /// Returns [`StatsError::InsufficientData`] when the sample has fewer
-    /// than `5 * bins` points (the rule of thumb that expected counts
-    /// should be at least 5), and [`StatsError::InvalidParameter`] for a
-    /// significance outside (0, 1).
+    /// Returns [`StatsError::InvalidParameter`] for a significance outside
+    /// (0, 1), and otherwise [`StatsError::InsufficientData`] when the
+    /// sample has fewer than `4 * bins` points (so every bin expects at
+    /// least 4 of them).
     pub fn test_normality(&self, data: &[f64], significance: f64) -> Result<GofReport, StatsError> {
+        self.prepare(significance)?.test(data)
+    }
+
+    /// Build the test's data-independent constants for `significance`:
+    /// the χ² critical value and the standard-normal bin quantiles. A
+    /// window's bin edges are then `mean + std_dev * z_i`, exactly what
+    /// [`Normal::quantile`] of the fitted normal computes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidParameter`] for a significance outside
+    /// (0, 1).
+    pub fn prepare(&self, significance: f64) -> Result<PreparedGof, StatsError> {
         if !(significance > 0.0 && significance < 1.0) {
             return Err(StatsError::InvalidParameter {
                 name: "significance",
                 value: significance,
             });
         }
-        let needed = 4 * self.bins;
+        let dof = self.bins - 1 - 2;
+        let chi = ChiSquared::new(dof as f64)?;
+        let critical_value = chi.quantile(significance)?;
+        let z = (1..self.bins)
+            .map(|i| standard_quantile(i as f64 / self.bins as f64))
+            .collect::<Result<_, _>>()?;
+        Ok(PreparedGof {
+            chi,
+            dof,
+            critical_value,
+            z,
+        })
+    }
+}
+
+/// A [`ChiSquaredGof`] at one significance, with its constants built by
+/// [`ChiSquaredGof::prepare`]; [`PreparedGof::test`] does only the
+/// per-window work.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedGof {
+    chi: ChiSquared,
+    dof: usize,
+    critical_value: f64,
+    /// Standard-normal quantiles at `i / bins` for `i` in `1..bins`.
+    z: Vec<f64>,
+}
+
+impl PreparedGof {
+    fn bins(&self) -> usize {
+        self.z.len() + 1
+    }
+
+    /// Test whether `data` is consistent with a normal distribution whose
+    /// mean and variance match the sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InsufficientData`] when the sample has fewer
+    /// than `4 * bins` points, and [`StatsError::InvalidParameter`] when
+    /// its mean or variance is not finite.
+    pub fn test(&self, data: &[f64]) -> Result<GofReport, StatsError> {
+        let bins = self.bins();
+        let needed = 4 * bins;
         if data.len() < needed {
             return Err(StatsError::InsufficientData {
                 needed,
                 got: data.len(),
             });
         }
-        let dof = self.bins - 1 - 2;
-        let chi = ChiSquared::new(dof as f64)?;
-        let critical_value = chi.quantile(significance)?;
+        let (dof, critical_value) = (self.dof, self.critical_value);
 
         let m = mean(data);
         let var = variance(data);
-        if var < Self::DEGENERATE_VARIANCE {
+        if var < ChiSquaredGof::DEGENERATE_VARIANCE {
             return Ok(GofReport {
                 decision: GofOutcome::Degenerate,
                 statistic: 0.0,
@@ -245,12 +301,13 @@ impl ChiSquaredGof {
         let fitted = Normal::new(m, var.sqrt())?;
 
         // Equiprobable bin edges from the fitted normal's quantiles.
-        let mut edges = Vec::with_capacity(self.bins - 1);
-        for i in 1..self.bins {
-            edges.push(fitted.quantile(i as f64 / self.bins as f64)?);
-        }
+        let edges: Vec<f64> = self
+            .z
+            .iter()
+            .map(|&z| fitted.mean() + fitted.std_dev() * z)
+            .collect();
 
-        let mut observed = vec![0usize; self.bins];
+        let mut observed = vec![0usize; bins];
         for &x in data {
             // partition_point gives the index of the first edge > x, i.e.
             // the bin x falls into.
@@ -258,7 +315,7 @@ impl ChiSquaredGof {
             observed[bin] += 1;
         }
 
-        let expected = data.len() as f64 / self.bins as f64;
+        let expected = data.len() as f64 / bins as f64;
         let statistic: f64 = observed
             .iter()
             .map(|&o| {
@@ -267,7 +324,7 @@ impl ChiSquaredGof {
             })
             .sum();
 
-        let p_value = chi.sf(statistic);
+        let p_value = self.chi.sf(statistic);
         let decision = if statistic <= critical_value {
             GofOutcome::Accepted
         } else {
@@ -286,6 +343,128 @@ impl ChiSquaredGof {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-window test as it was before [`ChiSquaredGof::prepare`]
+    /// existed: critical value and fitted-normal quantiles rebuilt for
+    /// every window.
+    fn reference_test(bins: usize, data: &[f64], significance: f64) -> GofReport {
+        let dof = bins - 1 - 2;
+        let chi = ChiSquared::new(dof as f64).unwrap();
+        let critical_value = chi.quantile(significance).unwrap();
+        let var = variance(data);
+        if var < ChiSquaredGof::DEGENERATE_VARIANCE {
+            return GofReport {
+                decision: GofOutcome::Degenerate,
+                statistic: 0.0,
+                critical_value,
+                dof,
+                p_value: 1.0,
+            };
+        }
+        let fitted = Normal::new(mean(data), var.sqrt()).unwrap();
+        let edges: Vec<f64> = (1..bins)
+            .map(|i| fitted.quantile(i as f64 / bins as f64).unwrap())
+            .collect();
+        let mut observed = vec![0usize; bins];
+        for &x in data {
+            observed[edges.partition_point(|&e| e <= x)] += 1;
+        }
+        let expected = data.len() as f64 / bins as f64;
+        let statistic: f64 = observed
+            .iter()
+            .map(|&o| (o as f64 - expected) * (o as f64 - expected) / expected)
+            .sum();
+        GofReport {
+            decision: if statistic <= critical_value {
+                GofOutcome::Accepted
+            } else {
+                GofOutcome::Rejected
+            },
+            statistic,
+            critical_value,
+            dof,
+            p_value: chi.sf(statistic),
+        }
+    }
+
+    #[test]
+    fn prepared_test_is_bit_identical_to_per_window_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // CLT-Gaussian, uniform, skewed and spiky windows at several
+        // lengths and offsets, plus constant (degenerate) windows.
+        let mut windows: Vec<Vec<f64>> = Vec::new();
+        for k in 0..60 {
+            let len = [32, 64, 100, 256][k % 4];
+            let offset = 1e3 * next() - 500.0;
+            let scale = 10f64.powi((k % 7) as i32 - 3);
+            let window = (0..len)
+                .map(|_| {
+                    let x = match k % 3 {
+                        0 => (0..12).map(|_| next()).sum::<f64>() - 6.0,
+                        1 => next(),
+                        _ => next().powi(4) + f64::from(u8::from(next() < 0.05)) * 20.0,
+                    };
+                    offset + scale * x
+                })
+                .collect();
+            windows.push(window);
+        }
+        windows.push(vec![2.5; 64]);
+        windows.push(vec![-7.0; 256]);
+        windows.push(vec![0.0; 32]);
+
+        let mut seen = std::collections::HashSet::new();
+        for bins in [4, 8] {
+            let gof = ChiSquaredGof::new(bins).unwrap();
+            for significance in [0.90, 0.95, 0.99] {
+                let prepared = gof.prepare(significance).unwrap();
+                for w in windows.iter().filter(|w| w.len() >= 4 * bins) {
+                    let got = prepared.test(w).unwrap();
+                    let want = reference_test(bins, w, significance);
+                    assert_eq!(got.decision, want.decision);
+                    assert_eq!(got.dof, want.dof);
+                    assert_eq!(got.statistic.to_bits(), want.statistic.to_bits());
+                    assert_eq!(got.critical_value.to_bits(), want.critical_value.to_bits());
+                    assert_eq!(got.p_value.to_bits(), want.p_value.to_bits());
+                    assert_eq!(got, gof.test_normality(w, significance).unwrap());
+                    seen.insert(got.decision);
+                }
+            }
+        }
+        assert_eq!(seen.len(), 3, "every outcome must be exercised: {seen:?}");
+    }
+
+    #[test]
+    fn prepared_test_keeps_error_order() {
+        let gof = ChiSquaredGof::new(8).unwrap();
+        // Significance is checked before length, by `prepare`.
+        for bad in [0.0, 1.0, -0.5, f64::NAN] {
+            assert!(matches!(
+                gof.test_normality(&[1.0; 3], bad),
+                Err(StatsError::InvalidParameter {
+                    name: "significance",
+                    ..
+                })
+            ));
+        }
+        assert!(matches!(
+            gof.prepare(0.95).unwrap().test(&[1.0; 31]),
+            Err(StatsError::InsufficientData {
+                needed: 32,
+                got: 31
+            })
+        ));
+        assert!(matches!(
+            gof.prepare(0.95).unwrap().test(&[f64::NAN; 64]),
+            Err(StatsError::InvalidParameter { .. })
+        ));
+    }
 
     #[test]
     fn chi_squared_cdf_reference() {

@@ -44,11 +44,11 @@ pub mod normal;
 
 mod error;
 
-pub use chi_squared::{ChiSquared, ChiSquaredGof, GofOutcome, GofReport};
+pub use chi_squared::{ChiSquared, ChiSquaredGof, GofOutcome, GofReport, PreparedGof};
 pub use correlation::{autocorrelation, lag_correlation, pearson};
 pub use descriptive::{max, mean, min, rms_error, sample_variance, std_dev, variance, Summary};
 pub use error::StatsError;
 pub use histogram::Histogram;
 pub use lilliefors::LillieforsTest;
-pub use moments::{excess_kurtosis, jarque_bera, skewness};
+pub use moments::{excess_kurtosis, jarque_bera, skewness, PreparedJarqueBera};
 pub use normal::Normal;

@@ -63,7 +63,9 @@ pub fn excess_kurtosis(data: &[f64]) -> f64 {
 }
 
 /// Jarque–Bera normality test: `JB = n/6·(S² + K²/4)` is asymptotically
-/// χ²(2) under normality.
+/// χ²(2) under normality. Shorthand for
+/// `PreparedJarqueBera::new(significance)?.test(data)`; callers testing
+/// many windows should build the [`PreparedJarqueBera`] once.
 ///
 /// # Examples
 ///
@@ -82,50 +84,84 @@ pub fn excess_kurtosis(data: &[f64]) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`StatsError::InsufficientData`] below 16 samples (the
-/// asymptotic χ² approximation needs some length) and
-/// [`StatsError::InvalidParameter`] for a significance outside (0, 1).
+/// Returns [`StatsError::InvalidParameter`] for a significance outside
+/// (0, 1), and otherwise [`StatsError::InsufficientData`] below 16
+/// samples (the asymptotic χ² approximation needs some length).
 pub fn jarque_bera(data: &[f64], significance: f64) -> Result<GofReport, StatsError> {
-    if !(significance > 0.0 && significance < 1.0) {
-        return Err(StatsError::InvalidParameter {
-            name: "significance",
-            value: significance,
-        });
+    PreparedJarqueBera::new(significance)?.test(data)
+}
+
+/// The Jarque–Bera test at one significance, with the χ²(2) critical
+/// value built once; [`PreparedJarqueBera::test`] does only the
+/// per-window work.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedJarqueBera {
+    chi: ChiSquared,
+    critical_value: f64,
+}
+
+impl PreparedJarqueBera {
+    /// Build the test for `significance`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidParameter`] for a significance outside
+    /// (0, 1).
+    pub fn new(significance: f64) -> Result<Self, StatsError> {
+        if !(significance > 0.0 && significance < 1.0) {
+            return Err(StatsError::InvalidParameter {
+                name: "significance",
+                value: significance,
+            });
+        }
+        let chi = ChiSquared::new(2.0)?;
+        let critical_value = chi.quantile(significance)?;
+        Ok(PreparedJarqueBera {
+            chi,
+            critical_value,
+        })
     }
-    if data.len() < 16 {
-        return Err(StatsError::InsufficientData {
-            needed: 16,
-            got: data.len(),
-        });
-    }
-    let chi = ChiSquared::new(2.0)?;
-    let critical_value = chi.quantile(significance)?;
-    if variance(data) < 1e-12 {
-        return Ok(GofReport {
-            decision: GofOutcome::Degenerate,
-            statistic: 0.0,
+
+    /// Test `data` for normality.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InsufficientData`] below 16 samples.
+    pub fn test(&self, data: &[f64]) -> Result<GofReport, StatsError> {
+        if data.len() < 16 {
+            return Err(StatsError::InsufficientData {
+                needed: 16,
+                got: data.len(),
+            });
+        }
+        let critical_value = self.critical_value;
+        if variance(data) < 1e-12 {
+            return Ok(GofReport {
+                decision: GofOutcome::Degenerate,
+                statistic: 0.0,
+                critical_value,
+                dof: 2,
+                p_value: 1.0,
+            });
+        }
+        let s = skewness(data);
+        let k = excess_kurtosis(data);
+        let n = data.len() as f64;
+        let statistic = n / 6.0 * (s * s + k * k / 4.0);
+        let p_value = self.chi.sf(statistic);
+        let decision = if statistic <= critical_value {
+            GofOutcome::Accepted
+        } else {
+            GofOutcome::Rejected
+        };
+        Ok(GofReport {
+            decision,
+            statistic,
             critical_value,
             dof: 2,
-            p_value: 1.0,
-        });
+            p_value,
+        })
     }
-    let s = skewness(data);
-    let k = excess_kurtosis(data);
-    let n = data.len() as f64;
-    let statistic = n / 6.0 * (s * s + k * k / 4.0);
-    let p_value = chi.sf(statistic);
-    let decision = if statistic <= critical_value {
-        GofOutcome::Accepted
-    } else {
-        GofOutcome::Rejected
-    };
-    Ok(GofReport {
-        decision,
-        statistic,
-        critical_value,
-        dof: 2,
-        p_value,
-    })
 }
 
 #[cfg(test)]

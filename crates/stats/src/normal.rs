@@ -146,7 +146,8 @@ impl Normal {
         0.5 * erfc(z)
     }
 
-    /// Inverse CDF (quantile function).
+    /// Inverse CDF (quantile function): `mean + std_dev * z` for the
+    /// standard-normal quantile `z`.
     ///
     /// Uses bisection refined by Newton iterations; accurate to ~1e-12 in
     /// the central region.
@@ -155,38 +156,48 @@ impl Normal {
     ///
     /// Returns [`StatsError::InvalidParameter`] when `p` is outside (0, 1).
     pub fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(p > 0.0 && p < 1.0) {
-            return Err(StatsError::InvalidParameter {
-                name: "p",
-                value: p,
-            });
-        }
-        // Bracket in standard units then refine.
-        let mut lo = -40.0f64;
-        let mut hi = 40.0f64;
-        let std = Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        };
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if std.cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut z = 0.5 * (lo + hi);
-        // Newton polish.
-        for _ in 0..4 {
-            let f = std.cdf(z) - p;
-            let d = std.pdf(z);
-            if d > 0.0 {
-                z -= f / d;
-            }
-        }
-        Ok(self.mean + self.std_dev * z)
+        Ok(self.mean + self.std_dev * standard_quantile(p)?)
     }
+}
+
+/// Standard-normal quantile `z` with `Φ(z) = p`, the `z` of
+/// [`Normal::quantile`].
+///
+/// # Errors
+///
+/// Returns [`StatsError::InvalidParameter`] when `p` is outside (0, 1).
+pub(crate) fn standard_quantile(p: f64) -> Result<f64, StatsError> {
+    if !(p > 0.0 && p < 1.0) {
+        return Err(StatsError::InvalidParameter {
+            name: "p",
+            value: p,
+        });
+    }
+    // Bracket in standard units then refine.
+    let mut lo = -40.0f64;
+    let mut hi = 40.0f64;
+    let std = Normal {
+        mean: 0.0,
+        std_dev: 1.0,
+    };
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if std.cdf(mid) < p {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let mut z = 0.5 * (lo + hi);
+    // Newton polish.
+    for _ in 0..4 {
+        let f = std.cdf(z) - p;
+        let d = std.pdf(z);
+        if d > 0.0 {
+            z -= f / d;
+        }
+    }
+    Ok(z)
 }
 
 #[cfg(test)]
