@@ -577,80 +577,6 @@ fn shutdown_drains_admitted_work() {
     assert_eq!(report.worker_panics, 0);
 }
 
-/// Batched same-calibration drains must be invisible on the wire: each
-/// response in a `handle_batch` group is bitwise the response the same
-/// request gets handled alone, and the group is recorded in the
-/// service's `batch` stats block (group count, request count, mean
-/// fill ratio against the drain cap).
-#[test]
-fn batched_characterize_is_bitwise_identical_and_counted() {
-    let service = Service::standard().expect("service");
-    let trace = deterministic_trace(1_024);
-    let requests: Vec<didt_serve::Request> = (0..5)
-        .map(|i| didt_serve::Request {
-            id: 100 + i,
-            deadline_ms: None,
-            body: didt_serve::RequestBody::Characterize(inline_characterize(trace.clone())),
-        })
-        .collect();
-
-    // Reference: each request handled on its own.
-    let solo: Vec<Json> = requests
-        .iter()
-        .map(|r| match service.handle(r, None).payload {
-            didt_serve::ResponsePayload::Ok { result, .. } => result,
-            other => panic!("solo characterize failed: {other:?}"),
-        })
-        .collect();
-
-    let group: Vec<(&didt_serve::Request, Option<Instant>)> =
-        requests.iter().map(|r| (r, None)).collect();
-    let batched = service.handle_batch(&group);
-    assert_eq!(batched.len(), solo.len());
-    for ((request, response), want) in requests.iter().zip(&batched).zip(&solo) {
-        assert_eq!(response.id, request.id);
-        match &response.payload {
-            didt_serve::ResponsePayload::Ok { result, .. } => assert_eq!(
-                result.render(),
-                want.render(),
-                "batched answer must be bitwise the solo answer"
-            ),
-            other => panic!("batched characterize failed: {other:?}"),
-        }
-    }
-
-    // One drained group of five requests against the BATCH_MAX = 8 cap.
-    let stats = service.stats();
-    use std::sync::atomic::Ordering;
-    assert_eq!(stats.batch_groups.load(Ordering::Relaxed), 1);
-    assert_eq!(stats.batch_requests.load(Ordering::Relaxed), 5);
-    let report = match service
-        .handle(
-            &didt_serve::Request {
-                id: 999,
-                deadline_ms: None,
-                body: didt_serve::RequestBody::Stats,
-            },
-            None,
-        )
-        .payload
-    {
-        didt_serve::ResponsePayload::Ok { result, .. } => result,
-        other => panic!("stats failed: {other:?}"),
-    };
-    let batch = report
-        .get("batch")
-        .expect("stats must report a `batch` block");
-    let field = |k: &str| batch.get(k).and_then(Json::as_f64).expect(k);
-    assert_eq!(field("groups"), 1.0);
-    assert_eq!(field("batched_requests"), 5.0);
-    let want_fill = 5.0 / didt_serve::BATCH_MAX as f64;
-    assert!(
-        (field("mean_fill_ratio") - want_fill).abs() < 1e-12,
-        "mean_fill_ratio: {batch:?}"
-    );
-}
-
 /// The frame reader's buffers must stop growing after the first
 /// request of a given size on a connection: no per-request allocation
 /// growth (satellite of the work-stealing PR; the reader reuses its
@@ -707,13 +633,13 @@ fn frame_reader_reuses_buffers_across_requests() {
     assert_eq!(report.worker_panics, 0);
 }
 
-/// A pipelined burst of same-calibration requests exercises the
-/// steal-aware batch claim: one worker drains the group and parks the
-/// tail on its claim deque, idle peers steal from it. Whatever the
-/// interleaving, every request must be answered exactly once and the
-/// stats block must report the stolen-claim counter.
+/// Concurrency in the worker pool is invisible on the wire: a
+/// pipelined burst mixing two Characterize calibration keys with Pings,
+/// served by three workers, answers every id exactly once, and every
+/// Characterize result renders byte-equal to `Service::handle` on the
+/// same request in process.
 #[test]
-fn pipelined_same_calibration_burst_is_fully_answered_under_stealing() {
+fn pipelined_mixed_burst_is_answered_once_and_matches_in_process_handle() {
     let server = start_server(ServeConfig {
         workers: 3,
         queue_depth: 32,
@@ -721,61 +647,124 @@ fn pipelined_same_calibration_burst_is_fully_answered_under_stealing() {
     });
     let (mut stream, mut reader) = raw_connect(server.local_addr());
 
-    // Write the whole burst before reading anything, so the queue holds
-    // the group when the first worker claims it.
-    let burst = 8u64;
-    for id in 0..burst {
-        let req = didt_serve::Request {
-            id: 500 + id,
+    let trace = deterministic_trace(1_024);
+    let body = |i: u64| match i % 3 {
+        0 => didt_serve::RequestBody::Ping,
+        1 => didt_serve::RequestBody::Characterize(inline_characterize(trace.clone())),
+        _ => didt_serve::RequestBody::Characterize(CharacterizeSpec {
+            window: 32,
+            ..inline_characterize(trace.clone())
+        }),
+    };
+    let requests: Vec<didt_serve::Request> = (0..12u64)
+        .map(|i| didt_serve::Request {
+            id: 500 + i,
             deadline_ms: None,
-            body: didt_serve::RequestBody::Characterize(tiny_characterize()),
-        };
-        write_frame(&mut stream, &req.to_json()).unwrap();
-    }
-    let mut ids: Vec<u64> = (0..burst)
-        .map(|_| {
-            let reply = read_with_deadline(&mut reader).expect("burst reply");
-            assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
-            reply.get("id").and_then(Json::as_u64).expect("id")
+            body: body(i),
         })
         .collect();
-    ids.sort_unstable();
+    // Write the whole burst before reading anything, so the queue holds
+    // it while all three workers pop.
+    for request in &requests {
+        write_frame(&mut stream, &request.to_json()).unwrap();
+    }
+    let mut answers = std::collections::BTreeMap::new();
+    for _ in &requests {
+        let reply = read_with_deadline(&mut reader).expect("burst reply");
+        let response = didt_serve::Response::from_json(&reply).expect("response shape");
+        let didt_serve::ResponsePayload::Ok { result, .. } = response.payload else {
+            panic!("burst request {} failed: {reply:?}", response.id);
+        };
+        assert!(
+            answers.insert(response.id, result).is_none(),
+            "id {} answered twice",
+            response.id
+        );
+    }
     assert_eq!(
-        ids,
-        (500..500 + burst).collect::<Vec<_>>(),
+        answers.keys().copied().collect::<Vec<_>>(),
+        (500..512).collect::<Vec<_>>(),
         "every pipelined request must be answered exactly once"
     );
 
-    // The stats block surfaces the steal counter (non-negative; whether
-    // a steal actually fired depends on worker timing).
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let stats = client.stats().expect("stats");
-    let batch = stats.get("batch").expect("stats must report `batch`");
-    assert!(
-        batch.get("stolen_claims").and_then(Json::as_f64).is_some(),
-        "batch stats must report stolen_claims: {batch:?}"
-    );
+    let reference = Service::standard().expect("service");
+    for request in &requests {
+        if !matches!(request.body, didt_serve::RequestBody::Characterize(_)) {
+            continue;
+        }
+        let didt_serve::ResponsePayload::Ok { result, .. } =
+            reference.handle(request, None).payload
+        else {
+            panic!("in-process characterize {} failed", request.id);
+        };
+        assert_eq!(
+            answers[&request.id].render(),
+            result.render(),
+            "pooled answer {} must be byte-equal to the in-process answer",
+            request.id
+        );
+    }
 
-    drop(client);
     drop(stream);
     let report = server.shutdown();
     assert_eq!(report.worker_panics, 0);
-    assert_eq!(report.served, burst + 1); // burst + stats request
+    assert_eq!(report.served, requests.len() as u64);
 }
 
-/// A singleton pop is not a batch: `handle_batch` over one request must
-/// leave the batch counters untouched.
+/// Ping `addr` back-to-back from a client thread, call `shutdown`, and
+/// require the client to see its connection close before its 20 s cap.
+/// A peer that never pauses never lets a read time out, so shutdown
+/// must check its flag before every frame, not only on timeouts.
+fn shutdown_closes_busy_connection(addr: SocketAddr, shutdown: impl FnOnce()) {
+    let cap = Duration::from_secs(20);
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let pinger = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let t0 = Instant::now();
+        let mut answered = 0u64;
+        while t0.elapsed() < cap {
+            if client.ping().is_err() {
+                return (answered, Some(t0.elapsed()));
+            }
+            answered += 1;
+            if answered == 10 {
+                started_tx.send(()).expect("signal");
+            }
+        }
+        (answered, None)
+    });
+    started_rx
+        .recv_timeout(cap)
+        .expect("the pinger got ten answers");
+    shutdown();
+    let (answered, closed_after) = pinger.join().expect("pinger thread");
+    assert!(answered >= 10, "answered {answered}");
+    assert!(
+        closed_after.is_some(),
+        "the busy connection outlived shutdown: the client pinged for the full {cap:?}"
+    );
+}
+
 #[test]
-fn singleton_handle_batch_is_not_counted_as_a_batch() {
-    let service = Service::standard().expect("service");
-    let request = didt_serve::Request {
-        id: 1,
-        deadline_ms: None,
-        body: didt_serve::RequestBody::Ping,
-    };
-    let responses = service.handle_batch(&[(&request, None)]);
-    assert_eq!(responses.len(), 1);
-    use std::sync::atomic::Ordering;
-    assert_eq!(service.stats().batch_groups.load(Ordering::Relaxed), 0);
-    assert_eq!(service.stats().batch_requests.load(Ordering::Relaxed), 0);
+fn shutdown_closes_a_connection_that_never_pauses() {
+    let server = small_server();
+    let worker = start_server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let router = didt_serve::Router::start(didt_serve::RouterConfig::new(
+        "127.0.0.1:0",
+        vec![worker.local_addr().to_string()],
+    ))
+    .expect("router start");
+
+    let addr = server.local_addr();
+    shutdown_closes_busy_connection(addr, move || {
+        assert_eq!(server.shutdown().worker_panics, 0);
+    });
+    let addr = router.local_addr();
+    shutdown_closes_busy_connection(addr, move || {
+        let _ = router.shutdown();
+    });
+    assert_eq!(worker.shutdown().worker_panics, 0);
 }

@@ -14,8 +14,8 @@
 //!
 //! * **Sharding follows the calibration key.** A request's
 //!   [`crate::protocol::Request::shard_key`] — FNV-1a over (family,
-//!   boundary, window, PDN bits), the same identity the worker's batch
-//!   drain groups on — picks its worker on a consistent-hash ring
+//!   boundary, window, PDN bits), the service's only calibration
+//!   identity — picks its worker on a consistent-hash ring
 //!   ([`super::HashRing`]). Same key, same worker: each worker's memo
 //!   caches stay hot and pairwise disjoint.
 //! * **Sessions are affine.** `SessionOpen` shards like the matching
@@ -46,6 +46,7 @@ use didt_telemetry::{Json, MetricsRegistry};
 
 use super::ring::HashRing;
 use super::snapshot::warm_worker;
+use crate::front::{send_response, ConnWriter, Front, Handler, READ_POLL};
 use crate::protocol::{
     write_frame, ErrorCode, FrameError, FrameReader, Request, RequestBody, Response,
     ResponsePayload, MAX_FRAME_LEN, PROTOCOL_VERSION, SNAPSHOT_MAX_ENTRIES,
@@ -98,9 +99,6 @@ impl RouterConfig {
     }
 }
 
-/// How often blocked reads wake up to poll the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(25);
-
 /// Idle worker connections kept per worker.
 const POOL_MAX: usize = 8;
 
@@ -149,6 +147,16 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
+impl Handler for Shared {
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn handle(&self, request: Request, writer: &ConnWriter) -> std::io::Result<()> {
+        send_response(writer, &handle_request(self, &request))
+    }
+}
+
 /// Final counters returned by [`Router::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterReport {
@@ -170,10 +178,8 @@ pub struct RouterReport {
 /// A running shard router.
 pub struct Router {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
+    front: Front<Shared>,
     prober: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl Router {
@@ -193,7 +199,6 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let slots = config
             .workers
             .iter()
@@ -222,6 +227,12 @@ impl Router {
         }
         shared.stats.route_version.fetch_add(1, Ordering::Relaxed);
 
+        let front = Front::start(
+            listener,
+            "didt-router",
+            shared.config.max_frame_len,
+            Arc::clone(&shared),
+        )?;
         let prober = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -229,28 +240,17 @@ impl Router {
                 .spawn(move || prober_loop(&shared))
                 .expect("spawn prober")
         };
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("didt-router-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn accept loop")
-        };
         Ok(Router {
             shared,
-            local_addr,
-            accept: Some(accept),
+            front,
             prober: Some(prober),
-            conns,
         })
     }
 
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Workers currently marked healthy.
@@ -268,15 +268,7 @@ impl Router {
     /// processes.
     #[must_use]
     pub fn shutdown(mut self) -> RouterReport {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conns poisoned"));
-        for handle in conns {
-            let _ = handle.join();
-        }
+        self.front.stop();
         if let Some(handle) = self.prober.take() {
             let _ = handle.join();
         }
@@ -293,81 +285,10 @@ impl Router {
 }
 
 // ---------------------------------------------------------------------------
-// Accept / connection handling (mirrors the worker server's front)
-// ---------------------------------------------------------------------------
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("didt-router-conn".to_string())
-            .spawn(move || connection_loop(&shared, stream));
-        if let Ok(handle) = handle {
-            conns.lock().expect("conns poisoned").push(handle);
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::new(stream);
-    loop {
-        let mut should_abort = || shared.shutdown.load(Ordering::SeqCst);
-        match reader.read_frame(shared.config.max_frame_len, &mut should_abort) {
-            Ok(json) => {
-                let response = match Request::from_json(&json) {
-                    Ok(request) => handle_request(shared, &request),
-                    Err(message) => {
-                        let id = json.get("id").and_then(Json::as_u64).unwrap_or(0);
-                        Response::error(id, ErrorCode::BadRequest, message)
-                    }
-                };
-                if write_frame(&mut writer, &response.to_json()).is_err() {
-                    break;
-                }
-            }
-            Err(FrameError::Json(e)) => {
-                let resp = Response::error(0, ErrorCode::BadRequest, format!("bad payload: {e}"));
-                if write_frame(&mut writer, &resp.to_json()).is_err() {
-                    break;
-                }
-            }
-            Err(FrameError::TooLarge { len, max }) => {
-                let resp = Response::error(
-                    0,
-                    ErrorCode::BadRequest,
-                    format!("frame of {len} bytes exceeds limit of {max}"),
-                );
-                let _ = write_frame(&mut writer, &resp.to_json());
-                break;
-            }
-            Err(
-                FrameError::Truncated { .. }
-                | FrameError::Closed
-                | FrameError::Aborted
-                | FrameError::Io(_),
-            ) => break,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Request routing
 // ---------------------------------------------------------------------------
 
-fn handle_request(shared: &Arc<Shared>, request: &Request) -> Response {
+fn handle_request(shared: &Shared, request: &Request) -> Response {
     match &request.body {
         RequestBody::Ping => Response::ok(
             request.id,
@@ -405,7 +326,7 @@ fn handle_request(shared: &Arc<Shared>, request: &Request) -> Response {
 }
 
 /// Route a shard-keyed request, failing over past dead workers.
-fn forward_sharded(shared: &Arc<Shared>, request: &Request, key: u64) -> Response {
+fn forward_sharded(shared: &Shared, request: &Request, key: u64) -> Response {
     let metrics = MetricsRegistry::global();
     let mut attempted = vec![false; shared.slots.len()];
     let mut hops = 0u64;
@@ -460,7 +381,7 @@ fn forward_sharded(shared: &Arc<Shared>, request: &Request, key: u64) -> Respons
 }
 
 /// Pin a session follow-up to the worker that owns the session.
-fn forward_session_follow_up(shared: &Arc<Shared>, request: &Request, session: u64) -> Response {
+fn forward_session_follow_up(shared: &Shared, request: &Request, session: u64) -> Response {
     let route = {
         let sessions = shared.sessions.lock().expect("sessions poisoned");
         sessions.get(&session).map(|r| (r.worker, r.remote))
@@ -525,7 +446,7 @@ fn forward_session_follow_up(shared: &Arc<Shared>, request: &Request, session: u
 
 /// On a successful `SessionOpen`, record the route and swap the
 /// worker-local session id for a router-scoped one.
-fn adopt_session(shared: &Arc<Shared>, id: u64, worker: usize, response: Response) -> Response {
+fn adopt_session(shared: &Shared, id: u64, worker: usize, response: Response) -> Response {
     let ResponsePayload::Ok { kind, result } = response.payload else {
         return response;
     };
@@ -593,7 +514,7 @@ fn rewrite_result_session(response: Response, router_session: u64) -> Response {
     Response { id, payload }
 }
 
-fn router_stats(shared: &Arc<Shared>) -> Json {
+fn router_stats(shared: &Shared) -> Json {
     let stats = &shared.stats;
     let workers = shared
         .slots
@@ -676,11 +597,7 @@ impl Drop for InFlight<'_> {
 /// One strict request→response exchange with worker `w`, through its
 /// connection pool. Any failure drops the connection (never returned to
 /// the pool half-used).
-fn forward_once(
-    shared: &Arc<Shared>,
-    w: usize,
-    request: &Request,
-) -> Result<Response, ForwardFail> {
+fn forward_once(shared: &Shared, w: usize, request: &Request) -> Result<Response, ForwardFail> {
     let slot = &shared.slots[w];
     slot.in_flight.fetch_add(1, Ordering::SeqCst);
     let _guard = InFlight(&slot.in_flight);
@@ -741,7 +658,7 @@ fn checkin(slot: &WorkerSlot, conn: WorkerConn) {
 /// Mark worker `w` unhealthy: bump the route-table version, drop its
 /// pooled connections, and orphan every session it owned (follow-ups
 /// answer `unavailable` / `session_not_found` instead of hanging).
-fn mark_down(shared: &Arc<Shared>, w: usize) {
+fn mark_down(shared: &Shared, w: usize) {
     if shared.slots[w].healthy.swap(false, Ordering::SeqCst) {
         shared.stats.route_version.fetch_add(1, Ordering::Relaxed);
     }
@@ -759,7 +676,7 @@ fn mark_down(shared: &Arc<Shared>, w: usize) {
 
 /// One ping round trip to worker `w`. Uses the connection pool, so a
 /// successful probe leaves a warm connection behind.
-fn probe_worker(shared: &Arc<Shared>, w: usize) -> bool {
+fn probe_worker(shared: &Shared, w: usize) -> bool {
     let request = Request {
         id: 0,
         deadline_ms: Some(PROBE_TIMEOUT.as_millis() as u64),
@@ -793,7 +710,7 @@ fn probe_worker(shared: &Arc<Shared>, w: usize) -> bool {
     ok
 }
 
-fn prober_loop(shared: &Arc<Shared>) {
+fn prober_loop(shared: &Shared) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         for w in 0..shared.slots.len() {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -822,7 +739,7 @@ fn prober_loop(shared: &Arc<Shared>) {
 /// Re-enable a worker that came (back) up: warm its caches from a
 /// healthy peer first, so its first routed request per warmed shard is
 /// a memo-cache hit, then flip it healthy and bump the route version.
-fn bring_up(shared: &Arc<Shared>, w: usize) {
+fn bring_up(shared: &Shared, w: usize) {
     if shared.config.warm_on_rejoin {
         let peer = shared
             .slots

@@ -17,8 +17,8 @@
 //!   shared by every connection, so PDNs, monitor designs, gain models,
 //!   captured traces and uncontrolled baselines are computed once per
 //!   distinct spec no matter how many clients ask.
-//! * [`server`] — [`server::Server`]: a threaded TCP front. A bounded
-//!   admission queue feeds a fixed worker pool; when the queue is full
+//! * [`server`] — [`server::Server`]: a threaded TCP server. A bounded
+//!   FIFO admission queue feeds a fixed worker pool; when the queue is full
 //!   the connection thread answers
 //!   [`protocol::ResponsePayload::Rejected`] immediately instead of
 //!   queueing unboundedly. Per-request deadlines abort long simulations
@@ -33,6 +33,9 @@
 //!   (each an ordinary [`server::Server`]), with health probes,
 //!   failover re-routing, session affinity, and cache-warming
 //!   snapshots for joining workers.
+//! * `front` (crate-private) — the accept loop and per-connection frame
+//!   reader that [`server::Server`] and [`cluster::Router`] share: one
+//!   shutdown path and one answer for every kind of undecodable frame.
 //!
 //! # Binaries
 //!
@@ -49,6 +52,7 @@
 
 pub mod client;
 pub mod cluster;
+mod front;
 pub mod protocol;
 pub mod server;
 pub mod service;
@@ -61,5 +65,5 @@ pub use protocol::{
     RequestBody, Response, ResponsePayload, SessionSpec, TraceSource, MAX_FRAME_LEN,
     PROTOCOL_VERSION, SNAPSHOT_MAX_ENTRIES,
 };
-pub use server::{ServeConfig, Server, ShutdownReport, BATCH_MAX};
+pub use server::{ServeConfig, Server, ShutdownReport};
 pub use service::{Service, ServiceStats, MAX_OPEN_SESSIONS, MAX_SESSION_SAMPLES};

@@ -460,10 +460,10 @@ impl RequestBody {
     }
 }
 
-/// FNV-1a over the calibration key parts — the cluster shard key. Every
-/// request with the same (family, boundary, window, PDN bits) hashes to
-/// the same shard, which is exactly the grouping the server's batch
-/// drain uses, so one shard's memo caches stay hot and disjoint.
+/// FNV-1a over the calibration key parts — the cluster shard key and
+/// the service's only calibration identity. Every request with the same
+/// (family, boundary, window, PDN bits) hashes to the same shard, so one
+/// shard's memo caches stay hot and disjoint.
 #[must_use]
 pub fn calibration_shard_key(family: &str, boundary: &str, window: usize, pdn_bits: u64) -> u64 {
     let mut h = shard_fnv(FNV_SHARD_OFFSET, family.as_bytes());
@@ -742,8 +742,8 @@ pub fn snapshot_entry_from_json(json: &Json) -> Result<GainSnapshotEntry, String
 impl Request {
     /// The consistent-hash shard key this request routes on, when it
     /// has one. `Characterize` and `SessionOpen` shard on their
-    /// calibration key (family, boundary, window, PDN bits — the batch
-    /// drain's grouping); `Design` always calibrates in Haar/periodic;
+    /// calibration key (family, boundary, window, PDN bits); `Design`
+    /// always calibrates in Haar/periodic;
     /// `ClosedLoop` shards on (benchmark, PDN bits) so a benchmark's
     /// baseline cache stays on one worker. `None` means the request is
     /// not shardable: `Ping`/`Stats` are answered by whoever receives

@@ -1,4 +1,4 @@
-//! Threaded TCP front: admission control, worker pool, deadlines,
+//! Threaded TCP server: admission control, worker pool, deadlines,
 //! graceful shutdown.
 //!
 //! ```text
@@ -7,6 +7,10 @@
 //!                          ▼                      │ (shared writer)
 //!                    bounded queue ──► worker pool (N, run handlers)
 //! ```
+//!
+//! The accept and connection threads are the front shared with the
+//! cluster router (the crate-private `front` module); this module supplies
+//! what happens to a decoded request — admission — and the pool behind it.
 //!
 //! Design points:
 //!
@@ -20,37 +24,33 @@
 //!   threaded into the handlers, which poll it between analysis stages
 //!   and — for closed-loop simulations — every few thousand simulated
 //!   cycles ([`didt_core::control::DEADLINE_CHECK_INTERVAL`]).
-//! * **Batch claims are stealable.** A worker that drains a
-//!   same-calibration batch parks the tail of the group on its own
-//!   claim deque (see [`didt_bench::StealDeques`]); an idle peer
-//!   steals half of the deepest deque instead of waiting for the
-//!   queue, so lane packing never serializes a burst behind one
-//!   worker.
+//! * **The pool is one FIFO queue.** Every worker blocks on the
+//!   admission queue and runs jobs one at a time in arrival order.
+//!   Same-calibration requests share work through the memo caches, not
+//!   through the pool: a warm gain-model hit costs well under a
+//!   microsecond, so grouping jobs by key would buy nothing.
 //! * **Workers never die.** Handler panics are caught per request
 //!   ([`std::panic::catch_unwind`]), counted, and answered as
 //!   `internal` errors; the pool keeps its width for the life of the
 //!   server (protocol tests assert this by hammering the server with
 //!   malformed traffic and then checking it still answers).
 //! * **Shutdown drains.** [`Server::shutdown`] stops the accept loop
-//!   and the connection readers, closes the queue, lets the workers
-//!   finish every admitted job (responses still reach their sockets
-//!   through the shared writers), then joins everything.
+//!   and the connection readers (each after its current frame), closes
+//!   the queue, lets the workers finish every admitted job (responses
+//!   still reach their sockets through the shared writers), then joins
+//!   everything.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use didt_bench::StealDeques;
-use didt_dsp::Wavelet;
-use didt_telemetry::{Json, MetricsRegistry};
+use didt_telemetry::MetricsRegistry;
 
-use crate::protocol::{
-    write_frame, ErrorCode, FrameError, FrameReader, Request, Response, ResponsePayload,
-    MAX_FRAME_LEN,
-};
+use crate::front::{send_response, ConnWriter, Front, Handler};
+use crate::protocol::{ErrorCode, Request, Response, ResponsePayload, MAX_FRAME_LEN};
 use crate::service::Service;
 
 /// Server configuration.
@@ -84,15 +84,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// How often connection readers wake up to poll the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(25);
-
-/// Most requests a worker drains from the queue as one batch: the job
-/// it popped plus up to `BATCH_MAX - 1` queued `Characterize` requests
-/// sharing its calibration key. Two lane-groups of the batched
-/// estimator per drain.
-pub const BATCH_MAX: usize = 8;
-
 // ---------------------------------------------------------------------------
 // Bounded queue
 // ---------------------------------------------------------------------------
@@ -100,16 +91,6 @@ pub const BATCH_MAX: usize = 8;
 struct QueueInner<T> {
     items: VecDeque<T>,
     closed: bool,
-}
-
-/// Outcome of a non-blocking [`BoundedQueue::try_pop`].
-enum PopNow<T> {
-    /// The next queued item.
-    Item(T),
-    /// Nothing queued, queue still open.
-    Empty,
-    /// Closed and drained — no item will ever arrive again.
-    Closed,
 }
 
 /// A bounded MPMC queue: non-blocking producers (admission either
@@ -153,7 +134,6 @@ impl<T> BoundedQueue<T> {
 
     /// Block for the next item; `None` once the queue is closed *and*
     /// drained.
-    #[cfg(test)]
     fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
@@ -167,75 +147,16 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop: the next item, or whether the queue is closed
-    /// and drained. Workers interleave this with their steal-aware
-    /// claim deques, so they must never park inside the queue.
-    fn try_pop(&self) -> PopNow<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if let Some(item) = inner.items.pop_front() {
-            return PopNow::Item(item);
-        }
-        if inner.closed {
-            PopNow::Closed
-        } else {
-            PopNow::Empty
-        }
-    }
-
-    /// Block until a producer pushes, the queue closes, someone calls
-    /// [`Self::notify_all`], or `timeout` lapses — the idle wait
-    /// between a worker's claim/steal rounds.
-    fn wait_brief(&self, timeout: Duration) {
-        let inner = self.inner.lock().expect("queue poisoned");
-        if inner.items.is_empty() && !inner.closed {
-            let _ = self.takers.wait_timeout(inner, timeout);
-        }
-    }
-
-    /// Wake every waiting consumer (used after parking stealable
-    /// claims so idle peers re-check the claim deques).
-    fn notify_all(&self) {
-        self.takers.notify_all();
-    }
-
     /// Stop admitting; wake every blocked consumer.
     fn close(&self) {
         self.inner.lock().expect("queue poisoned").closed = true;
         self.takers.notify_all();
-    }
-
-    /// Remove and return up to `max` queued items matching `pred`,
-    /// preserving queue order among both the taken and the remaining
-    /// items. Non-blocking; returns fewer (possibly zero) items when
-    /// the queue holds fewer matches.
-    fn drain_where<F: FnMut(&T) -> bool>(&self, max: usize, mut pred: F) -> Vec<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while taken.len() < max && i < inner.items.len() {
-            if pred(&inner.items[i]) {
-                taken.push(inner.items.remove(i).expect("indexed item"));
-            } else {
-                i += 1;
-            }
-        }
-        taken
     }
 }
 
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
-
-/// Write half of a connection, shared between the connection thread
-/// (rejections, protocol errors) and workers (results).
-type ConnWriter = Arc<Mutex<TcpStream>>;
-
-fn send_response(writer: &ConnWriter, response: &Response) -> std::io::Result<()> {
-    let json = response.to_json();
-    let mut stream = writer.lock().expect("writer poisoned");
-    write_frame(&mut *stream, &json)
-}
 
 struct Job {
     request: Request,
@@ -247,14 +168,25 @@ struct Job {
 struct Shared {
     service: Service,
     queue: BoundedQueue<Job>,
-    /// Per-worker claim deques (the work-stealing core of
-    /// DESIGN.md §16). A worker that drains a same-calibration batch
-    /// parks the tail of the group on its own deque; idle peers steal
-    /// half of the deepest deque instead of idling while one worker
-    /// holds up to `BATCH_MAX - 1` queued requests.
-    claims: StealDeques<Job>,
     shutdown: AtomicBool,
     config: ServeConfig,
+}
+
+impl Handler for Shared {
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn handle(&self, request: Request, writer: &ConnWriter) -> std::io::Result<()> {
+        admit(self, request, writer)
+    }
+
+    fn protocol_error(&self) {
+        self.service
+            .stats()
+            .protocol_errors
+            .fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Final counters returned by [`Server::shutdown`].
@@ -275,10 +207,8 @@ pub struct ShutdownReport {
 /// A running dI/dt characterization server.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<std::thread::JoinHandle<()>>,
+    front: Front<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -289,7 +219,6 @@ impl Server {
     /// Propagates bind failure.
     pub fn start(config: ServeConfig, service: Service) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let stats = service.stats();
         stats
             .workers
@@ -299,64 +228,50 @@ impl Server {
             .store(config.queue_depth as u64, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_depth),
-            claims: StealDeques::new(config.workers),
             service,
             shutdown: AtomicBool::new(false),
             config,
         });
 
+        // Jobs admitted before the pool is up simply wait in the queue.
+        let front = Front::start(
+            listener,
+            "didt-serve",
+            shared.config.max_frame_len,
+            Arc::clone(&shared),
+        )?;
         let workers = (0..shared.config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("didt-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || {
+                        while let Some(job) = shared.queue.pop() {
+                            process_job(&shared, job);
+                        }
+                    })
                     .expect("spawn worker")
             })
             .collect();
-
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("didt-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn accept loop")
-        };
-
         Ok(Server {
             shared,
-            local_addr,
-            accept: Some(accept),
+            front,
             workers,
-            conns,
         })
     }
 
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Stop accepting, drain admitted work, join every thread.
     #[must_use]
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The accept thread blocks in accept(); a throwaway connection
-        // wakes it so it can observe the flag.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        // Connection readers poll the flag every READ_POLL and exit;
-        // join them before closing the queue so no admission races the
-        // close.
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conns poisoned"));
-        for handle in conns {
-            let _ = handle.join();
-        }
+        // The connection readers are joined before the queue closes, so
+        // no admission races the close.
+        self.front.stop();
         self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -372,83 +287,8 @@ impl Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("didt-serve-conn".to_string())
-            .spawn(move || connection_loop(&shared, stream));
-        if let Ok(handle) = handle {
-            conns.lock().expect("conns poisoned").push(handle);
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let writer: ConnWriter = Arc::new(Mutex::new(write_half));
-    let mut reader = FrameReader::new(stream);
-    let stats = shared.service.stats();
-    loop {
-        let mut should_abort = || shared.shutdown.load(Ordering::SeqCst);
-        match reader.read_frame(shared.config.max_frame_len, &mut should_abort) {
-            Ok(json) => match Request::from_json(&json) {
-                Ok(request) => admit(shared, request, &writer),
-                Err(message) => {
-                    // The frame itself was well-formed, so the stream
-                    // is still in sync — answer and keep reading.
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let id = json.get("id").and_then(Json::as_u64).unwrap_or(0);
-                    let _ = send_response(
-                        &writer,
-                        &Response::error(id, ErrorCode::BadRequest, message),
-                    );
-                }
-            },
-            Err(FrameError::Json(e)) => {
-                // Bad payload, intact framing: recoverable.
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send_response(
-                    &writer,
-                    &Response::error(0, ErrorCode::BadRequest, format!("bad payload: {e}")),
-                );
-            }
-            Err(FrameError::TooLarge { len, max }) => {
-                // The oversized payload was never read, so the stream
-                // can't be resynchronized — answer, then hang up.
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = send_response(
-                    &writer,
-                    &Response::error(
-                        0,
-                        ErrorCode::BadRequest,
-                        format!("frame of {len} bytes exceeds limit of {max}"),
-                    ),
-                );
-                break;
-            }
-            Err(FrameError::Truncated { .. }) => {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            Err(FrameError::Closed | FrameError::Aborted | FrameError::Io(_)) => break,
-        }
-    }
-}
-
-fn admit(shared: &Arc<Shared>, request: Request, writer: &ConnWriter) {
+/// Queue `request`, or answer `Rejected` at once when the queue is full.
+fn admit(shared: &Shared, request: Request, writer: &ConnWriter) -> std::io::Result<()> {
     let id = request.id;
     let deadline = request
         .deadline_ms
@@ -460,104 +300,21 @@ fn admit(shared: &Arc<Shared>, request: Request, writer: &ConnWriter) {
         enqueued: Instant::now(),
         writer: Arc::clone(writer),
     };
-    if shared.queue.try_push(job).is_err() {
-        let stats = shared.service.stats();
-        stats.rejected.fetch_add(1, Ordering::Relaxed);
-        MetricsRegistry::global().counter("serve.rejected").incr();
-        let _ = send_response(
-            writer,
-            &Response::rejected(id, shared.config.retry_after_ms, shared.queue.len() as u64),
-        );
+    if shared.queue.try_push(job).is_ok() {
+        return Ok(());
     }
+    let stats = shared.service.stats();
+    stats.rejected.fetch_add(1, Ordering::Relaxed);
+    MetricsRegistry::global().counter("serve.rejected").incr();
+    send_response(
+        writer,
+        &Response::rejected(id, shared.config.retry_after_ms, shared.queue.len() as u64),
+    )
 }
 
-/// The calibration identity of a queued `Characterize` request: jobs
-/// sharing this key hit the same cached gain model, so a worker can
-/// drain them together and keep the calibration (and the batched
-/// estimator's lane groups) hot across the whole group.
-fn calibration_key(request: &Request) -> Option<(&'static str, &'static str, usize, u64)> {
-    match &request.body {
-        crate::protocol::RequestBody::Characterize(spec) => Some((
-            spec.family.name(),
-            spec.boundary.name(),
-            spec.window,
-            spec.pdn_pct.to_bits(),
-        )),
-        _ => None,
-    }
-}
-
-/// How long an idle worker parks between claim/steal rounds when both
-/// the queue and every claim deque look empty.
-const WORKER_IDLE_POLL: Duration = Duration::from_millis(2);
-
-fn worker_loop(shared: &Arc<Shared>, me: usize) {
-    loop {
-        // 1. This worker's own parked claims (batch-drain tails).
-        if let Some(job) = shared.claims.pop(me) {
-            process_job(shared, job);
-            continue;
-        }
-        // 2. Fresh work from the admission queue. Same-calibration
-        //    Characterize requests already waiting ride along with the
-        //    popped job as one drained claim; the tail of the claim is
-        //    *parked* on this worker's deque — stealable — rather than
-        //    held privately, so a worker never idles while a peer sits
-        //    on up to BATCH_MAX-1 queued same-calibration requests.
-        let closed = match shared.queue.try_pop() {
-            PopNow::Item(job) => {
-                let mut group = vec![job];
-                if didt_dsp::batch_enabled() {
-                    if let Some(key) = calibration_key(&group[0].request) {
-                        group.extend(shared.queue.drain_where(BATCH_MAX - 1, |j: &Job| {
-                            calibration_key(&j.request) == Some(key)
-                        }));
-                    }
-                }
-                if group.len() >= 2 {
-                    shared.service.note_batch_group(group.len());
-                }
-                let mut tail = group.into_iter();
-                let first = tail.next().expect("claim group is non-empty");
-                let mut parked = 0usize;
-                for job in tail {
-                    shared.claims.push(me, job);
-                    parked += 1;
-                }
-                if parked > 0 {
-                    // Idle peers wait on the queue condvar; wake them
-                    // so they re-check the claim deques and steal.
-                    shared.queue.notify_all();
-                }
-                process_job(shared, first);
-                continue;
-            }
-            PopNow::Empty => false,
-            PopNow::Closed => true,
-        };
-        // 3. Steal half of the deepest peer deque.
-        if shared.config.workers >= 2 {
-            if let Some(victim) = shared.claims.deepest_other(me) {
-                let moved = shared.claims.steal_half(me, victim);
-                if moved > 0 {
-                    shared.service.note_claims_stolen(moved as u64);
-                    continue;
-                }
-            }
-        }
-        // 4. Idle. Exit only once the queue is closed *and* no claim
-        //    is parked anywhere (parked jobs always belong to some
-        //    live worker's deque, so none are lost).
-        if closed && shared.claims.is_empty() {
-            break;
-        }
-        shared.queue.wait_brief(WORKER_IDLE_POLL);
-    }
-}
-
-/// Run one claimed job: queue-wait accounting, deadline check, the
-/// handler under `catch_unwind`, response write.
-fn process_job(shared: &Arc<Shared>, job: Job) {
+/// Run one job: queue-wait accounting, deadline check, the handler
+/// under `catch_unwind`, response write.
+fn process_job(shared: &Shared, job: Job) {
     let stats = shared.service.stats();
     let metrics = MetricsRegistry::global();
     let now = Instant::now();
@@ -610,21 +367,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn drain_where_takes_matches_in_order_and_preserves_rest() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
-            q.try_push(v).unwrap();
-        }
-        let even = q.drain_where(2, |v| v % 2 == 0);
-        assert_eq!(even, vec![2, 4]); // capped at 2, in queue order
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-        assert_eq!(q.pop(), Some(6));
-        assert!(q.drain_where(4, |_| true).is_empty());
     }
 
     #[test]

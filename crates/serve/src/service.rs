@@ -65,14 +65,6 @@ pub struct ServiceStats {
     pub workers: AtomicU64,
     /// Admission queue capacity (set once at server start).
     pub queue_capacity: AtomicU64,
-    /// Same-calibration `Characterize` groups drained together (size
-    /// ≥ 2; singleton pops are not batches).
-    pub batch_groups: AtomicU64,
-    /// Requests served inside those groups.
-    pub batch_requests: AtomicU64,
-    /// Parked batch-claim jobs stolen by idle workers from a peer's
-    /// claim deque.
-    pub claims_stolen: AtomicU64,
     /// Streaming sessions opened over the process lifetime.
     pub sessions_opened: AtomicU64,
     /// Streaming sessions closed by the client.
@@ -247,42 +239,6 @@ impl Service {
         }
     }
 
-    /// Handle a drained group of requests sequentially, recording the
-    /// group in the batch counters when it holds two or more requests.
-    /// Each response is exactly what [`Service::handle`] would have
-    /// produced for that request alone — batching is invisible to
-    /// clients.
-    #[must_use]
-    pub fn handle_batch(&self, group: &[(&Request, Option<Instant>)]) -> Vec<Response> {
-        if group.len() >= 2 {
-            self.note_batch_group(group.len());
-        }
-        group
-            .iter()
-            .map(|(req, dl)| self.handle(req, *dl))
-            .collect()
-    }
-
-    /// Record one drained same-calibration group of `size` requests.
-    pub(crate) fn note_batch_group(&self, size: usize) {
-        self.stats.batch_groups.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .batch_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
-        MetricsRegistry::global()
-            .counter("serve.batch.drained")
-            .add(size as u64);
-    }
-
-    /// Record `moved` parked claim jobs stolen by an idle worker from
-    /// a peer's claim deque (the steal-aware batch drain).
-    pub(crate) fn note_claims_stolen(&self, moved: u64) {
-        self.stats.claims_stolen.fetch_add(moved, Ordering::Relaxed);
-        MetricsRegistry::global()
-            .counter("serve.batch.stolen")
-            .add(moved);
-    }
-
     fn stats_report(&self) -> Json {
         let mut pairs = vec![(
             "uptime_ms",
@@ -344,29 +300,6 @@ impl Service {
                 (
                     "replay_cycles",
                     Json::num(metrics.counter(didt_trace::REPLAY_CYCLES_COUNTER).get() as f64),
-                ),
-            ]),
-        ));
-        // Batched same-calibration Characterize drains (the worker pool
-        // records these; zero when batching is disabled or traffic
-        // never lines up). Fill ratio is measured against the drain
-        // limit [`crate::server::BATCH_MAX`].
-        let groups = self.stats.batch_groups.load(Ordering::Relaxed);
-        let batched = self.stats.batch_requests.load(Ordering::Relaxed);
-        let stolen = self.stats.claims_stolen.load(Ordering::Relaxed);
-        pairs.push((
-            "batch",
-            Json::obj(vec![
-                ("groups", Json::num(groups as f64)),
-                ("batched_requests", Json::num(batched as f64)),
-                ("stolen_claims", Json::num(stolen as f64)),
-                (
-                    "mean_fill_ratio",
-                    Json::num(if groups > 0 {
-                        batched as f64 / (groups * crate::server::BATCH_MAX as u64) as f64
-                    } else {
-                        0.0
-                    }),
                 ),
             ]),
         ));
@@ -530,7 +463,7 @@ impl Service {
             family: spec.family,
             boundary: spec.boundary,
         };
-        self.characterize_report(&trace, &per_level, &params, haar_streaming, deadline)
+        self.characterize_report(&trace, &per_level, &params, deadline)
     }
 
     /// The analysis back half shared *verbatim* by one-shot
@@ -545,7 +478,6 @@ impl Service {
         trace: &[f64],
         per_level: &[Vec<f64>],
         spec: &SessionSpec,
-        haar_streaming: bool,
         deadline: Option<Instant>,
     ) -> HandlerResult {
         let n = trace.len() as f64;
@@ -585,11 +517,7 @@ impl Service {
                 spec.family,
             )
             .map_err(|e| didt_err(&e))?;
-        let model = if haar_streaming {
-            VarianceModel::new((*gains).clone())
-        } else {
-            VarianceModel::with_boundary((*gains).clone(), None, spec.boundary)
-        };
+        let model = VarianceModel::with_boundary((*gains).clone(), None, spec.boundary);
         let estimator = EmergencyEstimator::new(model, spec.threshold);
         // The batched tiling: lane-groups of windows through the SoA
         // kernels, bit-identical to `estimate_trace` (and falling back
@@ -748,7 +676,7 @@ impl Service {
             per_level[c.level - 1].push(c.value);
         }
         self.stats.session_verdicts.fetch_add(1, Ordering::Relaxed);
-        let mut report = self.characterize_report(&samples, &per_level, &spec, true, deadline)?;
+        let mut report = self.characterize_report(&samples, &per_level, &spec, deadline)?;
         if let Json::Obj(pairs) = &mut report {
             pairs.insert(0, ("session".to_string(), Json::num(session as f64)));
         }
