@@ -1,8 +1,8 @@
 //! Convolution-engine benchmarks: the tiered kernels of `didt-dsp`
 //! (reference, blocked time-domain, FFT overlap-save, auto dispatch)
 //! across the signal-length × tap-count shapes sweeps actually hit.
-//! The CI-facing numbers live in `perf_report` / `BENCH_pr3.json`;
-//! these benches are for local kernel work.
+//! End-to-end performance is measured by `perfbench`; these benches
+//! are for local kernel work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use didt_dsp::{fir_filter, fir_filter_auto, fir_filter_fast, fir_filter_time, ConvScratch};

@@ -53,9 +53,7 @@ const EXPERIMENTS: &[&str] = &[
     "ext_wavelet_family",
     "trace_record",
     "ext_phase_clustering",
-    "perf_report",
-    // Built by didt-serve, not didt-bench; land in the same bin dir.
-    "load_report",
+    // Built by didt-serve, not didt-bench; lands in the same bin dir.
     "storm_report",
 ];
 

@@ -565,8 +565,8 @@ impl ExperimentRunner {
         }
     }
 
-    /// Same runner with an explicit scheduler (A/B benchmarking; the
-    /// skew section of `perf_report` races pack against steal).
+    /// Same runner with an explicit scheduler (tests pin serial ≡
+    /// pack ≡ steal; `storm_report` drives its storm with steal).
     #[must_use]
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;

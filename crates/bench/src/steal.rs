@@ -345,8 +345,7 @@ pub fn blocked_partition(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// PR 1–9 scheduler: a shared atomic counter handing out
-    /// fixed-width packs of consecutive points. Kept for A/B
-    /// benchmarking (`perf_report` skew section) and as an escape
+    /// fixed-width packs of consecutive points. Kept as an escape
     /// hatch (`DIDT_SCHEDULER=pack`).
     Pack {
         /// Consecutive points claimed per counter bump.

@@ -18,7 +18,7 @@
 //! output is bit-identical to [`didt_pdn::VoltageSimulator`].
 
 use crate::monitor::{CycleSense, VoltageMonitor};
-use didt_pdn::{Biquad, BiquadBank, SecondOrderPdn};
+use didt_pdn::{Biquad, SecondOrderPdn};
 use std::collections::VecDeque;
 
 /// Recursive (IIR) droop monitor; see the module docs.
@@ -91,54 +91,6 @@ impl VoltageMonitor for BiquadMonitor {
     }
 }
 
-/// Lockstep batch variant of [`BiquadMonitor`]: `L` independent current
-/// streams observed against one PDN. Lane `l`'s estimate stream is
-/// bit-identical to a scalar [`BiquadMonitor`] fed lane `l` — the
-/// recurrence, the delay pipeline, and the vdd prefill all mirror the
-/// scalar monitor per lane.
-#[derive(Debug, Clone)]
-pub struct BiquadMonitorBatch<const L: usize> {
-    bank: BiquadBank<L>,
-    vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<[f64; L]>,
-}
-
-impl<const L: usize> BiquadMonitorBatch<L> {
-    /// Build the batched recursive monitor for `pdn` with a shared
-    /// output `delay` in cycles.
-    #[must_use]
-    pub fn new(pdn: &SecondOrderPdn, delay: usize) -> Self {
-        BiquadMonitorBatch {
-            bank: BiquadBank::from_biquad(&pdn.droop_filter()),
-            vdd: pdn.vdd(),
-            delay,
-            pipeline: VecDeque::from(vec![[pdn.vdd(); L]; delay]),
-        }
-    }
-
-    /// Observe one sensed current per lane; returns the per-lane
-    /// (delay-shifted) voltage estimates.
-    pub fn observe(&mut self, currents: [f64; L]) -> [f64; L] {
-        let droop = self.bank.step(currents);
-        let mut est = [0.0; L];
-        for l in 0..L {
-            est[l] = self.vdd - droop[l];
-        }
-        if self.delay == 0 {
-            return est;
-        }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
-    }
-
-    /// Output delay in cycles (shared across lanes).
-    #[must_use]
-    pub fn delay(&self) -> usize {
-        self.delay
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,34 +143,6 @@ mod tests {
         assert_eq!(mon.term_count(), 5);
         assert_eq!(mon.delay(), 2);
         assert_eq!(mon.name(), "biquad-recursive");
-    }
-
-    #[test]
-    fn batch_lanes_match_scalar_monitor_bitwise() {
-        let p = pdn();
-        for delay in [0usize, 3] {
-            let mut batch = BiquadMonitorBatch::<4>::new(&p, delay);
-            let mut scalars: Vec<BiquadMonitor> =
-                (0..4).map(|_| BiquadMonitor::new(&p, delay)).collect();
-            for n in 0..1000 {
-                let mut currents = [0.0; 4];
-                for (l, c) in currents.iter_mut().enumerate() {
-                    *c = 25.0 + 10.0 * ((n * (l + 2)) as f64 * 0.21).sin();
-                }
-                let est = batch.observe(currents);
-                for l in 0..4 {
-                    let want = scalars[l].observe(CycleSense {
-                        current: currents[l],
-                        voltage: 1.0,
-                    });
-                    assert_eq!(
-                        est[l].to_bits(),
-                        want.to_bits(),
-                        "delay={delay} n={n} lane={l}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

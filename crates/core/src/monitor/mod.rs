@@ -29,7 +29,7 @@ mod shift_register;
 mod wavelet_monitor;
 
 pub use analog::AnalogSensor;
-pub use biquad_monitor::{BiquadMonitor, BiquadMonitorBatch};
+pub use biquad_monitor::BiquadMonitor;
 pub use family_monitor::{FamilyMonitor, FamilyMonitorDesign};
 pub use full_conv::FullConvolutionMonitor;
 pub use shift_register::{HistoryRing, SlidingTerm, TermKind};

@@ -3,9 +3,9 @@
 //! The paper's methodology is a characterization *sweep*: the same FIR /
 //! DWT / droop kernels evaluated over many independent traces and design
 //! points. The per-trace kernels (convolution tiers, the periodic DWT
-//! pyramid, the biquad recurrence) were made fast in earlier PRs; this
-//! module adds the remaining structural win — processing `L` traces per
-//! instruction by laying them out as fixed-width lanes.
+//! pyramid) were made fast in earlier PRs; this module adds the
+//! remaining structural win — processing `L` traces per instruction by
+//! laying them out as fixed-width lanes.
 //!
 //! # Layout
 //!
@@ -23,12 +23,11 @@
 //! `[f64; L]` columns autovectorize on any x86-64 target (SSE2 gives two
 //! lanes per op); when the host supports AVX2 the `L = 4` hot loops
 //! switch to an explicit `core::arch::x86_64` path behind runtime
-//! feature detection ([`cpu_features`]), four lanes per op, same
-//! association order, still bit-identical. Setting `DIDT_BATCH_LANES=1`
-//! forces every batch entry point down its scalar fallback (counted by
-//! [`BATCH_FALLBACK_COUNTER`]); consumers pack work in groups of
-//! [`effective_lanes`] and fall back to the scalar path for ragged
-//! remainders.
+//! feature detection, four lanes per op, same association order, still
+//! bit-identical. Setting `DIDT_BATCH_LANES=1` forces every batch entry
+//! point down its scalar fallback (counted by [`BATCH_FALLBACK_COUNTER`]);
+//! consumers pack work in groups of [`effective_lanes`] and fall back to
+//! the scalar path for ragged remainders.
 
 use crate::transform::max_dwt_levels;
 use crate::wavelet::Wavelet;
@@ -74,24 +73,6 @@ pub fn effective_lanes() -> usize {
     configured_lanes().unwrap_or(DEFAULT_LANES)
 }
 
-/// Detected CPU SIMD feature set, as a stable label for BENCH reports
-/// and manifests: `"avx2+fma"`, `"avx2"`, or `"scalar-only"`. This
-/// reports what the *host* supports, not what dispatch currently uses,
-/// so the label is invariant under `DIDT_BATCH_LANES`.
-#[must_use]
-pub fn cpu_features() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            if is_x86_feature_detected!("fma") {
-                return "avx2+fma";
-            }
-            return "avx2";
-        }
-    }
-    "scalar-only"
-}
-
 /// Runtime gate for the explicit AVX2 kernels. The batch arithmetic
 /// never uses FMA — fused rounding would break lane bit-identity with
 /// the scalar mul-then-add expressions.
@@ -112,9 +93,9 @@ fn note_dispatch() {
         .incr();
 }
 
-/// Bump the scalar-fallback counter. Public so batch *consumers*
-/// (sweep packing, the serve drain, the batched estimator) can account
-/// for their ragged remainders with the same counter the kernels use.
+/// Bump the scalar-fallback counter. Public so the batched estimator
+/// (`didt_core::characterize::batch`) can account for its ragged
+/// remainders with the same counter the kernels use.
 pub fn note_scalar_fallback() {
     didt_telemetry::MetricsRegistry::global()
         .counter(BATCH_FALLBACK_COUNTER)
@@ -222,166 +203,11 @@ impl<const L: usize> TraceBatch<L> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched blocked FIR (time-domain tier)
-// ---------------------------------------------------------------------------
-
-/// Mirror of the scalar kernel's output block size.
-use crate::convolution::TIME_BLOCK;
-
-/// Lane-parallel [`crate::fir_filter_time`]: causal FIR filtering of all
-/// lanes in lockstep, blocked over outputs with taps applied four at a
-/// time — the exact loop structure (and per-lane association order) of
-/// the scalar kernel, so every lane is bit-identical to
-/// `fir_filter_time(batch.lane(l), h)`.
-///
-/// # Panics
-///
-/// Panics when `h` is empty (as the scalar kernel would by indexing).
-#[must_use]
-pub fn fir_filter_time_batch<const L: usize>(x: &TraceBatch<L>, h: &[f64]) -> TraceBatch<L> {
-    let _span = didt_telemetry::span("dsp.batch.fir_time");
-    note_dispatch();
-    assert!(!h.is_empty(), "empty filter");
-    let n = x.len();
-    let k = h.len();
-    let xc = x.columns();
-    let mut out = vec![[0.0f64; L]; n];
-    // Prologue (t < k-1): reference loop, per lane.
-    let steady = (k - 1).min(n) * usize::from(k > 1);
-    for (t, o) in out.iter_mut().enumerate().take(steady) {
-        let mut acc = [0.0f64; L];
-        for j in 0..=t {
-            let hj = h[j];
-            let xs = &xc[t - j];
-            for l in 0..L {
-                acc[l] += hj * xs[l];
-            }
-        }
-        *o = acc;
-    }
-    // Steady state: block over outputs; taps four at a time as
-    // shifted-column AXPYs, matching the scalar tap grouping.
-    let mut t0 = steady;
-    while t0 < n {
-        let t1 = (t0 + TIME_BLOCK).min(n);
-        let width = t1 - t0;
-        let (_, tail) = out.split_at_mut(t0);
-        let ob = &mut tail[..width];
-        let mut j = 0;
-        while j + 4 <= k {
-            let (h0, h1, h2, h3) = (h[j], h[j + 1], h[j + 2], h[j + 3]);
-            let x0 = &xc[t0 - j..t1 - j];
-            let x1 = &xc[t0 - j - 1..t1 - j - 1];
-            let x2 = &xc[t0 - j - 2..t1 - j - 2];
-            let x3 = &xc[t0 - j - 3..t1 - j - 3];
-            axpy4_columns(ob, x0, x1, x2, x3, h0, h1, h2, h3);
-            j += 4;
-        }
-        while j < k {
-            let hj = h[j];
-            let xs = &xc[t0 - j..t1 - j];
-            for i in 0..width {
-                for l in 0..L {
-                    ob[i][l] += hj * xs[i][l];
-                }
-            }
-            j += 1;
-        }
-        t0 = t1;
-    }
-    TraceBatch {
-        cols: out,
-        lanes: x.lanes(),
-    }
-}
-
-/// `ob[i] += h0·x0[i] + h1·x1[i] + h2·x2[i] + h3·x3[i]`, per lane, in
-/// that association order. Dispatches to the AVX2 kernel for `f64x4`
-/// columns on capable hosts.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn axpy4_columns<const L: usize>(
-    ob: &mut [[f64; L]],
-    x0: &[[f64; L]],
-    x1: &[[f64; L]],
-    x2: &[[f64; L]],
-    x3: &[[f64; L]],
-    h0: f64,
-    h1: f64,
-    h2: f64,
-    h3: f64,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if L == 4 && avx2_available() {
-        // Columns of a `TraceBatch<4>` are exactly one 256-bit vector;
-        // the pointer casts reinterpret `[[f64; 4]]` as raw f64 runs.
-        unsafe {
-            avx2::axpy4_f64x4(
-                ob.as_mut_ptr().cast::<f64>(),
-                x0.as_ptr().cast::<f64>(),
-                x1.as_ptr().cast::<f64>(),
-                x2.as_ptr().cast::<f64>(),
-                x3.as_ptr().cast::<f64>(),
-                ob.len(),
-                h0,
-                h1,
-                h2,
-                h3,
-            );
-        }
-        return;
-    }
-    for i in 0..ob.len() {
-        for l in 0..L {
-            ob[i][l] += h0 * x0[i][l] + h1 * x1[i][l] + h2 * x2[i][l] + h3 * x3[i][l];
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
     };
-
-    /// The 4-tap AXPY over `f64x4` columns. Mul-then-add only (no FMA):
-    /// each lane performs the scalar expression
-    /// `acc += h0*x0 + h1*x1 + h2*x2 + h3*x3` with identical rounding.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 support and that all pointers address
-    /// `4 * width` valid f64s.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn axpy4_f64x4(
-        ob: *mut f64,
-        x0: *const f64,
-        x1: *const f64,
-        x2: *const f64,
-        x3: *const f64,
-        width: usize,
-        h0: f64,
-        h1: f64,
-        h2: f64,
-        h3: f64,
-    ) {
-        let (v0, v1, v2, v3) = (
-            _mm256_set1_pd(h0),
-            _mm256_set1_pd(h1),
-            _mm256_set1_pd(h2),
-            _mm256_set1_pd(h3),
-        );
-        for i in 0..width {
-            let o = ob.add(4 * i);
-            let mut acc: __m256d = _mm256_mul_pd(v0, _mm256_loadu_pd(x0.add(4 * i)));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(v1, _mm256_loadu_pd(x1.add(4 * i))));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(v2, _mm256_loadu_pd(x2.add(4 * i))));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(v3, _mm256_loadu_pd(x3.add(4 * i))));
-            _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o), acc));
-        }
-    }
 
     /// One periodic pyramid tap accumulation over a whole coefficient
     /// row: `sa[k] += hm·a[idx(k)]`, `sd[k] += gm·a[idx(k)]` for f64x4
@@ -718,9 +544,7 @@ pub fn lag1_correlation_batch<const L: usize>(cols: &[[f64; L]]) -> [f64; L] {
 mod tests {
     use super::*;
     use crate::wavelet::{Haar, WaveletFamily};
-    use crate::{
-        dwt_boundary_into, fir_filter_time, BoundaryMode, DwtScratch, WaveletDecomposition,
-    };
+    use crate::{dwt_boundary_into, BoundaryMode, DwtScratch, WaveletDecomposition};
 
     fn traces(n: usize, count: usize) -> Vec<Vec<f64>> {
         (0..count)
@@ -755,27 +579,6 @@ mod tests {
         let b = [1.0];
         assert!(TraceBatch::<4>::from_traces(&[&a, &b]).is_err());
         assert!(TraceBatch::<1>::from_traces(&[&a, &a]).is_err());
-    }
-
-    #[test]
-    fn fir_batch_matches_scalar_bitwise_all_lanes() {
-        let ts = traces(5000, 4);
-        let refs: Vec<&[f64]> = ts.iter().map(Vec::as_slice).collect();
-        let b = TraceBatch::<4>::from_traces(&refs).unwrap();
-        for k in [1usize, 3, 4, 7, 16, 65] {
-            let h: Vec<f64> = (0..k).map(|i| 0.97f64.powi(i as i32) * 0.05).collect();
-            let y = fir_filter_time_batch(&b, &h);
-            for (l, t) in ts.iter().enumerate() {
-                let want = fir_filter_time(t, &h);
-                let got = y.lane(l);
-                assert!(
-                    want.iter()
-                        .zip(&got)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "k={k} lane={l} diverged"
-                );
-            }
-        }
     }
 
     #[test]
@@ -885,12 +688,5 @@ mod tests {
         assert_eq!(r[0], 0.0);
         assert!(r[1] > 0.5);
         assert_eq!(lag1_correlation_batch::<4>(&[[1.0; 4]; 2]), [0.0; 4]);
-    }
-
-    #[test]
-    fn cpu_features_is_stable_label() {
-        let f = cpu_features();
-        assert!(["avx2+fma", "avx2", "scalar-only"].contains(&f));
-        assert_eq!(f, cpu_features());
     }
 }

@@ -84,7 +84,7 @@ pub fn fir_filter(x: &[f64], h: &[f64]) -> Vec<f64> {
 /// Output-block width of the blocked time-domain kernel: big enough to
 /// amortize the tap loop, small enough that the output block plus the
 /// (block + taps)-wide input window it reads stay cache-resident.
-pub(crate) const TIME_BLOCK: usize = 2048;
+const TIME_BLOCK: usize = 2048;
 
 /// Cache-blocked, 4-way-unrolled time-domain FIR filter. Identical
 /// semantics to [`fir_filter`] (same-length output, zero pre-history);

@@ -64,9 +64,9 @@ pub mod wavelet;
 mod error;
 
 pub use batch::{
-    batch_enabled, cpu_features, dwt_into_batch, effective_lanes, fir_filter_time_batch,
-    lag1_correlation_batch, mean_batch, note_scalar_fallback, variance_batch, BatchDecomposition,
-    BatchDwtScratch, TraceBatch, BATCH_DISPATCH_COUNTER, BATCH_FALLBACK_COUNTER, DEFAULT_LANES,
+    batch_enabled, dwt_into_batch, effective_lanes, lag1_correlation_batch, mean_batch,
+    note_scalar_fallback, variance_batch, BatchDecomposition, BatchDwtScratch, TraceBatch,
+    BATCH_DISPATCH_COUNTER, BATCH_FALLBACK_COUNTER, DEFAULT_LANES,
 };
 pub use convolution::{
     conv_crossover_taps, convolve_fft, convolve_full, fir_filter, fir_filter_auto, fir_filter_fast,

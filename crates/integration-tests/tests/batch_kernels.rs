@@ -9,14 +9,12 @@
 //! degenerate batch, which must collapse to the scalar path exactly.
 
 use didt_core::characterize::{EmergencyEstimator, ScaleGainModel, VarianceModel};
-use didt_core::monitor::{BiquadMonitor, BiquadMonitorBatch, CycleSense, VoltageMonitor};
 use didt_core::DidtSystem;
 use didt_dsp::{
-    dwt_boundary_into, dwt_into_batch, fir_filter_time, fir_filter_time_batch,
-    lag1_correlation_batch, mean_batch, variance_batch, BatchDecomposition, BatchDwtScratch,
-    BoundaryMode, DwtScratch, TraceBatch, WaveletDecomposition, WaveletFamily,
+    dwt_boundary_into, dwt_into_batch, lag1_correlation_batch, mean_batch, variance_batch,
+    BatchDecomposition, BatchDwtScratch, BoundaryMode, DwtScratch, TraceBatch,
+    WaveletDecomposition, WaveletFamily,
 };
-use didt_pdn::{Biquad, BiquadBank};
 use didt_stats::{lag_correlation, mean, variance};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -30,49 +28,7 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Random lane traces: `lanes` of them (1..=L makes the tail ragged),
-/// all the same length.
-fn traces_strategy(
-    lanes: impl Strategy<Value = usize>,
-    len: usize,
-) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    lanes.prop_flat_map(move |l| {
-        prop::collection::vec(prop::collection::vec(-100.0f64..100.0, len..=len), l..=l)
-    })
-}
-
 proptest! {
-    /// Blocked FIR: every occupied lane of a (possibly ragged) 4-lane
-    /// batch is bitwise the scalar `fir_filter_time` of that trace.
-    #[test]
-    fn fir_batch_matches_scalar_on_all_lanes(
-        traces in traces_strategy(1usize..=4, 64),
-        k in 1usize..=24,
-        h_raw in prop::collection::vec(-1.0f64..1.0, 24..=24),
-    ) {
-        let h = &h_raw[..k];
-        let refs = lane_slices(&traces);
-        let tb = TraceBatch::<4>::from_traces(&refs).unwrap();
-        let out = fir_filter_time_batch(&tb, h);
-        for (l, x) in refs.iter().enumerate() {
-            let want = fir_filter_time(x, h);
-            prop_assert!(bits_eq(&out.lane(l), &want), "fir lane {l} diverged");
-        }
-    }
-
-    /// The `L = 1` degenerate batch is the scalar kernel, bit for bit.
-    #[test]
-    fn fir_batch_l1_collapses_to_scalar(
-        trace in prop::collection::vec(-100.0f64..100.0, 8..=96),
-        k in 1usize..=16,
-        h_raw in prop::collection::vec(-1.0f64..1.0, 16..=16),
-    ) {
-        let h = &h_raw[..k];
-        let tb = TraceBatch::<1>::from_traces(&[&trace]).unwrap();
-        let out = fir_filter_time_batch(&tb, h);
-        prop_assert!(bits_eq(&out.lane(0), &fir_filter_time(&trace, h)));
-    }
-
     /// Periodic pyramid: every lane's detail and approximation bands
     /// match `dwt_boundary_into` bitwise, across the family ladder and
     /// ragged lane counts.
@@ -171,27 +127,6 @@ proptest! {
         }
     }
 
-    /// The raw biquad recursion bank: lockstep lanes with warm filter
-    /// state stay bitwise on the scalar recurrence.
-    #[test]
-    fn biquad_bank_matches_scalar_on_all_lanes(
-        coeff_b in prop::collection::vec(-1.0f64..1.0, 3..=3),
-        coeff_a in prop::collection::vec(-0.9f64..0.9, 2..=2),
-        drive in prop::collection::vec(-50.0f64..50.0, 4..=800),
-    ) {
-        let proto = Biquad::new(
-            [coeff_b[0], coeff_b[1], coeff_b[2]],
-            [coeff_a[0], coeff_a[1]],
-        );
-        let mut bank = BiquadBank::<4>::from_biquad(&proto);
-        let mut scalars = [proto, proto, proto, proto];
-        for x in drive.chunks_exact(4) {
-            let got = bank.step([x[0], x[1], x[2], x[3]]);
-            for l in 0..4 {
-                prop_assert!(got[l].to_bits() == scalars[l].step(x[l]).to_bits());
-            }
-        }
-    }
 }
 
 /// One calibration, shared by the estimator property tests below — the
@@ -228,36 +163,5 @@ proptest! {
         prop_assert_eq!(p_want.to_bits(), p_got.to_bits());
         prop_assert_eq!(n_want, n_got);
         prop_assert_eq!(v_want.to_bits(), v_got.to_bits());
-    }
-}
-
-/// The monitor-facing batch wrapper, checked against four scalar
-/// monitors over a deterministic drive at several pipeline delays.
-#[test]
-fn biquad_monitor_batch_matches_scalar_monitors() {
-    let sys = DidtSystem::standard().expect("system");
-    let pdn = sys.pdn_at(150.0).expect("pdn");
-    for delay in [0usize, 1, 4] {
-        let mut batch = BiquadMonitorBatch::<4>::new(&pdn, delay);
-        let mut scalars: Vec<BiquadMonitor> =
-            (0..4).map(|_| BiquadMonitor::new(&pdn, delay)).collect();
-        for c in 0..2_000 {
-            let mut currents = [0.0f64; 4];
-            for (l, x) in currents.iter_mut().enumerate() {
-                *x = 30.0 + 25.0 * ((c as f64) * 0.21 + l as f64).sin();
-            }
-            let got = batch.observe(currents);
-            for (l, m) in scalars.iter_mut().enumerate() {
-                let want = m.observe(CycleSense {
-                    current: currents[l],
-                    voltage: 1.0,
-                });
-                assert_eq!(
-                    got[l].to_bits(),
-                    want.to_bits(),
-                    "delay {delay} lane {l} cycle {c}"
-                );
-            }
-        }
     }
 }

@@ -399,3 +399,28 @@ const CHARACTERIZE_DB4_SYMMETRIC: ReportGolden = &[
     ("emergency.windows", 0x4080000000000000),
     ("emergency.mean_voltage", 0x3fefbb30650f5509),
 ];
+
+/// The settings that may change how work is scheduled or packed, but
+/// never what it computes: forced-scalar batch kernels and a one-thread
+/// sweep runner. Each leg re-runs this test binary with one setting and
+/// must pass every other golden here unchanged — `characterize_report`
+/// through `estimate_trace_batch` (so the scalar fallback) and `tab02`
+/// through `ExperimentRunner::from_env` (so the serial runner).
+#[test]
+fn forced_scalar_and_serial_settings_reproduce_every_golden() {
+    const SELF: &str = "forced_scalar_and_serial_settings_reproduce_every_golden";
+    let exe = std::env::current_exe().unwrap();
+    for (var, value) in [("DIDT_BATCH_LANES", "1"), ("DIDT_NUM_THREADS", "1")] {
+        let output = std::process::Command::new(&exe)
+            .args(["--skip", SELF])
+            .env(var, value)
+            .output()
+            .unwrap();
+        assert!(
+            output.status.success(),
+            "goldens changed under {var}={value}:\n{}{}",
+            String::from_utf8_lossy(&output.stdout),
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+}

@@ -1,8 +1,9 @@
 //! The experiment runner's core contracts: serial and parallel sweeps
 //! are bit-identical, results depend on point identity (never execution
-//! order), shared cache entries compute exactly once under concurrency,
-//! and parallel execution actually buys wall-clock time on multi-core
-//! hosts.
+//! order), and shared cache entries compute exactly once under
+//! concurrency. How much wall-clock time the pool buys is measured by
+//! `perfbench --workload sweep --trace 1` (`runner.busy_fraction`), not
+//! asserted here.
 
 use std::sync::Arc;
 
@@ -197,54 +198,4 @@ fn context_artifacts_compute_once_across_workers() {
     for r in &results {
         assert_eq!(r.baseline, results[0].baseline);
     }
-}
-
-/// Wall-clock speedup from the worker pool. Meaningful only on
-/// multi-core hosts, so it self-gates on available parallelism; the
-/// determinism tests above cover correctness on any machine.
-#[test]
-fn parallel_sweep_speeds_up_on_multicore_hosts() {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores < 4 {
-        eprintln!("skipping speedup measurement: only {cores} core(s) available");
-        return;
-    }
-    let run = RunParams {
-        instructions: 8_000,
-        warmup_cycles: 2_000,
-    };
-    let points = Sweep::new()
-        .benchmarks(&[
-            Benchmark::Gzip,
-            Benchmark::Swim,
-            Benchmark::Crafty,
-            Benchmark::Eon,
-        ])
-        .pdn_pcts(&[125.0, 150.0])
-        .monitor_terms(&[13])
-        .controllers(&[WAVELET])
-        .points();
-    // Warm both contexts' caches so the measurement is pure point work.
-    let serial_ctx = SweepContext::standard().unwrap();
-    let parallel_ctx = SweepContext::standard().unwrap();
-    let _ = serial_ctx.run_sweep(&ExperimentRunner::serial(), &points, RUN);
-    let _ = parallel_ctx.run_sweep(&ExperimentRunner::serial(), &points, RUN);
-
-    let t0 = std::time::Instant::now();
-    let serial = serial_ctx.run_sweep(&ExperimentRunner::serial(), &points, run);
-    let serial_time = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    let parallel =
-        parallel_ctx.run_sweep(&ExperimentRunner::with_threads(cores.min(8)), &points, run);
-    let parallel_time = t1.elapsed();
-
-    assert_eq!(serial, parallel);
-    let speedup = serial_time.as_secs_f64() / parallel_time.as_secs_f64().max(1e-9);
-    eprintln!(
-        "sweep speedup on {cores} cores: {speedup:.2}x ({serial_time:?} -> {parallel_time:?})"
-    );
-    assert!(
-        speedup >= 3.0,
-        "expected >= 3x speedup on {cores} cores, measured {speedup:.2}x"
-    );
 }

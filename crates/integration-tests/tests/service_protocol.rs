@@ -10,11 +10,14 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use didt_bench::{ControllerSpec, RunParams, SweepContext, SweepPoint};
+use didt_core::control::ClosedLoopResult;
 use didt_serve::{
     write_frame, CharacterizeSpec, Client, ClientError, ClosedLoopSpec, ErrorCode, FrameError,
     FrameReader, ServeConfig, Server, Service, SessionSpec, TraceSource, MAX_FRAME_LEN,
 };
 use didt_telemetry::Json;
+use didt_uarch::Benchmark;
 
 fn start_server(config: ServeConfig) -> Server {
     Server::start(config, Service::standard().expect("service")).expect("server start")
@@ -333,6 +336,93 @@ fn stats_reports_sim_throughput_and_queue_wait_quantiles() {
     assert!(q("count") >= 2.0, "queue_wait_ns.count: {wait:?}");
     assert!(q("p50") <= q("p95"), "quantiles out of order: {wait:?}");
     assert!(q("p95") <= q("p99"), "quantiles out of order: {wait:?}");
+
+    drop(client);
+    let report = server.shutdown();
+    assert_eq!(report.worker_panics, 0);
+}
+
+/// ClosedLoop through the wire codec is the batch runner's point, bit
+/// for bit: every numeric field of both legs and the seed survive the
+/// frame encode/decode unchanged, on a fresh context of its own.
+#[test]
+fn closed_loop_over_tcp_matches_batch_runner_bitwise() {
+    let wavelet = ControllerSpec::WaveletThreshold {
+        low: 0.975,
+        high: 1.025,
+        hysteresis: 0.004,
+        delay: 1,
+    };
+    let points = [
+        (Benchmark::Gzip, 150.0, wavelet),
+        (Benchmark::Swim, 150.0, wavelet),
+        (Benchmark::Gzip, 125.0, ControllerSpec::None),
+    ];
+    let run = RunParams {
+        instructions: 2_000,
+        warmup_cycles: 1_000,
+    };
+    let leg_fields = |r: &ClosedLoopResult| {
+        [
+            ("cycles", r.cycles as f64),
+            ("instructions", r.instructions as f64),
+            ("low_emergencies", r.low_emergencies as f64),
+            ("high_emergencies", r.high_emergencies as f64),
+            ("stall_cycles", r.stall_cycles as f64),
+            ("nop_cycles", r.nop_cycles as f64),
+            ("false_positives", r.false_positives as f64),
+            ("v_min", r.v_min),
+            ("v_max", r.v_max),
+            ("mean_power", r.mean_power),
+        ]
+    };
+
+    let server = small_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let ctx = SweepContext::standard().expect("context");
+    for (benchmark, pdn_pct, controller) in points {
+        let spec = ClosedLoopSpec {
+            benchmark: benchmark.name().to_string(),
+            pdn_pct,
+            monitor_terms: 13,
+            controller,
+            instructions: run.instructions,
+            warmup_cycles: run.warmup_cycles,
+            replay: None,
+        };
+        let tcp = client
+            .closed_loop(spec, Some(120_000))
+            .expect("tcp closed loop");
+        let point = SweepPoint {
+            benchmark,
+            pdn_pct,
+            monitor_terms: 13,
+            controller,
+        };
+        let want = ctx.run_point(&point, run).expect("batch point");
+        let case = format!("{} at {pdn_pct} %, {}", benchmark.name(), controller.tag());
+        for (leg, result) in [
+            ("baseline", &want.baseline),
+            ("controlled", &want.controlled),
+        ] {
+            for (field, value) in leg_fields(result) {
+                let got = tcp
+                    .get(leg)
+                    .and_then(|l| l.get(field))
+                    .and_then(Json::as_f64);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    Some(value.to_bits()),
+                    "{case}: {leg}.{field}"
+                );
+            }
+        }
+        assert_eq!(
+            tcp.get("seed_hex").and_then(Json::as_str),
+            Some(didt_telemetry::seed_to_hex(want.seed).as_str()),
+            "{case}: seed"
+        );
+    }
 
     drop(client);
     let report = server.shutdown();

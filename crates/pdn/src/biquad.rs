@@ -80,63 +80,6 @@ impl Biquad {
     }
 }
 
-/// `L` copies of one biquad stepped in lockstep: shared coefficients,
-/// per-lane state. Each lane evaluates the exact [`Biquad::step`]
-/// expression, so lane `l` of the output stream is bit-identical to a
-/// scalar [`Biquad`] fed lane `l`'s input stream. This is the droop
-/// recurrence of the batched monitor path — the recursion is
-/// latency-bound scalar, so lockstep lanes convert the dependency-chain
-/// stalls into throughput.
-///
-/// # Examples
-///
-/// ```
-/// use didt_pdn::{Biquad, BiquadBank};
-///
-/// let proto = Biquad::new([2.0, 0.0, 0.0], [0.0, 0.0]);
-/// let mut bank = BiquadBank::<4>::from_biquad(&proto);
-/// assert_eq!(bank.step([1.0, 2.0, 3.0, 4.0]), [2.0, 4.0, 6.0, 8.0]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BiquadBank<const L: usize> {
-    b: [f64; 3],
-    a: [f64; 2],
-    w1: [f64; L],
-    w2: [f64; L],
-}
-
-impl<const L: usize> BiquadBank<L> {
-    /// Clone a prototype filter's coefficients across `L` lanes with
-    /// cleared state.
-    #[must_use]
-    pub fn from_biquad(proto: &Biquad) -> Self {
-        BiquadBank {
-            b: proto.b,
-            a: proto.a,
-            w1: [0.0; L],
-            w2: [0.0; L],
-        }
-    }
-
-    /// Process one sample per lane.
-    pub fn step(&mut self, x: [f64; L]) -> [f64; L] {
-        let mut y = [0.0; L];
-        for l in 0..L {
-            let yl = self.b[0] * x[l] + self.w1[l];
-            self.w1[l] = self.b[1] * x[l] - self.a[0] * yl + self.w2[l];
-            self.w2[l] = self.b[2] * x[l] - self.a[1] * yl;
-            y[l] = yl;
-        }
-        y
-    }
-
-    /// Clear every lane's state.
-    pub fn reset(&mut self) {
-        self.w1 = [0.0; L];
-        self.w2 = [0.0; L];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,29 +134,6 @@ mod tests {
         assert!(Biquad::new([1.0, 0.0, 0.0], [-1.8, 0.81]).is_stable());
         assert!(!Biquad::new([1.0, 0.0, 0.0], [0.0, 1.0]).is_stable());
         assert!(!Biquad::new([1.0, 0.0, 0.0], [-2.0, 1.0]).is_stable());
-    }
-
-    #[test]
-    fn bank_lanes_match_scalar_bitwise() {
-        let proto = Biquad::new([0.3, -0.2, 0.05], [-0.5, 0.25]);
-        let mut bank = BiquadBank::<4>::from_biquad(&proto);
-        let mut scalars = [proto; 4];
-        for n in 0..500 {
-            let mut x = [0.0; 4];
-            for (l, xl) in x.iter_mut().enumerate() {
-                *xl = ((n * (l + 3)) as f64 * 0.17).sin() * 2.0 - 0.3;
-            }
-            let y = bank.step(x);
-            for l in 0..4 {
-                assert_eq!(
-                    y[l].to_bits(),
-                    scalars[l].step(x[l]).to_bits(),
-                    "n={n} lane={l}"
-                );
-            }
-        }
-        bank.reset();
-        assert_eq!(bank.step([0.0; 4]), [0.0; 4]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod biquad;
 mod error;
 mod model;
 
-pub use biquad::{Biquad, BiquadBank};
+pub use biquad::Biquad;
 pub use calibration::{calibrate_target_impedance, CalibratedPdn};
 pub use error::PdnError;
 pub use model::{SecondOrderPdn, VoltageSimulator};

@@ -7,8 +7,8 @@
 //! Binds (default `127.0.0.1:7411`), prints one
 //! `didt-serve listening on <addr>` line so scripts can scrape the
 //! resolved address (relevant with port 0), then serves until killed.
-//! The CI smoke job starts this binary, drives it with
-//! `load_report --smoke --addr`, and tears it down.
+//! The CI cluster job starts two of these behind `cluster`, drives
+//! them with `storm_report --smoke --router`, and kills one mid-storm.
 
 use didt_serve::{ServeConfig, Server, Service};
 

@@ -23,10 +23,9 @@
 //!    deterministic ring assignment, tail latency from a telemetry
 //!    histogram, and the router's forwarded/rerouted/rejected counters.
 //!
-//! Results go to `BENCH_pr9.json` (override with `DIDT_BENCH_OUT`;
-//! schema `didt-bench-v4`, documented in EXPERIMENTS.md) plus a normal
-//! run manifest. Wall-clock numbers live only in the BENCH file, never
-//! in manifest goldens.
+//! Results go to stdout plus a normal run manifest. Wall-clock numbers
+//! never land in manifest goldens; the repository benchmark
+//! (`perfbench`) is where request throughput and latency are measured.
 //!
 //! Flags: `--smoke` shrinks the fleet and the storm for CI;
 //! `--router HOST:PORT` targets an external router (the CI cluster
@@ -46,7 +45,7 @@ use didt_serve::{
     RequestBody, ResponsePayload, Router, RouterConfig, ServeConfig, Server, Service, SessionSpec,
     TraceSource, PROTOCOL_VERSION,
 };
-use didt_telemetry::{discover_git_sha, Json, MetricsRegistry};
+use didt_telemetry::{Json, MetricsRegistry};
 
 fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -554,36 +553,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|&c| c as f64 / keys.len() as f64)
         .fold(0.0f64, f64::max);
 
-    let mut per_worker = Vec::new();
     let mut min_hit_ratio = f64::INFINITY;
     let mut reachable = 0usize;
     for addr in &worker_addrs {
-        match Client::connect(addr)
+        // The killed worker is unreachable by design.
+        if let Ok(stats) = Client::connect(addr)
             .map_err(ClientError::Io)
             .and_then(|mut c| c.stats())
         {
-            Ok(stats) => {
-                let served = u64_stat(&stats, &["served"]);
-                let hit_ratio = stats
-                    .get("cache_hit_ratio")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                min_hit_ratio = min_hit_ratio.min(hit_ratio);
-                reachable += 1;
-                per_worker.push(Json::obj(vec![
-                    ("addr", Json::str(addr.clone())),
-                    ("reachable", Json::Bool(true)),
-                    ("served", Json::num(served as f64)),
-                    ("cache_hit_ratio", Json::num(hit_ratio)),
-                ]));
-            }
-            Err(_) => {
-                // The killed worker: unreachable by design.
-                per_worker.push(Json::obj(vec![
-                    ("addr", Json::str(addr.clone())),
-                    ("reachable", Json::Bool(false)),
-                ]));
-            }
+            let hit_ratio = stats
+                .get("cache_hit_ratio")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0);
+            min_hit_ratio = min_hit_ratio.min(hit_ratio);
+            reachable += 1;
         }
     }
     if !min_hit_ratio.is_finite() {
@@ -608,115 +591,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ------------------------------------------------------------------
-    // BENCH_pr9.json + manifest + acceptance checks.
+    // Manifest + acceptance checks.
     // ------------------------------------------------------------------
-    let quant = |q: f64| Json::num(latency.quantile(q));
-    let bench = Json::obj(vec![
-        ("schema", Json::str("didt-bench-v4")),
-        ("name", Json::str("storm_report")),
-        (
-            "git_sha",
-            Json::str(discover_git_sha().unwrap_or_else(|| "unknown".to_string())),
-        ),
-        ("smoke", Json::Bool(smoke)),
-        (
-            "topology",
-            Json::obj(vec![
-                ("workers", Json::num(workers as f64)),
-                ("replicas", Json::num(REPLICAS as f64)),
-                ("external", Json::Bool(external)),
-            ]),
-        ),
-        (
-            "warm",
-            Json::obj(vec![
-                ("exported", Json::num(exported as f64)),
-                ("installed", Json::num(installed as f64)),
-                ("bit_identical", Json::Bool(warm_identical)),
-                ("served_from_warmed_slots", Json::Bool(warmed_as_hits)),
-            ]),
-        ),
-        (
-            "sessions",
-            Json::obj(vec![
-                ("count", Json::num(session_keys.len() as f64)),
-                ("bit_identical", Json::Bool(sessions_identical)),
-            ]),
-        ),
-        (
-            "sharding",
-            Json::obj(vec![
-                ("keys", Json::num(keys.len() as f64)),
-                ("collisions", Json::num(collisions as f64)),
-                ("requests", Json::num(issued as f64)),
-                ("ok", Json::num(ok as f64)),
-                ("rejected", Json::num(rejected as f64)),
-                ("errors", Json::num(errors as f64)),
-                ("max_fill_share", Json::num(max_fill_share)),
-                ("min_shard_hit_ratio", Json::num(min_hit_ratio)),
-                ("reachable_workers", Json::num(reachable as f64)),
-                ("per_worker", Json::Arr(per_worker)),
-                ("wall_secs", Json::num(storm_secs)),
-                ("requests_per_sec", Json::num(throughput)),
-                (
-                    "latency_ns",
-                    Json::obj(vec![
-                        ("p50", quant(0.5)),
-                        ("p95", quant(0.95)),
-                        ("p99", quant(0.99)),
-                        ("count", Json::num(latency.count() as f64)),
-                    ]),
-                ),
-            ]),
-        ),
-        (
-            "driver",
-            Json::obj(vec![
-                ("scheduler", Json::str(driver_report.scheduler)),
-                ("workers", Json::num(driver_report.workers as f64)),
-                ("rounds", Json::num(rounds as f64)),
-                ("chunks", Json::num(driver_report.chunks as f64)),
-                (
-                    "steal_attempts",
-                    Json::num(driver_report.steal_attempts as f64),
-                ),
-                ("steal_hits", Json::num(driver_report.steal_hits as f64)),
-                (
-                    "deque_max_depth",
-                    Json::num(driver_report.deque_max_depth as f64),
-                ),
-                (
-                    "busy_fractions",
-                    Json::Arr(
-                        driver_report
-                            .busy_fractions()
-                            .into_iter()
-                            .map(Json::num)
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "failover",
-            Json::obj(vec![
-                ("worker_died", Json::Bool(worker_died)),
-                ("expected", Json::Bool(expect_failover || !external)),
-                ("rerouted", Json::num(rerouted as f64)),
-                ("route_table_version", Json::num(route_version as f64)),
-                ("healthy_after", Json::num(healthy_after as f64)),
-                ("lost", Json::num(lost as f64)),
-                ("duplicated", Json::num(duplicated as f64)),
-                ("divergent", Json::num(divergent as f64)),
-                ("zero_lost", Json::Bool(lost == 0)),
-                ("zero_duplicated", Json::Bool(duplicated == 0)),
-            ]),
-        ),
-    ]);
-    let out_path = std::env::var("DIDT_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr9.json".to_string());
-    std::fs::write(&out_path, bench.render() + "\n")?;
-    println!("wrote {out_path}");
-
     exp.golden("shard_collisions", collisions as f64);
     exp.golden("sessions_bit_identical", f64::from(sessions_identical));
     exp.golden("storm_zero_lost", f64::from(lost == 0));

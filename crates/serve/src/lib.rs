@@ -25,7 +25,7 @@
 //!   cooperatively (via [`didt_core::DidtError::DeadlineExceeded`]), and
 //!   shutdown drains in-flight work before returning.
 //! * [`client`] — [`client::Client`]: a small blocking client used by
-//!   the `load_report` harness, the examples and the protocol tests.
+//!   the `storm_report` harness, the examples and the protocol tests.
 //!   Opt-in [`client::ClientConfig`] retry/backoff absorbs overload
 //!   rejections on a deterministic schedule.
 //! * [`cluster`] — the scale-out tier: [`cluster::Router`] consistent-
@@ -41,14 +41,9 @@
 //!
 //! * `serve` — bind a loopback (or given) address and serve forever.
 //! * `cluster` — bind a router in front of a list of worker addresses.
-//! * `load_report` — the workspace's 20th experiment: drives request
-//!   mixes against a local server and writes `BENCH_pr4.json` with
-//!   throughput, latency quantiles, rejection behaviour under overload,
-//!   cache hit ratios, and a serial-replay fidelity check against the
-//!   batch runner.
-//! * `storm_report` — the multi-node benchmark: router + ≥ 2 workers,
-//!   sharding balance/hit-ratio gates, streaming-session fidelity, a
-//!   mid-storm worker kill, and cache warming; writes `BENCH_pr9.json`.
+//! * `storm_report` — the multi-node acceptance driver: router + ≥ 2
+//!   workers, sharding balance/hit-ratio gates, streaming-session
+//!   fidelity, a mid-storm worker kill, and cache warming.
 
 pub mod client;
 pub mod cluster;

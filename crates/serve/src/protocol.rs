@@ -18,8 +18,8 @@
 //! A request is `{"id", "kind", "deadline_ms"?, "spec"?}`; a response
 //! is `{"id", "status", ...}` with `status` one of `ok`, `rejected`,
 //! `error`. All f64 fields round-trip bit-exactly through the JSON
-//! layer (shortest-roundtrip rendering), which the `load_report`
-//! replay-fidelity check relies on.
+//! layer (shortest-roundtrip rendering), which the protocol tests'
+//! ClosedLoop ≡ batch-runner check relies on.
 
 use std::fmt;
 use std::io::{self, Read, Write};

@@ -42,9 +42,8 @@ pub mod span;
 
 pub use json::{Json, JsonError};
 pub use manifest::{
-    discover_git_sha, intern_scheduler_counter, manifest_dir, seed_from_hex, seed_to_hex,
-    CacheClassRecord, GridAxis, PointRecord, RunManifest, SchedCounterRecord, SubRun,
-    SCHEMA_VERSION,
+    intern_scheduler_counter, manifest_dir, seed_from_hex, seed_to_hex, CacheClassRecord, GridAxis,
+    PointRecord, RunManifest, SchedCounterRecord, SubRun, SCHEMA_VERSION,
 };
 pub use metrics::{
     bucket_index, bucket_lower_bound, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,

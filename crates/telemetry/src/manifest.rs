@@ -615,8 +615,7 @@ pub fn manifest_dir() -> PathBuf {
 /// working directory to the nearest `.git` and reading `HEAD` (plus
 /// `packed-refs` for packed branches). `None` outside a repository —
 /// no subprocess, no network.
-#[must_use]
-pub fn discover_git_sha() -> Option<String> {
+fn discover_git_sha() -> Option<String> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
         let git = dir.join(".git");
@@ -822,12 +821,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `read_git_head` over a fresh `.git`-shaped temp directory
+    /// holding `files` (path, contents).
+    fn head_of(case: &str, files: &[(&str, &str)]) -> Option<String> {
+        let git = std::env::temp_dir().join(format!(
+            "didt-git-fixture-{case}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        for (path, contents) in files {
+            let path = git.join(path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, contents).unwrap();
+        }
+        let head = read_git_head(&git);
+        std::fs::remove_dir_all(&git).ok();
+        head
+    }
+
     #[test]
-    fn discovers_this_repositorys_sha() {
-        // The workspace is a git repository, so discovery from the test
-        // working directory must find a 40-hex SHA.
-        let sha = discover_git_sha().expect("tests run inside the repo");
-        assert!(is_sha(&sha), "{sha:?}");
+    fn reads_git_head_from_fixtures() {
+        let sha = "0123456789abcdef0123456789abcdef01234567";
+        let other = "fedcba9876543210fedcba9876543210fedcba98";
+        let packed = format!(
+            "# pack-refs with: peeled fully-peeled sorted \n{other} refs/heads/main\n\
+             {sha} refs/heads/topic\n^{other}\n"
+        );
+        // A loose ref wins over a stale packed entry for the same name.
+        let loose = head_of(
+            "loose",
+            &[
+                ("HEAD", "ref: refs/heads/main\n"),
+                ("refs/heads/main", &format!("{sha}\n")),
+                ("packed-refs", &packed),
+            ],
+        );
+        assert_eq!(loose.as_deref(), Some(sha));
+        let packed_only = head_of(
+            "packed",
+            &[
+                ("HEAD", "ref: refs/heads/topic\n"),
+                ("packed-refs", &packed),
+            ],
+        );
+        assert_eq!(packed_only.as_deref(), Some(sha));
+        let detached = head_of("detached", &[("HEAD", &format!("{other}\n"))]);
+        assert_eq!(detached.as_deref(), Some(other));
+        let non_sha = head_of(
+            "non-sha",
+            &[
+                ("HEAD", "ref: refs/heads/main\n"),
+                ("refs/heads/main", "not a commit\n"),
+            ],
+        );
+        assert_eq!(non_sha, None);
     }
 
     #[test]
