@@ -1,12 +1,12 @@
 //! Work-stealing execution core (DESIGN.md §16).
 //!
 //! The sweep grids this repo runs are grids of *independent* jobs, but
-//! their costs are not uniform: Monte-Carlo PDN members, mixed live-sim
-//! vs recorded-replay points and deadline-bounded serve jobs vary by
-//! orders of magnitude. A shared atomic counter handing out fixed-size
-//! packs (the PR 1–9 scheduler, kept as [`Scheduler::Pack`]) loses the
-//! whole tail to stragglers: whoever claims the pack holding the heavy
-//! points finishes last while its peers idle.
+//! their costs are not uniform: Monte-Carlo PDN members and mixed
+//! live-sim vs recorded-replay points vary by orders of magnitude. A
+//! shared atomic counter handing out fixed-size packs (the PR 1–9
+//! scheduler, kept as [`Scheduler::Pack`]) loses the whole tail to
+//! stragglers: whoever claims the pack holding the heavy points
+//! finishes last while its peers idle.
 //!
 //! This module is the replacement substrate:
 //!
@@ -16,8 +16,8 @@
 //!   so owner locality is disturbed as little as possible.
 //! * [`CostClass`] — an optional per-point cost hint (`u64`, any
 //!   monotone proxy: trace length for replay points, grid cells for
-//!   sim points, window size for serve jobs). Hints drive the initial
-//!   chunking so skewed work is split finer up front.
+//!   sim points). Hints drive the initial chunking so skewed work is
+//!   split finer up front.
 //! * [`SplitMix64`] — the victim-selection RNG. Seeded from the worker
 //!   identity only — never from the wall clock — so a given (worker
 //!   count, point count) run probes victims in a reproducible order.
@@ -144,14 +144,14 @@ impl<P> Copy for CostClass<P> {}
 /// Per-worker work deques with a steal-half protocol.
 ///
 /// Each worker owns one `Mutex<VecDeque<T>>`. The owner treats the
-/// *back* as its hot end (push/pop newest-first); thieves take from
+/// *back* as its hot end (pops newest-first); thieves take from
 /// the *front* — the entries the owner would reach last — moving
 /// ⌈len/2⌉ items per successful steal so a thief that found work keeps
 /// enough of it to amortize the next theft. Locks are held one at a
 /// time (victim first, then thief), so steals can never deadlock.
 ///
-/// The runner stores index chunks here; the serve worker pool stores
-/// whole queued jobs. Both use the same protocol.
+/// The sweep runner is the only user: each worker's deque holds
+/// contiguous index chunks of the grid.
 #[derive(Debug)]
 pub struct StealDeques<T> {
     deques: Vec<Mutex<VecDeque<T>>>,
@@ -168,12 +168,6 @@ impl<T> StealDeques<T> {
         }
     }
 
-    /// Number of workers.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
     /// Seed `worker`'s deque so that the owner's `pop` returns items in
     /// the iterator's order (first item popped first). Thieves
     /// therefore steal from the *end* of the given order.
@@ -186,14 +180,6 @@ impl<T> StealDeques<T> {
         for item in items.into_iter().rev() {
             dq.push_back(item);
         }
-    }
-
-    /// Push one item on `worker`'s hot end; returns the depth after
-    /// the push (for max-depth telemetry).
-    pub fn push(&self, worker: usize, item: T) -> usize {
-        let mut dq = self.deques[worker].lock().expect("steal deque poisoned");
-        dq.push_back(item);
-        dq.len()
     }
 
     /// Owner pop: newest-first from the back.
@@ -211,21 +197,6 @@ impl<T> StealDeques<T> {
             .lock()
             .expect("steal deque poisoned")
             .len()
-    }
-
-    /// `true` when every deque is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// Items currently queued across all workers.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.deques
-            .iter()
-            .map(|d| d.lock().expect("steal deque poisoned").len())
-            .sum()
     }
 
     /// Move ⌈len/2⌉ items from the front of `victim`'s deque onto
@@ -251,20 +222,6 @@ impl<T> StealDeques<T> {
             }
         }
         count
-    }
-
-    /// Index of the non-`me` worker with the deepest deque (queue-depth
-    /// hint for targeted steals), or `None` when all others are empty.
-    #[must_use]
-    pub fn deepest_other(&self, me: usize) -> Option<usize> {
-        self.deques
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != me)
-            .map(|(i, d)| (i, d.lock().expect("steal deque poisoned").len()))
-            .filter(|&(_, len)| len > 0)
-            .max_by_key(|&(_, len)| len)
-            .map(|(i, _)| i)
     }
 }
 
@@ -556,16 +513,6 @@ mod tests {
         assert_eq!(dq.pop(0), Some(3));
         assert_eq!(dq.pop(0), None);
         assert_eq!(dq.steal_half(1, 0), 0);
-    }
-
-    #[test]
-    fn deepest_other_prefers_loaded_victims() {
-        let dq: StealDeques<u32> = StealDeques::new(3);
-        assert_eq!(dq.deepest_other(0), None);
-        dq.seed(1, [1u32]);
-        dq.seed(2, [1u32, 2, 3]);
-        assert_eq!(dq.deepest_other(0), Some(2));
-        assert_eq!(dq.deepest_other(2), Some(1));
     }
 
     #[test]

@@ -22,12 +22,10 @@
 //!   (paper §4.1, step 2).
 //! * [`scalogram`] — scalogram visualisation of detail coefficients
 //!   (paper Figure 4).
-//! * [`fourier`] — radix-2 FFT and power spectra, for the Fourier-vs-
-//!   wavelet comparisons of paper §2.
-//! * [`convolution`] — the tiered convolution engine behind paper
-//!   equation 6: O(N·K) reference kernels, a cache-blocked time-domain
-//!   tier, FFT overlap-save ([`ConvScratch`]), and the measured-crossover
-//!   auto dispatcher [`fir_filter_auto`].
+//! * [`convolution`] — paper equation 6 as the O(N·K) reference
+//!   kernels [`fir_filter`] and [`convolve_full`].
+//! * [`Complex`] — the minimal complex number behind the PDN's analytic
+//!   impedance curves (paper Figure 5).
 //! * [`batch`] — lockstep multi-trace variants of the hot kernels over
 //!   struct-of-arrays [`TraceBatch`] lanes, every lane bit-identical to
 //!   the scalar path (opt-in AVX2 behind runtime feature detection).
@@ -52,7 +50,6 @@
 
 pub mod batch;
 pub mod convolution;
-pub mod fourier;
 pub mod packet;
 pub mod scalogram;
 pub mod streaming;
@@ -61,6 +58,7 @@ pub mod transform;
 pub mod variance;
 pub mod wavelet;
 
+mod complex;
 mod error;
 
 pub use batch::{
@@ -68,12 +66,9 @@ pub use batch::{
     note_scalar_fallback, variance_batch, BatchDecomposition, BatchDwtScratch, TraceBatch,
     BATCH_DISPATCH_COUNTER, BATCH_FALLBACK_COUNTER, DEFAULT_LANES,
 };
-pub use convolution::{
-    conv_crossover_taps, convolve_fft, convolve_full, fir_filter, fir_filter_auto, fir_filter_fast,
-    fir_filter_time, measure_crossover, ConvScratch,
-};
+pub use complex::Complex;
+pub use convolution::{convolve_full, fir_filter};
 pub use error::DspError;
-pub use fourier::{fft, ifft, power_spectrum, Complex, FftPlan};
 pub use packet::{wavelet_packet, WaveletPacket};
 pub use scalogram::Scalogram;
 pub use streaming::{StreamCoefficient, StreamingHaar};

@@ -332,8 +332,9 @@ impl FilterPair {
     }
 }
 
-/// Minimal complex arithmetic for the root finder (kept private; the FFT
-/// module has its own complex type with different conventions).
+/// Minimal complex arithmetic for the root finder (kept private: it needs
+/// `neg` and `sqrt`, which the PDN's impedance-only [`crate::Complex`]
+/// does not carry).
 #[derive(Debug, Clone, Copy)]
 struct Cx {
     re: f64,

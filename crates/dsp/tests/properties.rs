@@ -1,11 +1,10 @@
 //! Property-based tests of the DSP invariants the dI/dt methodology
 //! rests on: perfect reconstruction, Parseval, subband additivity,
-//! transform linearity and FFT consistency.
+//! transform linearity and convolution consistency.
 
 use didt_dsp::{
-    convolve_fft, convolve_full, dwt, fft, fir_filter, fir_filter_auto, fir_filter_fast,
-    fir_filter_time, idwt, ifft, scale_variances, subband_decompose, wavelet::Daubechies4,
-    wavelet::Haar, ConvScratch,
+    convolve_full, dwt, fir_filter, idwt, scale_variances, subband_decompose, wavelet::Daubechies4,
+    wavelet::Haar,
 };
 use proptest::prelude::*;
 
@@ -92,24 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn fft_ifft_roundtrip(s in signal_strategy()) {
-        let spec = fft(&s).expect("fft");
-        let back = ifft(&spec).expect("ifft");
-        for (a, b) in s.iter().zip(&back) {
-            prop_assert!((a - b.re).abs() < 1e-7);
-            prop_assert!(b.im.abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn fft_parseval(s in signal_strategy()) {
-        let spec = fft(&s).expect("fft");
-        let t_energy: f64 = s.iter().map(|x| x * x).sum();
-        let f_energy: f64 = spec.iter().map(|z| z.norm_sq()).sum::<f64>() / s.len() as f64;
-        prop_assert!((t_energy - f_energy).abs() <= 1e-6 * t_energy.max(1.0));
-    }
-
-    #[test]
     fn convolution_commutes(
         a in prop::collection::vec(-10.0..10.0f64, 1..20),
         b in prop::collection::vec(-10.0..10.0f64, 1..20),
@@ -131,66 +112,6 @@ proptest! {
         let full = convolve_full(&x, &h);
         for t in 0..x.len() {
             prop_assert!((fir[t] - full[t]).abs() < 1e-9);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fast convolution engine ≡ reference kernels (deliberately over
-    // awkward shapes: non-power-of-two lengths and K > N).
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn convolve_fft_equals_convolve_full(
-        a in prop::collection::vec(-10.0..10.0f64, 1..400),
-        b in prop::collection::vec(-10.0..10.0f64, 1..400),
-    ) {
-        let fast = convolve_fft(&a, &b);
-        let full = convolve_full(&a, &b);
-        prop_assert_eq!(fast.len(), full.len());
-        for (i, (x, y)) in fast.iter().zip(&full).enumerate() {
-            prop_assert!((x - y).abs() < 1e-9, "[{}]: {} vs {}", i, x, y);
-        }
-    }
-
-    #[test]
-    fn fir_filter_auto_equals_fir_filter(
-        x in prop::collection::vec(-10.0..10.0f64, 1..600),
-        h in prop::collection::vec(-5.0..5.0f64, 1..80),
-    ) {
-        let fast = fir_filter_auto(&x, &h);
-        let slow = fir_filter(&x, &h);
-        prop_assert_eq!(fast.len(), slow.len());
-        for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            prop_assert!((a - b).abs() < 1e-9, "[{}]: {} vs {}", i, a, b);
-        }
-    }
-
-    #[test]
-    fn fir_filter_auto_handles_filter_longer_than_signal(
-        x in prop::collection::vec(-10.0..10.0f64, 1..30),
-        h in prop::collection::vec(-5.0..5.0f64, 31..120),
-    ) {
-        let fast = fir_filter_auto(&x, &h);
-        let slow = fir_filter(&x, &h);
-        for (a, b) in fast.iter().zip(&slow) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn every_tier_agrees_with_reference(
-        x in prop::collection::vec(-10.0..10.0f64, 1..300),
-        h in prop::collection::vec(-5.0..5.0f64, 1..40),
-    ) {
-        let reference = fir_filter(&x, &h);
-        for (tier, out) in [
-            ("time", fir_filter_time(&x, &h)),
-            ("fft", fir_filter_fast(&x, &h)),
-            ("scratch", ConvScratch::with_signal_hint(&h, x.len()).apply(&x)),
-        ] {
-            for (i, (a, b)) in out.iter().zip(&reference).enumerate() {
-                prop_assert!((a - b).abs() < 1e-9, "{}[{}]: {} vs {}", tier, i, a, b);
-            }
         }
     }
 }

@@ -1,19 +1,15 @@
-//! Cross-crate contracts of the fast convolution engine (PR 3).
+//! Cross-crate bit-identity contracts of the equation-6 monitors.
 //!
-//! The engine promises two different strengths of equivalence and this
-//! suite pins both at the system level:
-//!
-//! * **Bitwise** — the full-convolution monitor's ring-dot rewrite and
-//!   the biquad monitor feed golden-number sweeps, so they must
-//!   reproduce the historic arithmetic exactly, and sweeps using them
-//!   must stay serial≡parallel bit-identical.
-//! * **Tolerance (1e-9)** — `fir_filter_auto` may reassociate sums or
-//!   go through the frequency domain, so offline trace convolution is
-//!   pinned to the reference within round-off only.
+//! The full-convolution monitor's ring-dot path and the biquad monitor
+//! feed golden-number sweeps, so they must reproduce the offline
+//! reference arithmetic exactly, and sweeps using them must stay
+//! serial≡parallel bit-identical. The full-convolution monitor is
+//! pinned to `didt_dsp::fir_filter`, so the repository's two
+//! equation-6 implementations agree bit for bit.
 
 use didt_bench::{ControllerSpec, ExperimentRunner, RunParams, Sweep, SweepContext, SweepPoint};
 use didt_core::monitor::{BiquadMonitor, CycleSense, FullConvolutionMonitor, VoltageMonitor};
-use didt_dsp::{fir_filter, fir_filter_auto};
+use didt_dsp::fir_filter;
 use didt_uarch::{capture_trace, Benchmark};
 
 const RUN: RunParams = RunParams {
@@ -59,34 +55,23 @@ fn full_conv_monitor_is_bitwise_stable_on_real_trace() {
     let taps = 300; // non-power-of-two: exercises the wrapped segment
     let mut mon = FullConvolutionMonitor::new(&pdn, taps, 3);
     let impulse = pdn.impulse_response(taps);
-    // Naive re-implementation: explicit history walk + delay pipeline.
-    let mut history: Vec<f64> = Vec::new();
-    let mut estimates: Vec<f64> = Vec::new();
+    // Offline reference: equation 6 over the whole trace, then the
+    // monitor's 3-cycle delay pipeline (Vdd until the first estimate
+    // emerges).
+    let droop = fir_filter(&trace.samples, &impulse);
     let mut sim = pdn.simulator();
-    for &i in &trace.samples {
+    for (t, &i) in trace.samples.iter().enumerate() {
         let v = sim.step(i);
-        history.push(i);
-        let mut droop = 0.0;
-        for (m, &h) in impulse.iter().enumerate() {
-            let lag_val = if m < history.len() {
-                history[history.len() - 1 - m]
-            } else {
-                0.0
-            };
-            droop += h * lag_val;
-        }
-        estimates.push(pdn.vdd() - droop);
-        let n = estimates.len();
-        let expected = if n <= 3 {
+        let expected = if t < 3 {
             pdn.vdd()
         } else {
-            estimates[n - 1 - 3]
+            pdn.vdd() - droop[t - 3]
         };
         let est = mon.observe(CycleSense {
             current: i,
             voltage: v,
         });
-        assert_eq!(est.to_bits(), expected.to_bits());
+        assert_eq!(est.to_bits(), expected.to_bits(), "t = {t}");
     }
 }
 
@@ -113,31 +98,6 @@ fn biquad_monitor_is_exact_on_real_trace() {
             voltage: v,
         });
         assert_eq!(est.to_bits(), v.to_bits());
-    }
-}
-
-/// Offline trace convolution through the auto-dispatched engine agrees
-/// with the O(N·K) reference within 1e-9 on a real workload trace and a
-/// real PDN impulse response (the shapes sweeps actually use).
-#[test]
-fn auto_dispatch_matches_reference_on_real_trace() {
-    let ctx = SweepContext::standard().unwrap();
-    let pdn = ctx.pdn(150.0).unwrap();
-    let trace = capture_trace(
-        Benchmark::Gzip,
-        ctx.system().processor(),
-        0xD1D7_2004,
-        5_000,
-        1 << 14,
-    );
-    for taps in [64usize, 700] {
-        let h = pdn.impulse_response(taps);
-        let fast = fir_filter_auto(&trace.samples, &h);
-        let slow = fir_filter(&trace.samples, &h);
-        assert_eq!(fast.len(), slow.len());
-        for (t, (a, b)) in fast.iter().zip(&slow).enumerate() {
-            assert!((a - b).abs() < 1e-9, "taps {taps}, t = {t}: {a} vs {b}");
-        }
     }
 }
 

@@ -88,6 +88,16 @@ fn malformed_json_payload_gets_error_and_connection_survives() {
     let reply = read_with_deadline(&mut reader).expect("error reply");
     assert_eq!(error_code(&reply), Some("bad_request"));
 
+    // A 1 MB frame of nothing but '[': the parser refuses the nesting
+    // instead of recursing off the end of the stack.
+    let deep = vec![b'['; 1_000_000];
+    stream
+        .write_all(&(deep.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(&deep).unwrap();
+    let reply = read_with_deadline(&mut reader).expect("error reply");
+    assert_eq!(error_code(&reply), Some("bad_request"));
+
     // The same connection still serves real requests afterwards.
     let ping = Json::obj(vec![("id", Json::Num(9.0)), ("kind", Json::str("ping"))]);
     write_frame(&mut stream, &ping).unwrap();
@@ -98,7 +108,7 @@ fn malformed_json_payload_gets_error_and_connection_survives() {
     drop(stream);
     let report = server.shutdown();
     assert_eq!(report.worker_panics, 0);
-    assert!(report.protocol_errors >= 2);
+    assert!(report.protocol_errors >= 3);
 }
 
 #[test]

@@ -528,7 +528,7 @@ mod tests {
             .map(|n| 40.0 + 20.0 * ((n as f64) * 0.21).sin())
             .collect();
         let v_filter = pdn.simulate(&i);
-        let droop = didt_dsp::fir_filter_auto(&i, &h);
+        let droop = didt_dsp::fir_filter(&i, &h);
         for n in 0..i.len() {
             let v_conv = pdn.vdd() - droop[n];
             assert!((v_filter[n] - v_conv).abs() < 1e-9, "n = {n}");

@@ -209,7 +209,7 @@ mod tests {
             .map(|n| 30.0 + 15.0 * ((n as f64) * 0.2).sin())
             .collect();
         let v = pdn.simulate(&i);
-        let droop = didt_dsp::fir_filter_auto(&i, &h);
+        let droop = didt_dsp::fir_filter(&i, &h);
         for n in 0..i.len() {
             assert!((v[n] - (1.0 - droop[n])).abs() < 1e-8, "n = {n}");
         }
