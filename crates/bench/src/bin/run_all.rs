@@ -3,7 +3,7 @@
 //!
 //! Experiments are independent subprocesses, so they execute on the
 //! shared worker pool ([`didt_bench::ExperimentRunner`]; thread count
-//! from `DIDT_NUM_THREADS` / `RAYON_NUM_THREADS` / the machine). Pass
+//! from `DIDT_NUM_THREADS`, else the machine). Pass
 //! `--serial` to force one experiment at a time (the reference
 //! ordering; outputs are identical either way since each experiment
 //! writes only its own file and the progress log is printed from

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Shared experiment harness for the figure/table regeneration binaries
 //! and Criterion benches.
@@ -20,5 +21,5 @@ pub use runner::{
     CacheStats, ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, MemoStats,
     PointResult, RunParams, Sweep, SweepContext, SweepPoint, WorkerScratch,
 };
-pub use steal::{CostClass, SchedReport, Scheduler, SplitMix64, StealDeques};
+pub use steal::{CostClass, SchedReport, SplitMix64, StealDeques};
 pub use table::TextTable;

@@ -20,17 +20,16 @@
 //!   never from execution order, so serial and parallel sweeps are
 //!   bit-identical.
 //!
-//! Thread count comes from `DIDT_NUM_THREADS`, then `RAYON_NUM_THREADS`
-//! (honoured for familiarity even though the pool is hand-rolled on
-//! `std::thread` — the build environment is offline and carries no
-//! rayon), then [`std::thread::available_parallelism`].
+//! Thread count comes from `DIDT_NUM_THREADS`, else
+//! [`std::thread::available_parallelism`]; the pool is hand-rolled on
+//! `std::thread`.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::steal::{CostClass, SchedReport, Scheduler, SplitMix64, StealDeques};
+use crate::steal::{CostClass, SchedReport, SplitMix64, StealDeques};
 
 use didt_core::characterize::ScaleGainModel;
 use didt_core::control::{
@@ -499,35 +498,29 @@ pub fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
 // Worker pool
 // ---------------------------------------------------------------------------
 
-/// Thread count for parallel sections: `DIDT_NUM_THREADS`, else
-/// `RAYON_NUM_THREADS`, else the machine's available parallelism.
+/// Thread count for parallel sections: `DIDT_NUM_THREADS` when it
+/// parses to at least 1, else the machine's available parallelism.
 #[must_use]
 pub fn default_threads() -> usize {
-    for var in ["DIDT_NUM_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    std::env::var("DIDT_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
 }
 
 /// A fixed-width worker pool mapping a job over a slice of points.
 ///
-/// Scheduling is work-stealing by default (per-worker deques seeded by
-/// a cost-aware blocked partition, steal-half on drain — see
-/// [`crate::steal`]); `DIDT_SCHEDULER=pack` restores the PR 1–9
-/// atomic-counter pack scheduler. Either way every result is stored at
-/// its point's index, so the output `Vec` is identical for any thread
-/// count (including 1), any scheduler and any steal interleaving.
+/// Scheduling is work-stealing: per-worker deques seeded by a
+/// cost-aware blocked partition, steal-half on drain (see
+/// [`crate::steal`]). Every result is stored at its point's index, so
+/// the output `Vec` is identical for any thread count (including 1)
+/// and any steal interleaving.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentRunner {
     threads: usize,
-    scheduler: Scheduler,
 }
 
 impl Default for ExperimentRunner {
@@ -537,23 +530,16 @@ impl Default for ExperimentRunner {
 }
 
 impl ExperimentRunner {
-    /// A runner sized by [`default_threads`], scheduled per
-    /// `DIDT_SCHEDULER` (work-stealing unless overridden).
+    /// A runner sized by [`default_threads`].
     #[must_use]
     pub fn from_env() -> Self {
-        ExperimentRunner {
-            threads: default_threads(),
-            scheduler: Scheduler::from_env(),
-        }
+        ExperimentRunner::with_threads(default_threads())
     }
 
     /// A single-threaded runner (the reference ordering).
     #[must_use]
     pub fn serial() -> Self {
-        ExperimentRunner {
-            threads: 1,
-            scheduler: Scheduler::from_env(),
-        }
+        ExperimentRunner::with_threads(1)
     }
 
     /// A runner with an explicit worker count (min 1).
@@ -561,28 +547,13 @@ impl ExperimentRunner {
     pub fn with_threads(threads: usize) -> Self {
         ExperimentRunner {
             threads: threads.max(1),
-            scheduler: Scheduler::from_env(),
         }
-    }
-
-    /// Same runner with an explicit scheduler (tests pin serial ≡
-    /// pack ≡ steal; `storm_report` drives its storm with steal).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Scheduling substrate.
-    #[must_use]
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
     }
 
     /// Run `job(index, &point)` over every point, returning results in
@@ -598,9 +569,8 @@ impl ExperimentRunner {
     }
 
     /// [`Self::run`] with a per-point cost hint driving the initial
-    /// chunk partition (work-stealing only; the pack scheduler ignores
-    /// hints). Hints never affect results — only which worker runs
-    /// which point.
+    /// chunk partition. Hints never affect results — only which worker
+    /// runs which point.
     pub fn run_costed<P, R, F>(&self, points: &[P], cost: CostClass<P>, job: F) -> Vec<R>
     where
         P: Sync,
@@ -640,69 +610,11 @@ impl ExperimentRunner {
             };
             (results, report)
         } else {
-            match self.scheduler {
-                Scheduler::Pack { width } => run_pack(points, workers, width, &job),
-                Scheduler::Steal => run_steal(points, workers, cost, &job),
-            }
+            run_steal(points, workers, cost, &job)
         };
         report.publish();
         (results, report)
     }
-}
-
-/// PR 1–9 scheduler: a shared atomic counter hands out fixed-width
-/// packs of consecutive points. The claim is clamped to the point
-/// count (a bare `fetch_add` could overshoot `points.len()` and leave
-/// the final worker claiming an empty range — see the 1-point /
-/// 8-thread regression test).
-fn run_pack<P, R, F>(points: &[P], workers: usize, width: usize, job: &F) -> (Vec<R>, SchedReport)
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P) -> R + Sync,
-{
-    let pack = width.clamp(1, 8);
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<(Vec<(usize, R)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    let mut busy_ns = 0u64;
-                    loop {
-                        let claim = next.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                            (v < points.len()).then(|| (v + pack).min(points.len()))
-                        });
-                        let Ok(i0) = claim else { break };
-                        let end = (i0 + pack).min(points.len());
-                        let t0 = std::time::Instant::now();
-                        for (i, point) in points.iter().enumerate().take(end).skip(i0) {
-                            local.push((i, job(i, point)));
-                        }
-                        busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    (local, busy_ns)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    let mut report = SchedReport {
-        scheduler: "pack",
-        workers,
-        ..SchedReport::default()
-    };
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(points.len());
-    for (local, busy_ns) in per_worker {
-        report.worker_busy_ns.push(busy_ns);
-        indexed.extend(local);
-    }
-    indexed.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(indexed.len(), points.len());
-    (indexed.into_iter().map(|(_, r)| r).collect(), report)
 }
 
 /// One steal worker's harvest: its executed points plus the scheduler
@@ -733,15 +645,7 @@ where
     F: Fn(usize, &P) -> R + Sync,
 {
     let costs: Vec<u64> = points.iter().map(|p| cost.cost(p)).collect();
-    // Uniform points are batch-lane friendly, so chunk boundaries
-    // respect the lockstep group width; a cost hint declares the
-    // points heterogeneous (lockstep gains are gone anyway), so heavy
-    // regions may be split down to single points for balance.
-    let align = match cost {
-        CostClass::Uniform => crate::steal::pack_width(),
-        CostClass::Hinted(_) => 1,
-    };
-    let chunks = crate::steal::cost_chunks(&costs, workers, align);
+    let chunks = crate::steal::cost_chunks(&costs, workers);
     let chunk_count = chunks.len();
     let parts = crate::steal::blocked_partition(&chunks, &costs, workers);
     let seed_depths: Vec<usize> = parts.iter().map(Vec::len).collect();
@@ -1794,29 +1698,12 @@ mod tests {
     }
 
     #[test]
-    fn pack_claim_never_overshoots_single_point_on_wide_pool() {
-        // Regression: the old `fetch_add(pack)` claim could run the
-        // counter past `points.len()`, leaving late workers claiming
-        // empty ranges. A 1-point sweep on 8 threads with an 8-wide
-        // pack is the worst case (workers = min(threads, points) = 1
-        // normally, so force the pack path through a 9-point grid too).
-        let pack8 = ExperimentRunner::with_threads(8).with_scheduler(Scheduler::Pack { width: 8 });
-        assert_eq!(pack8.run(&[41u8], |i, &p| (i, p)), vec![(0, 41)]);
-        let points: Vec<usize> = (0..9).collect();
-        let got = pack8.run(&points, |i, &p| i * 10 + p);
-        assert_eq!(got, (0..9).map(|i| i * 11).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pack_and_steal_schedulers_agree_bitwise() {
+    fn steal_scheduler_agrees_with_serial_bitwise() {
         let points: Vec<usize> = (0..57).collect();
         let serial = ExperimentRunner::serial().run(&points, |i, &p| i * 1000 + p);
         for threads in [2, 5, 8] {
-            for scheduler in [Scheduler::Pack { width: 4 }, Scheduler::Steal] {
-                let runner = ExperimentRunner::with_threads(threads).with_scheduler(scheduler);
-                let got = runner.run(&points, |i, &p| i * 1000 + p);
-                assert_eq!(serial, got, "threads {threads} scheduler {scheduler:?}");
-            }
+            let got = ExperimentRunner::with_threads(threads).run(&points, |i, &p| i * 1000 + p);
+            assert_eq!(serial, got, "threads {threads}");
         }
     }
 
@@ -1826,7 +1713,7 @@ mod tests {
         // never change what a sweep returns.
         let points: Vec<u64> = (0..41).collect();
         let serial = ExperimentRunner::serial().run(&points, |i, &p| (i as u64) << 32 | p);
-        let runner = ExperimentRunner::with_threads(8).with_scheduler(Scheduler::Steal);
+        let runner = ExperimentRunner::with_threads(8);
         let skewed = runner.run_costed(
             &points,
             CostClass::Hinted(|&p: &u64| 10_000 / (p + 1)),
@@ -1842,7 +1729,7 @@ mod tests {
     #[test]
     fn sched_report_accounts_for_all_work() {
         let points: Vec<usize> = (0..100).collect();
-        let runner = ExperimentRunner::with_threads(4).with_scheduler(Scheduler::Steal);
+        let runner = ExperimentRunner::with_threads(4);
         let (results, report) = runner.run_costed_reported(&points, CostClass::Uniform, |i, &p| {
             std::thread::sleep(std::time::Duration::from_micros(100));
             i + p

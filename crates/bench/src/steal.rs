@@ -3,12 +3,11 @@
 //! The sweep grids this repo runs are grids of *independent* jobs, but
 //! their costs are not uniform: Monte-Carlo PDN members and mixed
 //! live-sim vs recorded-replay points vary by orders of magnitude. A
-//! shared atomic counter handing out fixed-size packs (the PR 1–9
-//! scheduler, kept as [`Scheduler::Pack`]) loses the whole tail to
-//! stragglers: whoever claims the pack holding the heavy points
+//! shared atomic counter handing out fixed-size packs loses the whole
+//! tail to stragglers: whoever claims the pack holding the heavy points
 //! finishes last while its peers idle.
 //!
-//! This module is the replacement substrate:
+//! This module is the runner's scheduling substrate:
 //!
 //! * [`StealDeques`] — per-worker LIFO deques with a steal-half
 //!   protocol. Owners pop newest-first from the back; thieves take the
@@ -236,30 +235,24 @@ impl<T> StealDeques<T> {
 const CHUNKS_PER_WORKER: u64 = 4;
 
 /// Split `0..costs.len()` into contiguous chunks of roughly equal
-/// *cost* (target ≈ total / (workers × `CHUNKS_PER_WORKER`)), with
-/// chunk boundaries aligned to `align`-point groups so lane-packed
-/// batch kernels still see contiguous lane groups. Deterministic: a
-/// pure function of the cost vector, worker count and alignment.
+/// *cost* (target ≈ total / (workers × `CHUNKS_PER_WORKER`)).
+/// Deterministic: a pure function of the cost vector and worker count.
 #[must_use]
-pub fn cost_chunks(costs: &[u64], workers: usize, align: usize) -> Vec<Range<usize>> {
+pub fn cost_chunks(costs: &[u64], workers: usize) -> Vec<Range<usize>> {
     let n = costs.len();
     if n == 0 {
         return Vec::new();
     }
-    let align = align.max(1);
     let total: u64 = costs.iter().sum();
     let target = (total / (workers.max(1) as u64 * CHUNKS_PER_WORKER)).max(1);
     let mut chunks = Vec::new();
     let mut start = 0usize;
     let mut acc = 0u64;
-    let mut i = 0usize;
-    while i < n {
-        let step = align.min(n - i);
-        acc += costs[i..i + step].iter().sum::<u64>();
-        i += step;
+    for (i, &cost) in costs.iter().enumerate() {
+        acc += cost;
         if acc >= target {
-            chunks.push(start..i);
-            start = i;
+            chunks.push(start..i + 1);
+            start = i + 1;
             acc = 0;
         }
     }
@@ -295,58 +288,8 @@ pub fn blocked_partition(
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler selection and reporting
+// Reporting
 // ---------------------------------------------------------------------------
-
-/// Which scheduling substrate an [`crate::ExperimentRunner`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// PR 1–9 scheduler: a shared atomic counter handing out
-    /// fixed-width packs of consecutive points. Kept as an escape
-    /// hatch (`DIDT_SCHEDULER=pack`).
-    Pack {
-        /// Consecutive points claimed per counter bump.
-        width: usize,
-    },
-    /// Work-stealing deques with cost-aware chunking (the default).
-    Steal,
-}
-
-impl Scheduler {
-    /// Scheduler from `DIDT_SCHEDULER` (`pack` or `steal`; anything
-    /// else, including unset, means [`Scheduler::Steal`]). The pack
-    /// width follows the batch lane group, as it did in PR 1–9.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("DIDT_SCHEDULER").as_deref() {
-            Ok("pack") => Scheduler::Pack {
-                width: pack_width(),
-            },
-            _ => Scheduler::Steal,
-        }
-    }
-
-    /// Stable label for manifests and reports.
-    #[must_use]
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Scheduler::Pack { .. } => "pack",
-            Scheduler::Steal => "steal",
-        }
-    }
-}
-
-/// Pack width used by [`Scheduler::Pack`] when following the batch
-/// configuration: the effective lane group when batching is enabled,
-/// else 1.
-#[must_use]
-pub fn pack_width() -> usize {
-    if didt_dsp::batch_enabled() {
-        didt_dsp::effective_lanes().clamp(1, 8)
-    } else {
-        1
-    }
-}
 
 /// What one scheduled run did, for manifests and the skew benchmark.
 /// All fields are timing-class observations (they vary with the steal
@@ -354,11 +297,11 @@ pub fn pack_width() -> usize {
 /// fingerprint.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedReport {
-    /// `"serial"`, `"pack"` or `"steal"`.
+    /// `"serial"` or `"steal"`.
     pub scheduler: &'static str,
     /// Workers that ran (after clamping to the point count).
     pub workers: usize,
-    /// Initial chunk count (0 for serial/pack).
+    /// Initial chunk count (0 for serial).
     pub chunks: usize,
     /// Steal attempts across all workers.
     pub steal_attempts: u64,
@@ -452,16 +395,14 @@ mod tests {
     fn chunks_cover_range_exactly_once() {
         for n in [1usize, 2, 7, 57, 256] {
             for workers in [1usize, 2, 8] {
-                for align in [1usize, 4, 8] {
-                    let costs = vec![1u64; n];
-                    let chunks = cost_chunks(&costs, workers, align);
-                    let mut covered = 0usize;
-                    for (k, c) in chunks.iter().enumerate() {
-                        assert_eq!(c.start, covered, "chunk {k} not contiguous");
-                        covered = c.end;
-                    }
-                    assert_eq!(covered, n);
+                let costs = vec![1u64; n];
+                let chunks = cost_chunks(&costs, workers);
+                let mut covered = 0usize;
+                for (k, c) in chunks.iter().enumerate() {
+                    assert_eq!(c.start, covered, "chunk {k} not contiguous");
+                    covered = c.end;
                 }
+                assert_eq!(covered, n);
             }
         }
     }
@@ -471,7 +412,7 @@ mod tests {
         // Zipf-ish costs descending: the heavy head must not end up in
         // one giant chunk.
         let costs: Vec<u64> = (0..64u64).map(|i| 8000 / (i + 1)).collect();
-        let chunks = cost_chunks(&costs, 8, 1);
+        let chunks = cost_chunks(&costs, 8);
         assert!(chunks.len() >= 8, "want fine chunks, got {}", chunks.len());
         // The single heaviest point should sit in a small chunk.
         let head = chunks.iter().find(|c| c.contains(&0)).unwrap();
@@ -481,7 +422,7 @@ mod tests {
     #[test]
     fn blocked_partition_is_contiguous_and_total() {
         let costs: Vec<u64> = (0..100u64).map(|i| 1 + i % 7).collect();
-        let chunks = cost_chunks(&costs, 4, 1);
+        let chunks = cost_chunks(&costs, 4);
         let parts = blocked_partition(&chunks, &costs, 4);
         assert_eq!(parts.len(), 4);
         let mut next = 0usize;

@@ -1,162 +1,118 @@
 //! Lane-parallel window estimation: the §4.1 model over [`TraceBatch`]
 //! lanes.
 //!
-//! The characterization sweep and the serve `Characterize` handler both
-//! tile a trace into consecutive windows and run the same five-step
-//! model on each — independent work items with identical shape, exactly
-//! what the batch kernels want. This module packs groups of
-//! [`didt_dsp::DEFAULT_LANES`] windows into a [`TraceBatch`], runs the
-//! batched periodic DWT and moment kernels, and finishes the per-lane
-//! gain accumulation in the scalar model's level order, so **every
-//! window's estimate is bit-identical to [`VarianceModel::estimate_with`]
-//! on that window**. Ragged tails, non-periodic boundary modes, and
-//! `DIDT_BATCH_LANES=1` fall back to the scalar path (counted on
-//! [`didt_dsp::BATCH_FALLBACK_COUNTER`]).
+//! [`EmergencyEstimator::estimate_trace`] tiles a trace into consecutive
+//! windows and runs the same five-step model on each — independent work
+//! items with identical shape, exactly what the batch kernels want. For
+//! [`VarianceModel`], [`WindowModel::estimate_windows`] lands here: it
+//! packs groups of [`ESTIMATE_LANES`] windows into a [`TraceBatch`],
+//! runs the batched periodic DWT and moment kernels, and finishes the
+//! per-lane gain accumulation in the scalar model's level order, so
+//! **every window's estimate is bit-identical to
+//! [`VarianceModel::estimate_with`] on that window**. Expansive boundary
+//! modes, calls with fewer than two windows, and ragged tails take the
+//! scalar path.
+//!
+//! [`EmergencyEstimator::estimate_trace`]: crate::characterize::EmergencyEstimator::estimate_trace
+//! [`WindowModel::estimate_windows`]: crate::characterize::WindowModel::estimate_windows
 
-use crate::characterize::{
-    EmergencyEstimator, EstimateScratch, VarianceModel, WindowEstimate, WindowModel,
-};
+use crate::characterize::{EstimateScratch, VarianceModel, WindowEstimate};
 use crate::DidtError;
 use didt_dsp::{
-    batch_enabled, dwt_into_batch, lag1_correlation_batch, mean_batch, note_scalar_fallback,
-    variance_batch, BatchDecomposition, BatchDwtScratch, BoundaryMode, TraceBatch, DEFAULT_LANES,
+    dwt_into_batch, lag1_correlation_batch, mean_batch, variance_batch, BatchDecomposition,
+    BatchDwtScratch, BoundaryMode, TraceBatch,
 };
 
-/// Lane width of the batched estimate path (one AVX2 register of
-/// windows).
-pub const ESTIMATE_LANES: usize = DEFAULT_LANES;
+/// Lane width of the batched estimate path: four windows per
+/// `[f64; 4]` column.
+const ESTIMATE_LANES: usize = 4;
 
-impl VarianceModel {
-    /// Estimate a slice of equal-length windows, [`ESTIMATE_LANES`] at a
-    /// time. Result `i` is bit-identical to
-    /// [`VarianceModel::estimate_with`] on `windows[i]` — batching is
-    /// invisible in the output.
-    ///
-    /// Falls back to the scalar path (per window) when batching is
-    /// disabled, the model uses an expansive boundary mode, or fewer
-    /// than two windows are supplied; the final `len % ESTIMATE_LANES`
-    /// windows of any call are always scalar.
-    ///
-    /// # Errors
-    ///
-    /// The conditions of [`VarianceModel::estimate_with`]: a window
-    /// whose length differs from the calibration window yields
-    /// [`DidtError::TraceTooShort`]; DWT errors propagate.
-    pub fn estimate_windows_batch(
-        &self,
-        windows: &[&[f64]],
-    ) -> Result<Vec<WindowEstimate>, DidtError> {
-        let w = self.gains().window();
-        if let Some(bad) = windows.iter().find(|win| win.len() != w) {
-            return Err(DidtError::TraceTooShort {
-                needed: w,
-                got: bad.len(),
-            });
-        }
-        let mut scratch = EstimateScratch::new();
-        if !batch_enabled() || self.boundary() != BoundaryMode::Periodic || windows.len() < 2 {
-            if !windows.is_empty() {
-                note_scalar_fallback();
-            }
-            return windows
-                .iter()
-                .map(|win| self.estimate_with(win, &mut scratch))
-                .collect();
-        }
-
-        let mut out = Vec::with_capacity(windows.len());
-        let mut bscratch = BatchDwtScratch::<ESTIMATE_LANES>::new();
-        let mut decomp = BatchDecomposition::<ESTIMATE_LANES>::empty();
-        let mut groups = windows.chunks_exact(ESTIMATE_LANES);
-        for group in groups.by_ref() {
-            let batch = TraceBatch::<ESTIMATE_LANES>::from_traces(group)?;
-            dwt_into_batch(
-                &batch,
-                &self.gains().family(),
-                self.gains().levels(),
-                &mut bscratch,
-                &mut decomp,
-            )?;
-            let n = batch.len() as f64;
-            let mut v_variance = [0.0f64; ESTIMATE_LANES];
-            // Ascending level order, as `scale_variances` + the scalar
-            // accumulation loop walk it.
-            for level in 1..=decomp.levels() {
-                let d = decomp.detail(level)?;
-                let mut var = [0.0f64; ESTIMATE_LANES];
-                for c in d {
-                    for (v, x) in var.iter_mut().zip(c) {
-                        *v += x * x;
-                    }
-                }
-                for v in &mut var {
-                    *v /= n;
-                }
-                if !self.active_levels().contains(&level) {
-                    continue;
-                }
-                let rho = lag1_correlation_batch(d);
-                for l in 0..ESTIMATE_LANES {
-                    v_variance[l] += self.gains().gain(level, rho[l])? * var[l];
+/// [`WindowModel::estimate_windows`](crate::characterize::WindowModel::estimate_windows)
+/// for [`VarianceModel`]: windows in
+/// lane groups of [`ESTIMATE_LANES`], result `i` bit-identical to
+/// [`VarianceModel::estimate_with`] on `windows[i]`.
+///
+/// # Errors
+///
+/// The conditions of [`VarianceModel::estimate_with`]: a window whose
+/// length differs from the calibration window yields
+/// [`DidtError::TraceTooShort`]; DWT errors propagate.
+pub(super) fn estimate_windows(
+    model: &VarianceModel,
+    windows: &[&[f64]],
+) -> Result<Vec<WindowEstimate>, DidtError> {
+    let w = model.gains().window();
+    if let Some(bad) = windows.iter().find(|win| win.len() != w) {
+        return Err(DidtError::TraceTooShort {
+            needed: w,
+            got: bad.len(),
+        });
+    }
+    // Lane groups need the periodic pyramid and at least two windows;
+    // everything else, and the ragged tail, runs the scalar model.
+    let grouped = if model.boundary() == BoundaryMode::Periodic && windows.len() >= 2 {
+        windows.len() - windows.len() % ESTIMATE_LANES
+    } else {
+        0
+    };
+    let (grouped, tail) = windows.split_at(grouped);
+    let mut out = Vec::with_capacity(windows.len());
+    let mut bscratch = BatchDwtScratch::<ESTIMATE_LANES>::new();
+    let mut decomp = BatchDecomposition::<ESTIMATE_LANES>::empty();
+    for group in grouped.chunks_exact(ESTIMATE_LANES) {
+        let batch = TraceBatch::<ESTIMATE_LANES>::from_traces(group)?;
+        dwt_into_batch(
+            &batch,
+            &model.gains().family(),
+            model.gains().levels(),
+            &mut bscratch,
+            &mut decomp,
+        )?;
+        let n = batch.len() as f64;
+        let mut v_variance = [0.0f64; ESTIMATE_LANES];
+        // Ascending level order, as `scale_variances` + the scalar
+        // accumulation loop walk it.
+        for level in 1..=decomp.levels() {
+            let d = decomp.detail(level)?;
+            let mut var = [0.0f64; ESTIMATE_LANES];
+            for c in d {
+                for (v, x) in var.iter_mut().zip(c) {
+                    *v += x * x;
                 }
             }
-            let i_mean = mean_batch(batch.columns());
-            let i_variance = variance_batch(batch.columns());
+            for v in &mut var {
+                *v /= n;
+            }
+            if !model.active_levels().contains(&level) {
+                continue;
+            }
+            let rho = lag1_correlation_batch(d);
             for l in 0..ESTIMATE_LANES {
-                out.push(WindowEstimate {
-                    v_mean: self.gains().vdd() - i_mean[l] * self.gains().resistance(),
-                    v_variance: v_variance[l],
-                    i_mean: i_mean[l],
-                    i_variance: i_variance[l],
-                });
+                v_variance[l] += model.gains().gain(level, rho[l])? * var[l];
             }
         }
-        let tail = groups.remainder();
-        if !tail.is_empty() {
-            note_scalar_fallback();
-            for win in tail {
-                out.push(self.estimate_with(win, &mut scratch)?);
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl EmergencyEstimator<VarianceModel> {
-    /// [`EmergencyEstimator::estimate_trace`] over the batched window
-    /// path: tiles the trace, estimates [`ESTIMATE_LANES`] windows per
-    /// group, and reduces in window order — the returned triple is
-    /// bit-identical to the scalar method's.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`EmergencyEstimator::estimate_trace`].
-    pub fn estimate_trace_batch(&self, trace: &[f64]) -> Result<(f64, usize, f64), DidtError> {
-        let _span = didt_telemetry::span("core.estimator.estimate_trace_batch");
-        let w = self.model().window();
-        if trace.len() < w {
-            return Err(DidtError::TraceTooShort {
-                needed: w,
-                got: trace.len(),
+        let i_mean = mean_batch(batch.columns());
+        let i_variance = variance_batch(batch.columns());
+        for l in 0..ESTIMATE_LANES {
+            out.push(WindowEstimate {
+                v_mean: model.gains().vdd() - i_mean[l] * model.gains().resistance(),
+                v_variance: v_variance[l],
+                i_mean: i_mean[l],
+                i_variance: i_variance[l],
             });
         }
-        let windows: Vec<&[f64]> = trace.chunks_exact(w).collect();
-        let estimates = self.model().estimate_windows_batch(&windows)?;
-        let mut prob_sum = 0.0;
-        let mut vmean_sum = 0.0;
-        for est in &estimates {
-            prob_sum += est.probability_below(self.threshold());
-            vmean_sum += est.v_mean;
-        }
-        let count = estimates.len();
-        Ok((prob_sum / count as f64, count, vmean_sum / count as f64))
     }
+    let mut scratch = EstimateScratch::new();
+    for win in tail {
+        out.push(model.estimate_with(win, &mut scratch)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::ScaleGainModel;
+    use crate::characterize::{ScaleGainModel, WindowModel};
     use didt_pdn::SecondOrderPdn;
 
     fn pdn() -> SecondOrderPdn {
@@ -179,7 +135,7 @@ mod tests {
         // 7 windows: one full lane group + a 3-window scalar tail.
         let t = trace(7);
         let windows: Vec<&[f64]> = t.chunks_exact(256).collect();
-        let batched = m.estimate_windows_batch(&windows).unwrap();
+        let batched = m.estimate_windows(&windows).unwrap();
         assert_eq!(batched.len(), 7);
         let mut scratch = EstimateScratch::new();
         for (i, win) in windows.iter().enumerate() {
@@ -201,26 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn estimate_trace_batch_matches_scalar_bitwise() {
-        let gains = ScaleGainModel::calibrate(&pdn(), 256, 11).unwrap();
-        let est = EmergencyEstimator::new(VarianceModel::new(gains), 0.97);
-        for windows in [1usize, 4, 9] {
-            let t = trace(windows);
-            let (p_s, c_s, v_s) = est.estimate_trace(&t).unwrap();
-            let (p_b, c_b, v_b) = est.estimate_trace_batch(&t).unwrap();
-            assert_eq!(c_s, c_b);
-            assert_eq!(p_s.to_bits(), p_b.to_bits(), "{windows} windows");
-            assert_eq!(v_s.to_bits(), v_b.to_bits(), "{windows} windows");
-        }
-    }
-
-    #[test]
     fn expansive_boundary_falls_back_to_scalar() {
         let gains = ScaleGainModel::calibrate(&pdn(), 256, 11).unwrap();
         let m = VarianceModel::with_boundary(gains, None, BoundaryMode::Symmetric);
         let t = trace(5);
         let windows: Vec<&[f64]> = t.chunks_exact(256).collect();
-        let batched = m.estimate_windows_batch(&windows).unwrap();
+        let batched = m.estimate_windows(&windows).unwrap();
         let mut scratch = EstimateScratch::new();
         for (i, win) in windows.iter().enumerate() {
             let want = m.estimate_with(win, &mut scratch).unwrap();
@@ -233,13 +175,11 @@ mod tests {
         let m = model();
         let short = [1.0; 128];
         assert!(matches!(
-            m.estimate_windows_batch(&[&short]),
+            m.estimate_windows(&[&short]),
             Err(DidtError::TraceTooShort {
                 needed: 256,
                 got: 128
             })
         ));
-        let est = EmergencyEstimator::new(model(), 0.97);
-        assert!(est.estimate_trace_batch(&[1.0; 100]).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! execution cycles spent below the control point, compared against the
 //! fraction observed in a direct PDN simulation of the same trace.
 
-use crate::characterize::{EstimateScratch, VarianceModel, WindowEstimate, WindowModel};
+use crate::characterize::{VarianceModel, WindowModel};
 use crate::DidtError;
 use didt_pdn::SecondOrderPdn;
 
@@ -61,7 +61,10 @@ impl<M: WindowModel> EmergencyEstimator<M> {
     }
 
     /// Estimate the fraction of cycles below the threshold from window
-    /// statistics alone (no voltage simulation).
+    /// statistics alone (no voltage simulation): tile the trace into
+    /// complete windows, estimate them with
+    /// [`WindowModel::estimate_windows`], and reduce in window order.
+    /// Returns `(fraction below threshold, windows, mean voltage)`.
     ///
     /// # Errors
     ///
@@ -76,19 +79,28 @@ impl<M: WindowModel> EmergencyEstimator<M> {
                 got: trace.len(),
             });
         }
+        let windows: Vec<&[f64]> = trace.chunks_exact(w).collect();
+        let estimates = self.model.estimate_windows(&windows)?;
         let mut prob_sum = 0.0;
         let mut vmean_sum = 0.0;
-        let mut count = 0usize;
-        // One scratch for the whole tiling: the per-window DWT buffers
-        // are allocated once, not once per 256-cycle window.
-        let mut scratch = EstimateScratch::new();
-        for window in trace.chunks_exact(w) {
-            let est: WindowEstimate = self.model.estimate_scratch(window, &mut scratch)?;
+        for est in &estimates {
             prob_sum += est.probability_below(self.threshold);
             vmean_sum += est.v_mean;
-            count += 1;
         }
+        let count = estimates.len();
         Ok((prob_sum / count as f64, count, vmean_sum / count as f64))
+    }
+
+    /// Former name of [`EmergencyEstimator::estimate_trace`]. The
+    /// repository benchmark (`perfbench/src/layers.rs`) still calls it;
+    /// drop it when that package next changes.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`EmergencyEstimator::estimate_trace`].
+    #[doc(hidden)]
+    pub fn estimate_trace_batch(&self, trace: &[f64]) -> Result<(f64, usize, f64), DidtError> {
+        self.estimate_trace(trace)
     }
 
     /// Run the full estimated-vs-observed comparison for a trace against

@@ -16,7 +16,6 @@ mod packet_model;
 mod variance_model;
 mod windows;
 
-pub use batch::ESTIMATE_LANES;
 pub use calibration::ScaleGainModel;
 pub use estimator::{BenchmarkEstimate, EmergencyEstimator};
 pub use gaussian::{GaussianityReport, GaussianityStudy, NormalityTest};

@@ -48,6 +48,23 @@ pub trait WindowModel {
     ) -> Result<WindowEstimate, DidtError> {
         self.estimate(window)
     }
+
+    /// Estimate a run of windows; result `i` is the estimate of
+    /// `windows[i]`. The default calls [`WindowModel::estimate_scratch`]
+    /// once per window with one shared scratch; a model with a
+    /// lane-parallel kernel overrides it and must stay bit-identical to
+    /// that loop.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`WindowModel::estimate_scratch`] returns.
+    fn estimate_windows(&self, windows: &[&[f64]]) -> Result<Vec<WindowEstimate>, DidtError> {
+        let mut scratch = EstimateScratch::new();
+        windows
+            .iter()
+            .map(|window| self.estimate_scratch(window, &mut scratch))
+            .collect()
+    }
 }
 
 impl WindowModel for VarianceModel {
@@ -65,6 +82,10 @@ impl WindowModel for VarianceModel {
         scratch: &mut EstimateScratch,
     ) -> Result<WindowEstimate, DidtError> {
         self.estimate_with(window, scratch)
+    }
+
+    fn estimate_windows(&self, windows: &[&[f64]]) -> Result<Vec<WindowEstimate>, DidtError> {
+        super::batch::estimate_windows(self, windows)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's methodology is a characterization *sweep*: the same FIR /
 //! DWT / droop kernels evaluated over many independent traces and design
-//! points. The per-trace kernels (convolution tiers, the periodic DWT
+//! points. The per-trace kernels (the FIR filter, the periodic DWT
 //! pyramid) were made fast in earlier PRs; this module adds the
 //! remaining structural win — processing `L` traces per instruction by
 //! laying them out as fixed-width lanes.
@@ -18,89 +18,18 @@
 //! with the pinned `sim_fingerprints` / golden suites is the documented
 //! floor, and the batch property tests hold all lanes to it.
 //!
-//! # Dispatch
+//! # Vectorisation
 //!
-//! `[f64; L]` columns autovectorize on any x86-64 target (SSE2 gives two
-//! lanes per op); when the host supports AVX2 the `L = 4` hot loops
-//! switch to an explicit `core::arch::x86_64` path behind runtime
-//! feature detection, four lanes per op, same association order, still
-//! bit-identical. Setting `DIDT_BATCH_LANES=1` forces every batch entry
-//! point down its scalar fallback (counted by [`BATCH_FALLBACK_COUNTER`]);
-//! consumers pack work in groups of [`effective_lanes`] and fall back to
-//! the scalar path for ragged remainders.
+//! The kernels are plain loops over `[f64; L]` columns, which the
+//! compiler vectorises on any target (SSE2 gives two lanes per op on
+//! x86-64). Callers choose `L` at compile time and run any ragged
+//! remainder through the scalar kernels themselves. The arithmetic
+//! never fuses a multiply with an add, because fused rounding would
+//! break lane bit-identity with the scalar mul-then-add expressions.
 
 use crate::transform::max_dwt_levels;
 use crate::wavelet::Wavelet;
 use crate::DspError;
-use std::sync::OnceLock;
-
-/// Column width the crate's batch consumers compile against: `f64x4`
-/// columns, one AVX2 register per column.
-pub const DEFAULT_LANES: usize = 4;
-
-/// Telemetry counter: batched-kernel invocations that ran lane-parallel.
-pub const BATCH_DISPATCH_COUNTER: &str = "dsp.batch.dispatch";
-
-/// Telemetry counter: batch entry points that fell back to the scalar
-/// path (forced `DIDT_BATCH_LANES=1`, ragged remainders, or unsupported
-/// modes).
-pub const BATCH_FALLBACK_COUNTER: &str = "dsp.batch.scalar_fallback";
-
-/// Lane width requested via `DIDT_BATCH_LANES` (`None` when unset or
-/// unparsable). `1` means "forced scalar"; values are read once per
-/// process.
-pub fn configured_lanes() -> Option<usize> {
-    static LANES: OnceLock<Option<usize>> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::env::var("DIDT_BATCH_LANES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|v| v.clamp(1, 8))
-    })
-}
-
-/// `false` when `DIDT_BATCH_LANES=1` pinned every batch entry point to
-/// its scalar fallback.
-#[must_use]
-pub fn batch_enabled() -> bool {
-    configured_lanes() != Some(1)
-}
-
-/// Work-group width batch consumers should pack to: the configured lane
-/// count, else [`DEFAULT_LANES`]. Always in `1..=8`.
-#[must_use]
-pub fn effective_lanes() -> usize {
-    configured_lanes().unwrap_or(DEFAULT_LANES)
-}
-
-/// Runtime gate for the explicit AVX2 kernels. The batch arithmetic
-/// never uses FMA — fused rounding would break lane bit-identity with
-/// the scalar mul-then-add expressions.
-#[inline]
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
-fn note_dispatch() {
-    didt_telemetry::MetricsRegistry::global()
-        .counter(BATCH_DISPATCH_COUNTER)
-        .incr();
-}
-
-/// Bump the scalar-fallback counter. Public so the batched estimator
-/// (`didt_core::characterize::batch`) can account for its ragged
-/// remainders with the same counter the kernels use.
-pub fn note_scalar_fallback() {
-    didt_telemetry::MetricsRegistry::global()
-        .counter(BATCH_FALLBACK_COUNTER)
-        .incr();
-}
 
 // ---------------------------------------------------------------------------
 // TraceBatch
@@ -200,52 +129,6 @@ impl<const L: usize> TraceBatch<L> {
     pub fn lane(&self, lane: usize) -> Vec<f64> {
         assert!(lane < L, "lane {lane} out of {L}");
         self.cols.iter().map(|c| c[lane]).collect()
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-    };
-
-    /// One periodic pyramid tap accumulation over a whole coefficient
-    /// row: `sa[k] += hm·a[idx(k)]`, `sd[k] += gm·a[idx(k)]` for f64x4
-    /// columns. `idx` strides by 2 columns with periodic wrap handled by
-    /// the caller passing a gather-free contiguous run.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 support and in-bounds pointers for `half`
-    /// columns of `sa`/`sd` and the addressed `a` columns.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn pyramid_tap_f64x4(
-        sa: *mut f64,
-        sd: *mut f64,
-        a: *const f64,
-        n_cols: usize,
-        offset: usize,
-        half: usize,
-        hm: f64,
-        gm: f64,
-    ) {
-        let vh = _mm256_set1_pd(hm);
-        let vg = _mm256_set1_pd(gm);
-        for k in 0..half {
-            let idx = (2 * k + offset) % n_cols;
-            let av = _mm256_loadu_pd(a.add(4 * idx));
-            let sap = sa.add(4 * k);
-            let sdp = sd.add(4 * k);
-            _mm256_storeu_pd(
-                sap,
-                _mm256_add_pd(_mm256_loadu_pd(sap), _mm256_mul_pd(vh, av)),
-            );
-            _mm256_storeu_pd(
-                sdp,
-                _mm256_add_pd(_mm256_loadu_pd(sdp), _mm256_mul_pd(vg, av)),
-            );
-        }
     }
 }
 
@@ -377,7 +260,6 @@ pub fn dwt_into_batch<const L: usize, W: Wavelet + ?Sized>(
             requirement: "length must be divisible by 2^levels",
         });
     }
-    note_dispatch();
     let h = wavelet.lowpass();
     let g = wavelet.highpass();
     out.signal_len = signal.len();
@@ -428,24 +310,6 @@ fn pyramid_level<const L: usize>(
 ) {
     let n = a.len();
     let half = sa.len();
-    #[cfg(target_arch = "x86_64")]
-    if L == 4 && avx2_available() {
-        unsafe {
-            for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-                avx2::pyramid_tap_f64x4(
-                    sa.as_mut_ptr().cast::<f64>(),
-                    sd.as_mut_ptr().cast::<f64>(),
-                    a.as_ptr().cast::<f64>(),
-                    n,
-                    m,
-                    half,
-                    hm,
-                    gm,
-                );
-            }
-        }
-        return;
-    }
     for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
         for k in 0..half {
             let idx = (2 * k + m) % n;

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Signal processing for wavelet-based dI/dt analysis.
 //!
@@ -28,7 +29,7 @@
 //!   impedance curves (paper Figure 5).
 //! * [`batch`] — lockstep multi-trace variants of the hot kernels over
 //!   struct-of-arrays [`TraceBatch`] lanes, every lane bit-identical to
-//!   the scalar path (opt-in AVX2 behind runtime feature detection).
+//!   the scalar path.
 //!
 //! # Examples
 //!
@@ -62,9 +63,8 @@ mod complex;
 mod error;
 
 pub use batch::{
-    batch_enabled, dwt_into_batch, effective_lanes, lag1_correlation_batch, mean_batch,
-    note_scalar_fallback, variance_batch, BatchDecomposition, BatchDwtScratch, TraceBatch,
-    BATCH_DISPATCH_COUNTER, BATCH_FALLBACK_COUNTER, DEFAULT_LANES,
+    dwt_into_batch, lag1_correlation_batch, mean_batch, variance_batch, BatchDecomposition,
+    BatchDwtScratch, TraceBatch,
 };
 pub use complex::Complex;
 pub use convolution::{convolve_full, fir_filter};

@@ -6,3 +6,5 @@
 //! `[[test]]` path entries in `didt-bench`), the golden-number
 //! regression suite for the figure/table experiments, and the
 //! experiment-runner determinism tests. It has no library code.
+
+#![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 //! traces than lanes, the padding lanes zero-filled), and the `L = 1`
 //! degenerate batch, which must collapse to the scalar path exactly.
 
-use didt_core::characterize::{EmergencyEstimator, ScaleGainModel, VarianceModel};
+use didt_core::characterize::{EmergencyEstimator, EstimateScratch, ScaleGainModel, VarianceModel};
 use didt_core::DidtSystem;
 use didt_dsp::{
     dwt_boundary_into, dwt_into_batch, lag1_correlation_batch, mean_batch, variance_batch,
@@ -131,13 +131,20 @@ proptest! {
 
 /// One calibration, shared by the estimator property tests below — the
 /// PDN design plus gain sweep is far too slow to redo per proptest case.
-fn shared_estimator() -> &'static EmergencyEstimator<VarianceModel> {
-    static EST: OnceLock<EmergencyEstimator<VarianceModel>> = OnceLock::new();
+/// Index 0 runs the periodic boundary (lane groups), index 1 the
+/// symmetric one (scalar windows).
+fn shared_estimators() -> &'static [EmergencyEstimator<VarianceModel>; 2] {
+    static EST: OnceLock<[EmergencyEstimator<VarianceModel>; 2]> = OnceLock::new();
     EST.get_or_init(|| {
         let sys = DidtSystem::standard().expect("system");
         let pdn = sys.pdn_at(150.0).expect("pdn");
         let gains = ScaleGainModel::calibrate(&pdn, 64, 0xCAB1).expect("gains");
-        EmergencyEstimator::new(VarianceModel::new(gains), 0.97)
+        [BoundaryMode::Periodic, BoundaryMode::Symmetric].map(|mode| {
+            EmergencyEstimator::new(
+                VarianceModel::with_boundary(gains.clone(), None, mode),
+                0.97,
+            )
+        })
     })
 }
 
@@ -146,22 +153,31 @@ proptest! {
     // per case, so sweep fewer cases than the pure-DSP properties.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The batched characterization sweep — lane-packed DWT, per-scale
-    /// variances, gain lookup, window moments — returns bitwise the
-    /// scalar `estimate_trace` triple for any window count: full
-    /// 4-lane groups, ragged tails, and sub-lane counts that fall back
-    /// to the scalar path outright.
+    /// `estimate_trace` — lane-packed DWT, per-scale variances, gain
+    /// lookup, window moments — returns bitwise the triple of a plain
+    /// fold of `VarianceModel::estimate_with` over the trace's windows,
+    /// for any window count: full 4-lane groups, ragged tails, and
+    /// sub-lane counts, on both the periodic and the expansive
+    /// boundary.
     #[test]
-    fn estimate_trace_batch_matches_scalar(
+    fn estimate_trace_matches_scalar_window_fold(
         windows in 1usize..=9,
+        boundary_ix in 0usize..2,
         raw in prop::collection::vec(20.0f64..80.0, 9 * 64..=9 * 64),
     ) {
-        let est = shared_estimator();
+        let est = &shared_estimators()[boundary_ix];
         let trace = &raw[..windows * 64];
-        let (p_want, n_want, v_want) = est.estimate_trace(trace).unwrap();
-        let (p_got, n_got, v_got) = est.estimate_trace_batch(trace).unwrap();
+        let mut scratch = EstimateScratch::new();
+        let (mut prob_sum, mut vmean_sum) = (0.0, 0.0);
+        for window in trace.chunks_exact(64) {
+            let e = est.model().estimate_with(window, &mut scratch).unwrap();
+            prob_sum += e.probability_below(est.threshold());
+            vmean_sum += e.v_mean;
+        }
+        let (p_want, v_want) = (prob_sum / windows as f64, vmean_sum / windows as f64);
+        let (p_got, n_got, v_got) = est.estimate_trace(trace).unwrap();
         prop_assert_eq!(p_want.to_bits(), p_got.to_bits());
-        prop_assert_eq!(n_want, n_got);
+        prop_assert_eq!(windows, n_got);
         prop_assert_eq!(v_want.to_bits(), v_got.to_bits());
     }
 }

@@ -1,15 +1,19 @@
 //! Golden-number regressions for the figure/table experiments.
 //!
 //! Scaled-down, fixed-seed versions of `fig08_level_truncation` and
-//! `tab02_scheme_comparison`: every quantity below is fully
-//! deterministic (seeds derive from point identity, simulations are
-//! pure f64 arithmetic), so the goldens are exact for integer counts
-//! and tight-tolerance for floats. A change in any of these numbers
-//! means the modelled physics, the workload generator, or the seeding
-//! scheme changed — which must be a deliberate, reviewed decision.
+//! `tab02_scheme_comparison`, plus `fig09_emergency_estimate` at full
+//! scale. Every quantity below is fully deterministic (seeds derive
+//! from point identity, simulations are pure f64 arithmetic), so the
+//! goldens are exact for integer counts and tight-tolerance for floats.
+//! A change in any of these numbers means the modelled physics, the
+//! workload generator, or the seeding scheme changed — which must be a
+//! deliberate, reviewed decision.
 
-use didt_bench::{ControllerSpec, ExperimentRunner, RunParams, Sweep, SweepContext};
-use didt_core::characterize::{ScaleGainModel, VarianceModel};
+use didt_bench::{
+    benchmark_trace, standard_system, ControllerSpec, ExperimentRunner, RunParams, Sweep,
+    SweepContext,
+};
+use didt_core::characterize::{EmergencyEstimator, ScaleGainModel, VarianceModel};
 use didt_core::monitor::FamilyMonitorDesign;
 use didt_dsp::{BoundaryMode, Wavelet, WaveletFamily};
 use didt_serve::{CharacterizeSpec, Request, RequestBody, ResponsePayload, Service, TraceSource};
@@ -232,6 +236,66 @@ fn tab02_scheme_comparison_goldens() {
     assert_eq!(base, 30, "uncontrolled baseline emergencies changed");
 }
 
+/// Figure 9 at full scale: `fig09_emergency_estimate`'s loop over all
+/// 26 benchmarks (window 64, calibration seed `0xCAB1`, 150 %
+/// impedance, 0.97 V threshold). Every `(estimated, observed)` pair and
+/// the RMS error are pinned by `to_bits`, so any change to the
+/// estimator's tiling, window kernels or reduction order shows here.
+#[test]
+fn fig09_emergency_estimate_goldens() {
+    let sys = standard_system();
+    let pdn = sys.pdn_at(150.0).unwrap();
+    let gains = ScaleGainModel::calibrate(&pdn, 64, 0xCAB1).unwrap();
+    let estimator = EmergencyEstimator::new(VarianceModel::new(gains), 0.97);
+    let mut sq_err = 0.0;
+    let mut actual = Vec::new();
+    for bench in Benchmark::all() {
+        let trace = benchmark_trace(&sys, bench);
+        let r = estimator.compare(&trace.samples, &pdn).unwrap();
+        sq_err += (100.0 * (r.estimated - r.observed)).powi(2);
+        actual.push((bench.name(), r.estimated.to_bits(), r.observed.to_bits()));
+    }
+    let rms = (sq_err / actual.len() as f64).sqrt();
+    eprintln!("fig09 golden rms: {rms:.6}%");
+    assert_eq!(actual, FIG09_GOLDEN, "Figure 9 estimates changed");
+    assert_eq!(rms.to_bits(), FIG09_RMS_PCT, "Figure 9 RMS error changed");
+}
+
+/// `(benchmark, estimated.to_bits(), observed.to_bits())` per Figure 9
+/// row, in `Benchmark::all()` order. Captured from the scalar window
+/// loop; the lane-packed estimator must reproduce every bit.
+const FIG09_GOLDEN: &[(&str, u64, u64)] = &[
+    ("gzip", 0x3fa5c8053bbe5e56, 0x3fac210000000000),
+    ("wupwise", 0x3fa542c69c7255b7, 0x3fa7b04000000000),
+    ("swim", 0x3f9ef4f424d8ed89, 0x3fa1560000000000),
+    ("mgrid", 0x3f763d7adcf56efe, 0x3f80cf0000000000),
+    ("applu", 0x3f8ffa8fb1855e76, 0x3f96de0000000000),
+    ("vpr", 0x3f97338184642814, 0x3f9a270000000000),
+    ("gcc", 0x3f58a6f0683fec99, 0x3f69e40000000000),
+    ("mesa", 0x3fae04806c8c14de, 0x3fb004c000000000),
+    ("galgel", 0x3f7b6fdb5fef39ae, 0x3f82800000000000),
+    ("art", 0x3f79706d57a75959, 0x3f7d120000000000),
+    ("mcf", 0x3f61006957e38b45, 0x3f64000000000000),
+    ("equake", 0x3f90861be8877af7, 0x3f94938000000000),
+    ("crafty", 0x3fac62d631f575f0, 0x3fb39ca000000000),
+    ("facerec", 0x3f8fad2a99a93d08, 0x3f953f0000000000),
+    ("ammp", 0x3f79d4efb1a25c1c, 0x3f80fc0000000000),
+    ("lucas", 0x3f9b39b132d5a50d, 0x3f9f370000000000),
+    ("fma3d", 0x3f89af2efe731850, 0x3f92198000000000),
+    ("parser", 0x3f953d30b6bcedcd, 0x3f9d278000000000),
+    ("sixtrack", 0x3faa7dea7cd233b2, 0x3fadb4c000000000),
+    ("eon", 0x3fb06e061d158df4, 0x3fb541e000000000),
+    ("perlbmk", 0x3fa0979fc8db5e9f, 0x3fa4d94000000000),
+    ("gap", 0x3fa17f0c31d7d7e5, 0x3fa6ac4000000000),
+    ("vortex", 0x3f8d19994c1395fc, 0x3f95a40000000000),
+    ("bzip2", 0x3fa0adae1a52cc93, 0x3fa8414000000000),
+    ("twolf", 0x3f99711ec68c644e, 0x3fa0c30000000000),
+    ("apsi", 0x3f79dfee44c54f55, 0x3f82470000000000),
+];
+
+/// Figure 9's RMS error in percent of cycles, as `to_bits`.
+const FIG09_RMS_PCT: u64 = 0x3fea6f639b009de9;
+
 /// A report's numbers as `(path, f64::to_bits)` pairs, in report order.
 type ReportGolden = &'static [(&'static str, u64)];
 
@@ -400,27 +464,23 @@ const CHARACTERIZE_DB4_SYMMETRIC: ReportGolden = &[
     ("emergency.mean_voltage", 0x3fefbb30650f5509),
 ];
 
-/// The settings that may change how work is scheduled or packed, but
-/// never what it computes: forced-scalar batch kernels and a one-thread
-/// sweep runner. Each leg re-runs this test binary with one setting and
-/// must pass every other golden here unchanged — `characterize_report`
-/// through `estimate_trace_batch` (so the scalar fallback) and `tab02`
-/// through `ExperimentRunner::from_env` (so the serial runner).
+/// A one-thread sweep runner changes how work is scheduled, never what
+/// it computes. This re-runs the test binary under `DIDT_NUM_THREADS=1`,
+/// which must pass every other golden here unchanged; `tab02` goes
+/// through `ExperimentRunner::from_env`, so there it runs serially.
 #[test]
-fn forced_scalar_and_serial_settings_reproduce_every_golden() {
-    const SELF: &str = "forced_scalar_and_serial_settings_reproduce_every_golden";
+fn serial_runner_reproduces_every_golden() {
+    const SELF: &str = "serial_runner_reproduces_every_golden";
     let exe = std::env::current_exe().unwrap();
-    for (var, value) in [("DIDT_BATCH_LANES", "1"), ("DIDT_NUM_THREADS", "1")] {
-        let output = std::process::Command::new(&exe)
-            .args(["--skip", SELF])
-            .env(var, value)
-            .output()
-            .unwrap();
-        assert!(
-            output.status.success(),
-            "goldens changed under {var}={value}:\n{}{}",
-            String::from_utf8_lossy(&output.stdout),
-            String::from_utf8_lossy(&output.stderr)
-        );
-    }
+    let output = std::process::Command::new(&exe)
+        .args(["--skip", SELF])
+        .env("DIDT_NUM_THREADS", "1")
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "goldens changed under DIDT_NUM_THREADS=1:\n{}{}",
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr)
+    );
 }

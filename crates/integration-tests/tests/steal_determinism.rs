@@ -5,7 +5,7 @@
 //! decides *which worker* executes a point, never *what* the point
 //! computes — see DESIGN.md §16 for the determinism contract.
 
-use didt_bench::{CostClass, ExperimentRunner, Scheduler};
+use didt_bench::{CostClass, ExperimentRunner};
 use proptest::prelude::*;
 
 /// Deterministic "compute" whose wall time scales with the cost hint:
@@ -40,19 +40,16 @@ proptest! {
         let serial = ExperimentRunner::serial()
             .run_costed(&costs, CostClass::Hinted(hint), |i, p| spin_job(i, *p));
         let stolen = ExperimentRunner::with_threads(threads)
-            .with_scheduler(Scheduler::Steal)
             .run_costed(&costs, CostClass::Hinted(hint), |i, p| spin_job(i, *p));
         prop_assert_eq!(&serial, &stolen);
     }
 
     /// The cost hint steers chunking only: a deliberately *wrong* hint
-    /// (inverse of the true cost) still yields bit-identical results,
-    /// for both the steal and the legacy pack scheduler.
+    /// (inverse of the true cost) still yields bit-identical results.
     #[test]
     fn misleading_hints_change_schedule_not_results(
         costs in prop::collection::vec(1u64..500, 1..80),
         threads in 2usize..=12,
-        width in 1usize..=8,
     ) {
         fn inverse_hint(p: &u64) -> u64 {
             2000 / *p
@@ -60,12 +57,7 @@ proptest! {
         let serial = ExperimentRunner::serial()
             .run_costed(&costs, CostClass::Uniform, |i, p| spin_job(i, *p));
         let stolen = ExperimentRunner::with_threads(threads)
-            .with_scheduler(Scheduler::Steal)
-            .run_costed(&costs, CostClass::Hinted(inverse_hint), |i, p| spin_job(i, *p));
-        let packed = ExperimentRunner::with_threads(threads)
-            .with_scheduler(Scheduler::Pack { width })
             .run_costed(&costs, CostClass::Hinted(inverse_hint), |i, p| spin_job(i, *p));
         prop_assert_eq!(&serial, &stolen);
-        prop_assert_eq!(&serial, &packed);
     }
 }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Power delivery network (PDN) modeling for dI/dt studies.
 //!

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use didt_bench::{CostClass, Experiment, ExperimentRunner, SchedReport, Scheduler};
+use didt_bench::{CostClass, Experiment, ExperimentRunner, SchedReport};
 use didt_serve::{
     warm_worker, CharacterizeSpec, Client, ClientConfig, ClientError, HashRing, Request,
     RequestBody, ResponsePayload, Router, RouterConfig, ServeConfig, Server, Service, SessionSpec,
@@ -453,7 +453,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
     };
 
-    let runner = ExperimentRunner::with_threads(threads).with_scheduler(Scheduler::Steal);
+    let runner = ExperimentRunner::with_threads(threads);
     let mut driver_report = SchedReport::default();
     let mut rounds = 0usize;
     let storm_start = Instant::now();

@@ -45,6 +45,8 @@
 //!   workers, sharding balance/hit-ratio gates, streaming-session
 //!   fidelity, a mid-storm worker kill, and cache warming.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
 mod front;

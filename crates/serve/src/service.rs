@@ -519,13 +519,8 @@ impl Service {
             .map_err(|e| didt_err(&e))?;
         let model = VarianceModel::with_boundary((*gains).clone(), None, spec.boundary);
         let estimator = EmergencyEstimator::new(model, spec.threshold);
-        // The batched tiling: lane-groups of windows through the SoA
-        // kernels, bit-identical to `estimate_trace` (and falling back
-        // to it per window for expansive boundaries or forced-scalar
-        // runs).
-        let (fraction, windows, mean_v) = estimator
-            .estimate_trace_batch(trace)
-            .map_err(|e| didt_err(&e))?;
+        let (fraction, windows, mean_v) =
+            estimator.estimate_trace(trace).map_err(|e| didt_err(&e))?;
 
         Ok(Json::obj(vec![
             ("trace_len", Json::num(trace.len() as f64)),

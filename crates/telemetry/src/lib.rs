@@ -29,6 +29,7 @@
 //!
 //! Like the simulation crates, this one depends only on `std`.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::pedantic)]
 #![allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]

@@ -49,6 +49,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::pedantic)]
 #![allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]

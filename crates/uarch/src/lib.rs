@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Cycle-level out-of-order processor simulation with a Wattch-style
 //! power model and synthetic SPEC CPU2000 workloads.
