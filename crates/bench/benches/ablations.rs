@@ -1,5 +1,5 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! wavelet basis (Haar vs Daubechies-4), analysis window length, and
+//! wavelet basis (Haar vs db2), analysis window length, and
 //! wavelet-vs-time-domain coefficient selection. These measure *quality*
 //! (estimation error), reported through Criterion's throughput of the
 //! full computation so regressions in either speed or setup are visible;
@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use didt_core::monitor::{CycleSense, VoltageMonitor, WaveletMonitorDesign};
-use didt_dsp::{dwt, wavelet::Daubechies4, wavelet::Haar, Wavelet};
+use didt_dsp::{dwt, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use std::hint::black_box;
 
@@ -17,7 +17,7 @@ fn pdn() -> SecondOrderPdn {
 
 /// Fraction of the impulse response's energy captured by the largest K
 /// coefficients in a basis — the compaction the monitor exploits.
-fn energy_capture(w: &dyn Wavelet, levels: usize, k: usize) -> f64 {
+fn energy_capture(w: WaveletFamily, levels: usize, k: usize) -> f64 {
     let h = pdn().impulse_response(256);
     let d = dwt(&h, w, levels).expect("dwt");
     let mut coeffs: Vec<f64> = d
@@ -33,8 +33,8 @@ fn energy_capture(w: &dyn Wavelet, levels: usize, k: usize) -> f64 {
 
 fn print_quality_summary() {
     println!("\n== ablation: impulse-response energy captured by top-13 coefficients ==");
-    println!("  haar : {:.4}", energy_capture(&Haar, 8, 13));
-    println!("  db4  : {:.4}", energy_capture(&Daubechies4, 6, 13));
+    println!("  haar : {:.4}", energy_capture(WaveletFamily::Haar, 8, 13));
+    println!("  db2  : {:.4}", energy_capture(WaveletFamily::Db2, 6, 13));
     println!("(the paper's Haar choice is justified if both are high and Haar's");
     println!(" shift-register implementation is cheaper)\n");
 }
@@ -43,10 +43,10 @@ fn bench_basis_ablation(c: &mut Criterion) {
     print_quality_summary();
     let h = pdn().impulse_response(256);
     c.bench_function("ablation/design_haar", |b| {
-        b.iter(|| black_box(dwt(black_box(&h), &Haar, 8).expect("dwt")));
+        b.iter(|| black_box(dwt(black_box(&h), WaveletFamily::Haar, 8).expect("dwt")));
     });
-    c.bench_function("ablation/design_db4", |b| {
-        b.iter(|| black_box(dwt(black_box(&h), &Daubechies4, 6).expect("dwt")));
+    c.bench_function("ablation/design_db2", |b| {
+        b.iter(|| black_box(dwt(black_box(&h), WaveletFamily::Db2, 6).expect("dwt")));
     });
 }
 

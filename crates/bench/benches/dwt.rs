@@ -3,7 +3,7 @@
 //! used in the paper (and larger, to show the linear scaling).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use didt_dsp::{dwt, idwt, subband_decompose, wavelet::Daubechies4, wavelet::Haar, Scalogram};
+use didt_dsp::{dwt, idwt, subband_decompose, Scalogram, WaveletFamily};
 use std::hint::black_box;
 
 fn signal(n: usize) -> Vec<f64> {
@@ -18,10 +18,10 @@ fn bench_dwt(c: &mut Criterion) {
         let s = signal(n);
         let levels = n.trailing_zeros() as usize;
         g.bench_with_input(BenchmarkId::new("haar", n), &s, |b, s| {
-            b.iter(|| dwt(black_box(s), &Haar, levels).expect("dwt"));
+            b.iter(|| dwt(black_box(s), WaveletFamily::Haar, levels).expect("dwt"));
         });
         g.bench_with_input(BenchmarkId::new("db4", n), &s, |b, s| {
-            b.iter(|| dwt(black_box(s), &Daubechies4, levels - 2).expect("dwt"));
+            b.iter(|| dwt(black_box(s), WaveletFamily::Db2, levels - 2).expect("dwt"));
         });
     }
     g.finish();
@@ -29,11 +29,11 @@ fn bench_dwt(c: &mut Criterion) {
 
 fn bench_idwt_and_subbands(c: &mut Criterion) {
     let s = signal(4096);
-    let d = dwt(&s, &Haar, 12).expect("dwt");
+    let d = dwt(&s, WaveletFamily::Haar, 12).expect("dwt");
     c.bench_function("idwt/haar-4096", |b| {
         b.iter(|| idwt(black_box(&d)).expect("idwt"));
     });
-    let d256 = dwt(&signal(256), &Haar, 8).expect("dwt");
+    let d256 = dwt(&signal(256), WaveletFamily::Haar, 8).expect("dwt");
     c.bench_function("subband_decompose/haar-256", |b| {
         b.iter(|| subband_decompose(black_box(&d256)).expect("subbands"));
     });

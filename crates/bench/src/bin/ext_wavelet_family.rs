@@ -22,7 +22,7 @@
 use didt_bench::{benchmark_trace, standard_system, Experiment, TextTable};
 use didt_core::characterize::{ScaleGainModel, VarianceModel};
 use didt_core::monitor::{CycleSense, FamilyMonitorDesign, VoltageMonitor};
-use didt_dsp::{BoundaryMode, Wavelet, WaveletFamily};
+use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use didt_uarch::Benchmark;
 

@@ -5,7 +5,7 @@
 //! frequency content is localized in time.
 
 use didt_bench::{standard_system, Experiment};
-use didt_dsp::{dwt, wavelet::Haar, Scalogram};
+use didt_dsp::{dwt, Scalogram, WaveletFamily};
 use didt_uarch::{capture_trace, Benchmark};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
     }
 
     println!("\nscalogram (darker = larger |detail coefficient|):\n");
-    let decomp = dwt(&trace.samples, &Haar, 8).expect("256 = 2^8");
+    let decomp = dwt(&trace.samples, WaveletFamily::Haar, 8).expect("256 = 2^8");
     let sg = Scalogram::from_decomposition(&decomp);
     print!("{}", sg.render());
     println!("\npaper: large-scale variation visible; frequency content changes over time");

@@ -40,7 +40,7 @@ use didt_core::monitor::{
     AnalogSensor, BiquadMonitor, FamilyMonitorDesign, FullConvolutionMonitor, WaveletMonitorDesign,
 };
 use didt_core::{DidtError, DidtSystem};
-use didt_dsp::{BoundaryMode, Wavelet, WaveletFamily};
+use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use didt_trace::Record;
 use didt_uarch::{

@@ -63,7 +63,7 @@ pub(super) fn estimate_windows(
         let batch = TraceBatch::<ESTIMATE_LANES>::from_traces(group)?;
         dwt_into_batch(
             &batch,
-            &model.gains().family(),
+            model.gains().family(),
             model.gains().levels(),
             &mut bscratch,
             &mut decomp,

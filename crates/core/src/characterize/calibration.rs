@@ -15,9 +15,7 @@
 //! function of both scale and correlation.
 
 use crate::DidtError;
-use didt_dsp::{
-    dwt, dwt_into, idwt, wavelet::Haar, DwtScratch, Wavelet, WaveletDecomposition, WaveletFamily,
-};
+use didt_dsp::{dwt, dwt_into, idwt, DwtScratch, WaveletDecomposition, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use didt_stats::variance;
 use rand::rngs::SmallRng;
@@ -144,12 +142,7 @@ impl ScaleGainModel {
                 reason: "window shorter than the wavelet filter",
             });
         }
-        let mut levels = window.trailing_zeros() as usize;
-        // Cap the periodic pyramid where a step would undercut the
-        // filter length (only reachable for the longer dbN banks).
-        while levels > 1 && (window >> (levels - 1)) < family.filter_len() {
-            levels -= 1;
-        }
+        let levels = family.periodic_levels(window);
         // 48 windows of synthetic noise per (level, rho) point: the first
         // 8 settle the filter, the rest are measured.
         let tiles = 48usize;
@@ -167,7 +160,7 @@ impl ScaleGainModel {
                 let innov = (1.0 - rho * rho).sqrt();
                 // All-zero decomposition reused across tiles; only the
                 // `level` detail row is (fully) rewritten per tile.
-                let mut decomp = dwt(&vec![0.0f64; window], &family, levels)?;
+                let mut decomp = dwt(&vec![0.0f64; window], family, levels)?;
                 for _ in 0..tiles {
                     {
                         let d = decomp.detail_mut(level)?;
@@ -244,7 +237,7 @@ impl ScaleGainModel {
             for (wi, iw) in trace.chunks_exact(window).enumerate().skip(1) {
                 let vw = &v[wi * window..(wi + 1) * window];
                 let y = variance(vw);
-                dwt_into(iw, &Haar, levels, &mut scratch, &mut decomp)?;
+                dwt_into(iw, WaveletFamily::Haar, levels, &mut scratch, &mut decomp)?;
                 let scales = didt_dsp::scale_variances(&decomp)?;
                 let mut x = vec![0.0f64; dims];
                 for sv in &scales {

@@ -12,7 +12,7 @@
 use crate::characterize::{EstimateScratch, VarianceModel, WindowEstimate};
 use crate::DidtError;
 use didt_dsp::packet::{wavelet_packet, WaveletPacket};
-use didt_dsp::wavelet::Haar;
+use didt_dsp::WaveletFamily;
 use didt_pdn::SecondOrderPdn;
 use didt_stats::{mean, variance};
 use rand::rngs::SmallRng;
@@ -161,7 +161,7 @@ impl PacketVarianceModel {
                     let g: f64 = (0..6).map(|_| rng.random::<f64>()).sum::<f64>() * 2.0 - 6.0;
                     *x = g;
                 }
-                let wp = WaveletPacket::from_bands(rows, &Haar)?;
+                let wp = WaveletPacket::from_bands(rows, WaveletFamily::Haar)?;
                 signal.extend(wp.inverse());
             }
             let i_var = variance(&signal);
@@ -206,7 +206,7 @@ impl WindowModel for PacketVarianceModel {
                 got: window.len(),
             });
         }
-        let wp = wavelet_packet(window, &Haar, self.depth)?;
+        let wp = wavelet_packet(window, WaveletFamily::Haar, self.depth)?;
         let n = window.len() as f64;
         let mut v_variance = 0.0;
         for natural in 0..wp.num_bands() {

@@ -202,10 +202,10 @@ impl VarianceModel {
         }
         // The generic engine: for Haar/Periodic (every legacy caller)
         // this takes the exact legacy pyramid loop and stays
-        // bit-identical to the old hard-coded `dwt_into(&Haar, …)` call.
+        // bit-identical to the old hard-coded `dwt_into(WaveletFamily::Haar, …)` call.
         dwt_boundary_into(
             window,
-            &self.gains.family(),
+            self.gains.family(),
             self.gains.levels(),
             self.boundary,
             &mut scratch.dwt,

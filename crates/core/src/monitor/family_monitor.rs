@@ -20,7 +20,7 @@
 use crate::monitor::shift_register::HistoryRing;
 use crate::monitor::{CycleSense, VoltageMonitor};
 use crate::DidtError;
-use didt_dsp::{dwt_boundary, idwt, BoundaryMode, Wavelet, WaveletDecomposition, WaveletFamily};
+use didt_dsp::{dwt_boundary, idwt, BoundaryMode, WaveletDecomposition, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use std::collections::VecDeque;
 
@@ -112,15 +112,14 @@ impl FamilyMonitorDesign {
                 reason: "window shorter than the wavelet filter",
             });
         }
-        let mut levels = window.trailing_zeros() as usize;
-        if boundary == BoundaryMode::Periodic {
-            while levels > 1 && (window >> (levels - 1)) < family.filter_len() {
-                levels -= 1;
-            }
-        }
+        let levels = if boundary == BoundaryMode::Periodic {
+            family.periodic_levels(window)
+        } else {
+            window.trailing_zeros() as usize
+        };
         let mut h = h.to_vec();
         h.resize(window, 0.0);
-        let decomp = dwt_boundary(&h, &family, levels, boundary)?;
+        let decomp = dwt_boundary(&h, family, levels, boundary)?;
         let mut order = Vec::with_capacity(decomp.coefficient_count());
         for (row, detail) in decomp.detail_rows().enumerate() {
             for (index, &weight) in detail.iter().enumerate() {

@@ -20,7 +20,7 @@
 use crate::monitor::shift_register::{HistoryRing, SlidingTerm, TermKind};
 use crate::monitor::{CycleSense, VoltageMonitor};
 use crate::DidtError;
-use didt_dsp::{dwt, wavelet::Haar};
+use didt_dsp::{dwt, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use std::collections::VecDeque;
 
@@ -99,7 +99,7 @@ impl WaveletMonitorDesign {
         let levels = window.trailing_zeros() as usize;
         let mut h = h.to_vec();
         h.resize(window, 0.0);
-        let decomp = dwt(&h, &Haar, levels)?;
+        let decomp = dwt(&h, WaveletFamily::Haar, levels)?;
         let mut weights = Vec::with_capacity(window);
         for level in 1..=levels {
             for (index, &w) in decomp.detail(level)?.iter().enumerate() {

@@ -27,8 +27,8 @@
 //! never fuses a multiply with an add, because fused rounding would
 //! break lane bit-identity with the scalar mul-then-add expressions.
 
-use crate::transform::max_dwt_levels;
-use crate::wavelet::Wavelet;
+use crate::transform::clamp_levels;
+use crate::wavelet::WaveletFamily;
 use crate::DspError;
 
 // ---------------------------------------------------------------------------
@@ -231,9 +231,9 @@ impl<const L: usize> BatchDecomposition<L> {
 /// The conditions of [`crate::dwt_boundary_into`] for periodic mode:
 /// empty signal, zero levels, length not divisible by `2^levels`, or a
 /// pyramid step shorter than the filter.
-pub fn dwt_into_batch<const L: usize, W: Wavelet + ?Sized>(
+pub fn dwt_into_batch<const L: usize>(
     signal: &TraceBatch<L>,
-    wavelet: &W,
+    family: WaveletFamily,
     levels: usize,
     scratch: &mut BatchDwtScratch<L>,
     out: &mut BatchDecomposition<L>,
@@ -245,23 +245,15 @@ pub fn dwt_into_batch<const L: usize, W: Wavelet + ?Sized>(
     if levels == 0 {
         return Err(DspError::ZeroLevels);
     }
-    let depth_cap = max_dwt_levels(signal.len()).max(1);
-    let levels = if levels > depth_cap {
-        didt_telemetry::MetricsRegistry::global()
-            .counter(crate::LEVELS_CLAMPED_COUNTER)
-            .incr();
-        depth_cap
-    } else {
-        levels
-    };
+    let levels = clamp_levels(signal.len(), levels);
     if !signal.len().is_multiple_of(1usize << levels) {
         return Err(DspError::BadLength {
             len: signal.len(),
             requirement: "length must be divisible by 2^levels",
         });
     }
-    let h = wavelet.lowpass();
-    let g = wavelet.highpass();
+    let h = family.lowpass();
+    let g = family.highpass();
     out.signal_len = signal.len();
     out.lanes = signal.lanes();
     out.details.truncate(levels);
@@ -407,7 +399,7 @@ pub fn lag1_correlation_batch<const L: usize>(cols: &[[f64; L]]) -> [f64; L] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wavelet::{Haar, WaveletFamily};
+    use crate::wavelet::WaveletFamily;
     use crate::{dwt_boundary_into, BoundaryMode, DwtScratch, WaveletDecomposition};
 
     fn traces(n: usize, count: usize) -> Vec<Vec<f64>> {
@@ -453,14 +445,14 @@ mod tests {
         for family in [WaveletFamily::Haar, WaveletFamily::Db3] {
             let mut bs = BatchDwtScratch::new();
             let mut bd = BatchDecomposition::empty();
-            let levels = dwt_into_batch(&b, &family, 5, &mut bs, &mut bd).unwrap();
+            let levels = dwt_into_batch(&b, family, 5, &mut bs, &mut bd).unwrap();
             assert_eq!(levels, 5);
             let mut scratch = DwtScratch::new();
             let mut decomp = WaveletDecomposition::empty();
             for (l, t) in ts.iter().enumerate() {
                 dwt_boundary_into(
                     t,
-                    &family,
+                    family,
                     5,
                     BoundaryMode::Periodic,
                     &mut scratch,
@@ -499,9 +491,9 @@ mod tests {
         let b = TraceBatch::<4>::from_traces(&refs).unwrap();
         let mut bs = BatchDwtScratch::new();
         let mut bd = BatchDecomposition::empty();
-        dwt_into_batch(&b, &Haar, 3, &mut bs, &mut bd).unwrap();
+        dwt_into_batch(&b, WaveletFamily::Haar, 3, &mut bs, &mut bd).unwrap();
         let first: Vec<Vec<[f64; 4]>> = bd.details.clone();
-        dwt_into_batch(&b, &Haar, 3, &mut bs, &mut bd).unwrap();
+        dwt_into_batch(&b, WaveletFamily::Haar, 3, &mut bs, &mut bd).unwrap();
         assert_eq!(first, bd.details);
     }
 
@@ -513,9 +505,9 @@ mod tests {
         let mut bs = BatchDwtScratch::new();
         let mut bd = BatchDecomposition::empty();
         // 20 is not divisible by 2^3.
-        assert!(dwt_into_batch(&b, &Haar, 3, &mut bs, &mut bd).is_err());
+        assert!(dwt_into_batch(&b, WaveletFamily::Haar, 3, &mut bs, &mut bd).is_err());
         assert!(matches!(
-            dwt_into_batch(&b, &Haar, 0, &mut bs, &mut bd),
+            dwt_into_batch(&b, WaveletFamily::Haar, 0, &mut bs, &mut bd),
             Err(DspError::ZeroLevels)
         ));
     }

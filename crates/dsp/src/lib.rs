@@ -6,10 +6,10 @@
 //! paper *"Wavelet Analysis for Microprocessor Design"* (Joseph, Hu,
 //! Martonosi):
 //!
-//! * [`wavelet`] — wavelet bases: the [`wavelet::Haar`] basis the paper
-//!   uses (Figure 1), [`wavelet::Daubechies4`] for basis ablations, and
-//!   the filter-generic [`WaveletFamily`] ladder (Haar, db2–db8) behind
-//!   the `ext_wavelet_family` study.
+//! * [`wavelet`] — the one wavelet basis value, [`WaveletFamily`]:
+//!   `WaveletFamily::Haar`, the basis the paper uses (Figure 1), and the
+//!   Daubechies ladder db2–db8 behind the basis ablations and the
+//!   `ext_wavelet_family` study. Every transform takes it by value.
 //! * [`transform`] — the fast discrete wavelet transform (`O(N)` pyramid
 //!   algorithm, paper §2.1) and its inverse, producing a
 //!   [`transform::WaveletDecomposition`] (the coefficient matrix of
@@ -36,11 +36,11 @@
 //! Decompose the paper's Figure 3 example signal and reconstruct it:
 //!
 //! ```
-//! use didt_dsp::{dwt, idwt, wavelet::Haar};
+//! use didt_dsp::{dwt, idwt, WaveletFamily};
 //!
 //! # fn main() -> Result<(), didt_dsp::DspError> {
 //! let signal = [4.0, 2.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0];
-//! let decomp = dwt(&signal, &Haar, 2)?;
+//! let decomp = dwt(&signal, WaveletFamily::Haar, 2)?;
 //! let rebuilt = idwt(&decomp)?;
 //! for (a, b) in signal.iter().zip(&rebuilt) {
 //!     assert!((a - b).abs() < 1e-12);
@@ -77,5 +77,5 @@ pub use transform::{
     dwt, dwt_boundary, dwt_boundary_into, dwt_into, idwt, max_dwt_levels, BoundaryMode, DwtScratch,
     WaveletDecomposition, LEVELS_CLAMPED_COUNTER,
 };
-pub use variance::{scale_variances, wavelet_variance, ScaleVariance};
-pub use wavelet::{Daubechies4, Haar, Wavelet, WaveletFamily};
+pub use variance::{scale_variance, scale_variances, wavelet_variance, ScaleVariance};
+pub use wavelet::WaveletFamily;

@@ -9,7 +9,8 @@
 //! resolution inside the 50–200 MHz danger band than the octave-spaced
 //! DWT scales.
 
-use crate::wavelet::Wavelet;
+use crate::transform::{periodic_analysis_step, periodic_synthesis_step};
+use crate::wavelet::WaveletFamily;
 use crate::DspError;
 
 /// A full uniform wavelet packet decomposition.
@@ -24,11 +25,11 @@ use crate::DspError;
 ///
 /// ```
 /// use didt_dsp::packet::wavelet_packet;
-/// use didt_dsp::wavelet::Haar;
+/// use didt_dsp::WaveletFamily;
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// let s: Vec<f64> = (0..64).map(|i| (i as f64 * 0.8).sin()).collect();
-/// let wp = wavelet_packet(&s, &Haar, 3)?;
+/// let wp = wavelet_packet(&s, WaveletFamily::Haar, 3)?;
 /// assert_eq!(wp.num_bands(), 8);
 /// assert_eq!(wp.band(0).len(), 8);
 /// // Energy is conserved (orthonormal filter bank).
@@ -44,42 +45,7 @@ pub struct WaveletPacket {
     bands: Vec<Vec<f64>>,
     depth: usize,
     signal_len: usize,
-    lowpass: Vec<f64>,
-    highpass: Vec<f64>,
-}
-
-/// One low/high analysis split with periodic extension.
-fn analyze_step(signal: &[f64], h: &[f64], g: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let n = signal.len();
-    let half = n / 2;
-    let mut lo = vec![0.0; half];
-    let mut hi = vec![0.0; half];
-    for k in 0..half {
-        let mut sl = 0.0;
-        let mut sh = 0.0;
-        for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-            let idx = (2 * k + m) % n;
-            sl += hm * signal[idx];
-            sh += gm * signal[idx];
-        }
-        lo[k] = sl;
-        hi[k] = sh;
-    }
-    (lo, hi)
-}
-
-/// One synthesis merge (transpose of [`analyze_step`]).
-fn synthesize_step(lo: &[f64], hi: &[f64], h: &[f64], g: &[f64]) -> Vec<f64> {
-    let half = lo.len();
-    let n = half * 2;
-    let mut out = vec![0.0; n];
-    for k in 0..half {
-        for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-            let idx = (2 * k + m) % n;
-            out[idx] += hm * lo[k] + gm * hi[k];
-        }
-    }
-    out
+    family: WaveletFamily,
 }
 
 /// Compute the uniform wavelet packet transform of `signal` to `depth`
@@ -91,9 +57,9 @@ fn synthesize_step(lo: &[f64], hi: &[f64], h: &[f64], g: &[f64]) -> Vec<f64> {
 /// * [`DspError::ZeroLevels`] for `depth == 0`.
 /// * [`DspError::BadLength`] unless `signal.len()` is divisible by
 ///   `2^depth` and each split stays at least as long as the filter.
-pub fn wavelet_packet<W: Wavelet + ?Sized>(
+pub fn wavelet_packet(
     signal: &[f64],
-    wavelet: &W,
+    family: WaveletFamily,
     depth: usize,
 ) -> Result<WaveletPacket, DspError> {
     if signal.is_empty() {
@@ -108,8 +74,8 @@ pub fn wavelet_packet<W: Wavelet + ?Sized>(
             requirement: "length must be divisible by 2^depth",
         });
     }
-    let h = wavelet.lowpass();
-    let g = wavelet.highpass();
+    let h = family.lowpass();
+    let g = family.highpass();
     let mut bands = vec![signal.to_vec()];
     for _ in 0..depth {
         if bands[0].len() < h.len() {
@@ -120,7 +86,10 @@ pub fn wavelet_packet<W: Wavelet + ?Sized>(
         }
         let mut next = Vec::with_capacity(bands.len() * 2);
         for band in &bands {
-            let (lo, hi) = analyze_step(band, h, g);
+            let half = band.len() / 2;
+            let mut lo = vec![0.0; half];
+            let mut hi = vec![0.0; half];
+            periodic_analysis_step(band, h, g, &mut lo, &mut hi);
             next.push(lo);
             next.push(hi);
         }
@@ -130,8 +99,7 @@ pub fn wavelet_packet<W: Wavelet + ?Sized>(
         bands,
         depth,
         signal_len: signal.len(),
-        lowpass: h.to_vec(),
-        highpass: g.to_vec(),
+        family,
     })
 }
 
@@ -149,22 +117,19 @@ impl WaveletPacket {
     ///
     /// ```
     /// use didt_dsp::packet::WaveletPacket;
-    /// use didt_dsp::wavelet::Haar;
+    /// use didt_dsp::WaveletFamily;
     ///
     /// # fn main() -> Result<(), didt_dsp::DspError> {
     /// // Energy only in the DC band: reconstruction is blockwise flat.
     /// let bands = vec![vec![2.0, 2.0], vec![0.0; 2], vec![0.0; 2], vec![0.0; 2]];
-    /// let wp = WaveletPacket::from_bands(bands, &Haar)?;
+    /// let wp = WaveletPacket::from_bands(bands, WaveletFamily::Haar)?;
     /// let s = wp.inverse();
     /// assert_eq!(s.len(), 8);
     /// assert!((s[0] - s[3]).abs() < 1e-12);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn from_bands<W: Wavelet + ?Sized>(
-        bands: Vec<Vec<f64>>,
-        wavelet: &W,
-    ) -> Result<Self, DspError> {
+    pub fn from_bands(bands: Vec<Vec<f64>>, family: WaveletFamily) -> Result<Self, DspError> {
         if bands.is_empty() || !bands.len().is_power_of_two() {
             return Err(DspError::BadLength {
                 len: bands.len(),
@@ -183,8 +148,7 @@ impl WaveletPacket {
             signal_len: band_len * bands.len(),
             depth,
             bands,
-            lowpass: wavelet.lowpass().to_vec(),
-            highpass: wavelet.highpass().to_vec(),
+            family,
         })
     }
 
@@ -261,11 +225,11 @@ impl WaveletPacket {
     ///
     /// ```
     /// use didt_dsp::packet::wavelet_packet;
-    /// use didt_dsp::wavelet::Haar;
+    /// use didt_dsp::WaveletFamily;
     ///
     /// # fn main() -> Result<(), didt_dsp::DspError> {
     /// let s: Vec<f64> = (0..64).map(|i| i as f64).collect();
-    /// let wp = wavelet_packet(&s, &Haar, 2)?;
+    /// let wp = wavelet_packet(&s, WaveletFamily::Haar, 2)?;
     /// // Keep only the DC band: a staircase of block averages remains.
     /// let lowpassed = wp.filtered(&[true, false, false, false])?;
     /// assert_eq!(lowpassed.len(), 64);
@@ -291,16 +255,13 @@ impl WaveletPacket {
     /// Reconstruct the original signal (exact up to round-off).
     #[must_use]
     pub fn inverse(&self) -> Vec<f64> {
+        let h = self.family.lowpass();
+        let g = self.family.highpass();
         let mut bands = self.bands.clone();
         while bands.len() > 1 {
             let mut merged = Vec::with_capacity(bands.len() / 2);
             for pair in bands.chunks(2) {
-                merged.push(synthesize_step(
-                    &pair[0],
-                    &pair[1],
-                    &self.lowpass,
-                    &self.highpass,
-                ));
+                merged.push(periodic_synthesis_step(&pair[0], &pair[1], h, g));
             }
             bands = merged;
         }
@@ -311,7 +272,7 @@ impl WaveletPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wavelet::{Daubechies4, Haar};
+    use crate::wavelet::WaveletFamily;
 
     fn test_signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -321,14 +282,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(wavelet_packet(&[], &Haar, 2).is_err());
-        assert!(wavelet_packet(&[1.0; 16], &Haar, 0).is_err());
-        assert!(wavelet_packet(&[1.0; 12], &Haar, 3).is_err());
+        assert!(wavelet_packet(&[], WaveletFamily::Haar, 2).is_err());
+        assert!(wavelet_packet(&[1.0; 16], WaveletFamily::Haar, 0).is_err());
+        assert!(wavelet_packet(&[1.0; 12], WaveletFamily::Haar, 3).is_err());
     }
 
     #[test]
     fn band_count_and_lengths() {
-        let wp = wavelet_packet(&test_signal(64), &Haar, 4).unwrap();
+        let wp = wavelet_packet(&test_signal(64), WaveletFamily::Haar, 4).unwrap();
         assert_eq!(wp.num_bands(), 16);
         for b in 0..16 {
             assert_eq!(wp.band(b).len(), 4);
@@ -340,10 +301,10 @@ mod tests {
         let s = test_signal(128);
         let e_sig: f64 = s.iter().map(|x| x * x).sum();
         for depth in 1..=4 {
-            let wp = wavelet_packet(&s, &Haar, depth).unwrap();
+            let wp = wavelet_packet(&s, WaveletFamily::Haar, depth).unwrap();
             let e: f64 = (0..wp.num_bands()).map(|b| wp.band_energy(b)).sum();
             assert!((e - e_sig).abs() < 1e-8, "haar depth {depth}");
-            let wp = wavelet_packet(&s, &Daubechies4, depth).unwrap();
+            let wp = wavelet_packet(&s, WaveletFamily::Db2, depth).unwrap();
             let e: f64 = (0..wp.num_bands()).map(|b| wp.band_energy(b)).sum();
             assert!((e - e_sig).abs() < 1e-8, "db4 depth {depth}");
         }
@@ -353,7 +314,7 @@ mod tests {
     fn perfect_reconstruction() {
         let s = test_signal(64);
         for depth in 1..=3 {
-            let wp = wavelet_packet(&s, &Haar, depth).unwrap();
+            let wp = wavelet_packet(&s, WaveletFamily::Haar, depth).unwrap();
             let r = wp.inverse();
             for (a, b) in s.iter().zip(&r) {
                 assert!((a - b).abs() < 1e-9, "depth {depth}");
@@ -363,20 +324,34 @@ mod tests {
 
     #[test]
     fn depth_one_matches_dwt_level_one() {
-        let s = test_signal(32);
-        let wp = wavelet_packet(&s, &Haar, 1).unwrap();
-        let d = crate::transform::dwt(&s, &Haar, 1).unwrap();
-        for (a, b) in wp.band(0).iter().zip(d.approximation()) {
-            assert!((a - b).abs() < 1e-12);
+        // The packet tree and the pyramid share one periodic step, so the
+        // all-low-pass band is the DWT approximation bit for bit, and at
+        // depth 1 the high band and the synthesis agree too.
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
         }
-        for (a, b) in wp.band(1).iter().zip(d.detail(1).unwrap()) {
-            assert!((a - b).abs() < 1e-12);
+        let s = test_signal(32);
+        for family in WaveletFamily::ALL {
+            for depth in 1..=3 {
+                if s.len() >> (depth - 1) < family.filter_len() {
+                    continue;
+                }
+                let wp = wavelet_packet(&s, family, depth).unwrap();
+                let d = crate::transform::dwt(&s, family, depth).unwrap();
+                let name = family.name();
+                assert_eq!(bits(wp.band(0)), bits(d.approximation()), "{name} {depth}");
+                if depth == 1 {
+                    assert_eq!(bits(wp.band(1)), bits(d.detail(1).unwrap()), "{name}");
+                    let idwt = crate::transform::idwt(&d).unwrap();
+                    assert_eq!(bits(&wp.inverse()), bits(&idwt), "{name}");
+                }
+            }
         }
     }
 
     #[test]
     fn frequency_rank_is_a_permutation_and_self_inverse() {
-        let wp = wavelet_packet(&test_signal(64), &Haar, 4).unwrap();
+        let wp = wavelet_packet(&test_signal(64), WaveletFamily::Haar, 4).unwrap();
         let mut seen = [false; 16];
         for b in 0..16 {
             let r = wp.frequency_rank(b);
@@ -389,7 +364,7 @@ mod tests {
     #[test]
     fn filtered_with_all_bands_is_identity() {
         let s = test_signal(64);
-        let wp = wavelet_packet(&s, &Haar, 3).unwrap();
+        let wp = wavelet_packet(&s, WaveletFamily::Haar, 3).unwrap();
         let r = wp.filtered(&[true; 8]).unwrap();
         for (a, b) in s.iter().zip(&r) {
             assert!((a - b).abs() < 1e-9);
@@ -398,7 +373,7 @@ mod tests {
 
     #[test]
     fn filtered_keep_none_is_zero() {
-        let wp = wavelet_packet(&test_signal(64), &Haar, 3).unwrap();
+        let wp = wavelet_packet(&test_signal(64), WaveletFamily::Haar, 3).unwrap();
         let r = wp.filtered(&[false; 8]).unwrap();
         assert!(r.iter().all(|x| x.abs() < 1e-12));
     }
@@ -412,7 +387,7 @@ mod tests {
         let s: Vec<f64> = (0..n)
             .map(|t| (2.0 * std::f64::consts::PI * f * t as f64).sin())
             .collect();
-        let wp = wavelet_packet(&s, &Daubechies4, 3).unwrap();
+        let wp = wavelet_packet(&s, WaveletFamily::Db2, 3).unwrap();
         let mut keep = [true; 8];
         keep[6] = false;
         // Neighbouring bands leak a little (finite filters), drop them too.
@@ -426,7 +401,7 @@ mod tests {
 
     #[test]
     fn filtered_rejects_bad_mask() {
-        let wp = wavelet_packet(&test_signal(64), &Haar, 3).unwrap();
+        let wp = wavelet_packet(&test_signal(64), WaveletFamily::Haar, 3).unwrap();
         assert!(wp.filtered(&[true; 4]).is_err());
     }
 
@@ -444,7 +419,7 @@ mod tests {
             let s: Vec<f64> = (0..n)
                 .map(|t| (2.0 * std::f64::consts::PI * f * t as f64).sin())
                 .collect();
-            let wp = wavelet_packet(&s, &Daubechies4, depth).unwrap();
+            let wp = wavelet_packet(&s, WaveletFamily::Db2, depth).unwrap();
             let peak_natural = (0..wp.num_bands())
                 .max_by(|&a, &b| wp.band_energy(a).total_cmp(&wp.band_energy(b)))
                 .unwrap();

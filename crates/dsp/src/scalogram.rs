@@ -19,11 +19,11 @@ const SHADES: &[u8] = b" .:-=+*#%@";
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, Scalogram, wavelet::Haar};
+/// use didt_dsp::{dwt, Scalogram, WaveletFamily};
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// let s: Vec<f64> = (0..64).map(|i| if i == 32 { 8.0 } else { 0.0 }).collect();
-/// let d = dwt(&s, &Haar, 4)?;
+/// let d = dwt(&s, WaveletFamily::Haar, 4)?;
 /// let sg = Scalogram::from_decomposition(&d);
 /// assert_eq!(sg.rows(), 4);
 /// let art = sg.render();
@@ -129,11 +129,11 @@ impl Scalogram {
 mod tests {
     use super::*;
     use crate::transform::dwt;
-    use crate::wavelet::Haar;
+    use crate::wavelet::WaveletFamily;
 
     #[test]
     fn rows_match_levels() {
-        let d = dwt(&[1.0; 32], &Haar, 4).unwrap();
+        let d = dwt(&[1.0; 32], WaveletFamily::Haar, 4).unwrap();
         let sg = Scalogram::from_decomposition(&d);
         assert_eq!(sg.rows(), 4);
         assert_eq!(sg.row(0).len(), 16);
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn constant_signal_is_blank() {
-        let d = dwt(&[5.0; 16], &Haar, 3).unwrap();
+        let d = dwt(&[5.0; 16], WaveletFamily::Haar, 3).unwrap();
         let sg = Scalogram::from_decomposition(&d);
         assert_eq!(sg.max_magnitude(), 0.0);
         let art = sg.render();
@@ -155,7 +155,7 @@ mod tests {
     fn spike_darkens_finest_scale_at_its_position() {
         let mut s = vec![0.0; 64];
         s[10] = 10.0;
-        let d = dwt(&s, &Haar, 3).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 3).unwrap();
         let sg = Scalogram::from_decomposition(&d);
         // Finest-scale coefficient covering samples 10–11 is index 5.
         let norm = sg.normalized(0, 5).unwrap();
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn normalized_out_of_range_is_none() {
-        let d = dwt(&[0.0; 16], &Haar, 2).unwrap();
+        let d = dwt(&[0.0; 16], WaveletFamily::Haar, 2).unwrap();
         let sg = Scalogram::from_decomposition(&d);
         assert!(sg.normalized(5, 0).is_none());
         assert!(sg.normalized(0, 100).is_none());
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn render_lines_have_aligned_width() {
         let s: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        let d = dwt(&s, &Haar, 4).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 4).unwrap();
         let sg = Scalogram::from_decomposition(&d);
         let art = sg.render();
         let widths: Vec<usize> = art.lines().map(str::len).collect();
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn normalized_bounded() {
         let s: Vec<f64> = (0..128).map(|i| ((i * 37) % 19) as f64 - 9.0).collect();
-        let d = dwt(&s, &Haar, 5).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 5).unwrap();
         let sg = Scalogram::from_decomposition(&d);
         for r in 0..sg.rows() {
             for k in 0..sg.row(r).len() {

@@ -46,7 +46,7 @@ pub struct StreamCoefficient {
 /// ```
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// use didt_dsp::streaming::StreamingHaar;
-/// use didt_dsp::{dwt, wavelet::Haar};
+/// use didt_dsp::{dwt, WaveletFamily};
 ///
 /// let signal: Vec<f64> = (0..32).map(|i| (i as f64 * 0.4).sin()).collect();
 /// let mut stream = StreamingHaar::new(3)?;
@@ -55,7 +55,7 @@ pub struct StreamCoefficient {
 ///     emitted.extend(stream.push(x));
 /// }
 /// // Every detail coefficient matches the batch transform.
-/// let batch = dwt(&signal, &Haar, 3)?;
+/// let batch = dwt(&signal, WaveletFamily::Haar, 3)?;
 /// for c in &emitted {
 ///     let want = batch.detail(c.level)?[c.index];
 ///     assert!((c.value - want).abs() < 1e-12);
@@ -235,7 +235,7 @@ impl StreamingHaar {
 mod tests {
     use super::*;
     use crate::transform::dwt;
-    use crate::wavelet::Haar;
+    use crate::wavelet::WaveletFamily;
 
     #[test]
     fn rejects_bad_levels() {
@@ -252,7 +252,7 @@ mod tests {
         for &x in &signal {
             got.extend(s.push(x));
         }
-        let batch = dwt(&signal, &Haar, 5).unwrap();
+        let batch = dwt(&signal, WaveletFamily::Haar, 5).unwrap();
         // Same count of detail coefficients per level.
         for level in 1..=5 {
             let want = batch.detail(level).unwrap();
@@ -279,7 +279,7 @@ mod tests {
                 approxs.push(a);
             }
         }
-        let batch = dwt(&signal, &Haar, 4).unwrap();
+        let batch = dwt(&signal, WaveletFamily::Haar, 4).unwrap();
         assert_eq!(approxs.len(), batch.approximation().len());
         for (a, b) in approxs.iter().zip(batch.approximation()) {
             assert!((a - b).abs() < 1e-10);
@@ -330,10 +330,10 @@ mod tests {
         // 100 samples, 3 levels: not divisible by 8, so the batch
         // transform rejects the raw signal but accepts the padded one.
         let signal: Vec<f64> = (0..100).map(|i| ((i * 7) % 23) as f64 - 11.0).collect();
-        assert!(dwt(&signal, &Haar, 3).is_err());
+        assert!(dwt(&signal, WaveletFamily::Haar, 3).is_err());
         let mut padded = signal.clone();
         padded.resize(104, 0.0);
-        let batch = dwt(&padded, &Haar, 3).unwrap();
+        let batch = dwt(&padded, WaveletFamily::Haar, 3).unwrap();
 
         let mut s = StreamingHaar::new(3).unwrap();
         let mut streamed: Vec<StreamCoefficient> = Vec::new();

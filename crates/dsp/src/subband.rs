@@ -24,11 +24,11 @@ use crate::DspError;
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, detail_signal, wavelet::Haar};
+/// use didt_dsp::{dwt, detail_signal, WaveletFamily};
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// let s = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-/// let d = dwt(&s, &Haar, 2)?;
+/// let d = dwt(&s, WaveletFamily::Haar, 2)?;
 /// // All content of the alternating signal lives in the finest subband.
 /// let fine = detail_signal(&d, 1)?;
 /// for (a, b) in fine.iter().zip(&s) {
@@ -76,11 +76,11 @@ pub fn approximation_signal(decomp: &WaveletDecomposition) -> Result<Vec<f64>, D
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, subband_decompose, wavelet::Haar};
+/// use didt_dsp::{dwt, subband_decompose, WaveletFamily};
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// let s: Vec<f64> = (0..16).map(|i| (i as f64 * 0.7).sin()).collect();
-/// let d = dwt(&s, &Haar, 3)?;
+/// let d = dwt(&s, WaveletFamily::Haar, 3)?;
 /// let bands = subband_decompose(&d)?;
 /// assert_eq!(bands.len(), 4); // approx + 3 details
 /// for t in 0..s.len() {
@@ -103,7 +103,7 @@ pub fn subband_decompose(decomp: &WaveletDecomposition) -> Result<Vec<Vec<f64>>,
 mod tests {
     use super::*;
     use crate::transform::dwt;
-    use crate::wavelet::{Daubechies4, Haar};
+    use crate::wavelet::WaveletFamily;
 
     fn test_signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn subbands_sum_to_signal_haar() {
         let s = test_signal(64);
-        let d = dwt(&s, &Haar, 4).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 4).unwrap();
         let bands = subband_decompose(&d).unwrap();
         assert_eq!(bands.len(), 5);
         for t in 0..s.len() {
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn subbands_sum_to_signal_db4() {
         let s = test_signal(64);
-        let d = dwt(&s, &Daubechies4, 3).unwrap();
+        let d = dwt(&s, WaveletFamily::Db2, 3).unwrap();
         let bands = subband_decompose(&d).unwrap();
         for t in 0..s.len() {
             let sum: f64 = bands.iter().map(|b| b[t]).sum();
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn subbands_are_mutually_orthogonal() {
         let s = test_signal(64);
-        let d = dwt(&s, &Haar, 4).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 4).unwrap();
         let bands = subband_decompose(&d).unwrap();
         for i in 0..bands.len() {
             for j in (i + 1)..bands.len() {
@@ -152,14 +152,14 @@ mod tests {
 
     #[test]
     fn approximation_of_constant_is_constant() {
-        let d = dwt(&[7.0; 32], &Haar, 4).unwrap();
+        let d = dwt(&[7.0; 32], WaveletFamily::Haar, 4).unwrap();
         let a = approximation_signal(&d).unwrap();
         assert!(a.iter().all(|x| (x - 7.0).abs() < 1e-10));
     }
 
     #[test]
     fn detail_signal_level_validation() {
-        let d = dwt(&[1.0; 16], &Haar, 2).unwrap();
+        let d = dwt(&[1.0; 16], WaveletFamily::Haar, 2).unwrap();
         assert!(detail_signal(&d, 0).is_err());
         assert!(detail_signal(&d, 3).is_err());
     }
@@ -169,7 +169,7 @@ mod tests {
         // Each Haar detail subband at level l has zero mean over every
         // aligned block of 2^l samples.
         let s = test_signal(64);
-        let d = dwt(&s, &Haar, 3).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 3).unwrap();
         for level in 1..=3 {
             let band = detail_signal(&d, level).unwrap();
             let block = 1 << level;
@@ -185,7 +185,7 @@ mod tests {
         // Sum of approx + coarse details only = smoothed signal whose
         // energy never exceeds the original (orthogonal projection).
         let s = test_signal(128);
-        let d = dwt(&s, &Haar, 5).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 5).unwrap();
         let bands = subband_decompose(&d).unwrap();
         let smooth: Vec<f64> = (0..s.len())
             .map(|t| bands[0][t] + bands[4][t] + bands[5][t])

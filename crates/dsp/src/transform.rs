@@ -34,8 +34,10 @@
 //! itself), while `Symmetric`/`ZerothOrder` coefficients carry at least
 //! the signal energy plus whatever the edge extension added.
 
-use crate::wavelet::Wavelet;
+use crate::wavelet::WaveletFamily;
 use crate::DspError;
+use didt_telemetry::{Counter, MetricsRegistry};
+use std::sync::{Arc, OnceLock};
 
 /// How the transform treats samples past the ends of a finite signal —
 /// the three extension operators of the paper's design-tool lineage
@@ -139,11 +141,11 @@ fn extend(x: &[f64], i: isize, mode: BoundaryMode) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, wavelet::Haar};
+/// use didt_dsp::{dwt, WaveletFamily};
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// let signal: Vec<f64> = (0..16).map(|i| (i as f64).sin()).collect();
-/// let d = dwt(&signal, &Haar, 3)?;
+/// let d = dwt(&signal, WaveletFamily::Haar, 3)?;
 /// assert_eq!(d.levels(), 3);
 /// assert_eq!(d.detail(1)?.len(), 8); // finest: half the samples
 /// assert_eq!(d.detail(3)?.len(), 2); // coarsest
@@ -157,9 +159,7 @@ pub struct WaveletDecomposition {
     /// `details[0]` is level 1 (finest), `details[levels-1]` coarsest.
     details: Vec<Vec<f64>>,
     signal_len: usize,
-    lowpass: Vec<f64>,
-    highpass: Vec<f64>,
-    wavelet_name: &'static str,
+    family: WaveletFamily,
     mode: BoundaryMode,
     /// Input length of each pyramid step, finest first. Expansive modes
     /// need these recorded: their level lengths do not follow from
@@ -182,9 +182,7 @@ impl WaveletDecomposition {
             approx: Vec::new(),
             details: Vec::new(),
             signal_len: 0,
-            lowpass: Vec::new(),
-            highpass: Vec::new(),
-            wavelet_name: "",
+            family: WaveletFamily::Haar,
             mode: BoundaryMode::Periodic,
             level_input_lens: Vec::new(),
         }
@@ -208,10 +206,10 @@ impl WaveletDecomposition {
         self.signal_len
     }
 
-    /// Name of the wavelet basis used.
+    /// The wavelet basis this decomposition was computed with.
     #[must_use]
-    pub fn wavelet_name(&self) -> &'static str {
-        self.wavelet_name
+    pub fn family(&self) -> WaveletFamily {
+        self.family
     }
 
     /// The approximation (scaling) coefficients `a[k]` — the coarse row of
@@ -291,7 +289,8 @@ impl WaveletDecomposition {
         Ok(self.detail(level)?.iter().map(|x| x * x).sum())
     }
 
-    /// Total number of coefficients (equals the signal length).
+    /// Total number of coefficients. Equals the signal length under
+    /// [`BoundaryMode::Periodic`]; the expansive modes emit more.
     #[must_use]
     pub fn coefficient_count(&self) -> usize {
         self.approx.len() + self.details.iter().map(Vec::len).sum::<usize>()
@@ -327,23 +326,23 @@ impl WaveletDecomposition {
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, wavelet::Haar};
+/// use didt_dsp::{dwt, WaveletFamily};
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// // A constant signal has all its energy in the approximation row.
-/// let d = dwt(&[3.0; 8], &Haar, 3)?;
+/// let d = dwt(&[3.0; 8], WaveletFamily::Haar, 3)?;
 /// assert!(d.detail(1)?.iter().all(|x| x.abs() < 1e-12));
 /// # Ok(())
 /// # }
 /// ```
-pub fn dwt<W: Wavelet + ?Sized>(
+pub fn dwt(
     signal: &[f64],
-    wavelet: &W,
+    family: WaveletFamily,
     levels: usize,
 ) -> Result<WaveletDecomposition, DspError> {
     let mut out = WaveletDecomposition::empty();
     let mut scratch = DwtScratch::new();
-    dwt_into(signal, wavelet, levels, &mut scratch, &mut out)?;
+    dwt_into(signal, family, levels, &mut scratch, &mut out)?;
     Ok(out)
 }
 
@@ -358,13 +357,13 @@ pub fn dwt<W: Wavelet + ?Sized>(
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, dwt_into, transform::DwtScratch, wavelet::Haar};
+/// use didt_dsp::{dwt_into, transform::DwtScratch, WaveletDecomposition, WaveletFamily};
 ///
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// let mut scratch = DwtScratch::new();
-/// let mut out = dwt(&[0.0; 8], &Haar, 3)?; // any decomposition to reuse
+/// let mut out = WaveletDecomposition::empty();
 /// for window in [[1.0; 8], [2.0; 8]] {
-///     dwt_into(&window, &Haar, 3, &mut scratch, &mut out)?;
+///     dwt_into(&window, WaveletFamily::Haar, 3, &mut scratch, &mut out)?;
 ///     assert_eq!(out.approximation().len(), 1);
 /// }
 /// # Ok(())
@@ -387,15 +386,15 @@ impl DwtScratch {
 /// reusing `out`'s coefficient storage and `scratch`'s working buffer.
 ///
 /// Semantics are identical to [`dwt`]; on success `out` is entirely
-/// overwritten (previous contents, wavelet and shape are discarded).
+/// overwritten (previous contents, family and shape are discarded).
 /// On error `out` is left in an unspecified but valid state.
 ///
 /// # Errors
 ///
 /// Exactly the conditions of [`dwt`].
-pub fn dwt_into<W: Wavelet + ?Sized>(
+pub fn dwt_into(
     signal: &[f64],
-    wavelet: &W,
+    family: WaveletFamily,
     levels: usize,
     scratch: &mut DwtScratch,
     out: &mut WaveletDecomposition,
@@ -413,14 +412,7 @@ pub fn dwt_into<W: Wavelet + ?Sized>(
             requirement: "length must be divisible by 2^levels",
         });
     }
-    dwt_core(
-        signal,
-        wavelet,
-        levels,
-        BoundaryMode::Periodic,
-        scratch,
-        out,
-    )
+    dwt_core(signal, family, levels, BoundaryMode::Periodic, scratch, out)
 }
 
 /// Telemetry counter bumped whenever [`dwt_boundary_into`] clamps a
@@ -440,6 +432,23 @@ pub fn max_dwt_levels(len: usize) -> usize {
     }
 }
 
+/// Clamp a level request to the dyadic depth of a `len`-sample signal
+/// (at least 1), counting each clamp on [`LEVELS_CLAMPED_COUNTER`] —
+/// the one clamp rule of [`dwt_boundary_into`] and
+/// [`crate::dwt_into_batch`].
+pub(crate) fn clamp_levels(len: usize, levels: usize) -> usize {
+    static CLAMPED: OnceLock<Arc<Counter>> = OnceLock::new();
+    let depth_cap = max_dwt_levels(len).max(1);
+    if levels > depth_cap {
+        CLAMPED
+            .get_or_init(|| MetricsRegistry::global().counter(LEVELS_CLAMPED_COUNTER))
+            .incr();
+        depth_cap
+    } else {
+        levels
+    }
+}
+
 /// Compute a DWT under an explicit [`BoundaryMode`] — the batch
 /// counterpart of [`dwt_boundary_into`].
 ///
@@ -455,7 +464,7 @@ pub fn max_dwt_levels(len: usize) -> usize {
 /// # fn main() -> Result<(), didt_dsp::DspError> {
 /// // 37 samples: no power-of-two structure anywhere, db5 ten-tap filter.
 /// let signal: Vec<f64> = (0..37).map(|i| (i as f64 * 0.4).sin()).collect();
-/// let d = dwt_boundary(&signal, &WaveletFamily::Db5, 3, BoundaryMode::Symmetric)?;
+/// let d = dwt_boundary(&signal, WaveletFamily::Db5, 3, BoundaryMode::Symmetric)?;
 /// let r = idwt(&d)?;
 /// for (a, b) in signal.iter().zip(&r) {
 ///     assert!((a - b).abs() < 1e-10);
@@ -463,15 +472,15 @@ pub fn max_dwt_levels(len: usize) -> usize {
 /// # Ok(())
 /// # }
 /// ```
-pub fn dwt_boundary<W: Wavelet + ?Sized>(
+pub fn dwt_boundary(
     signal: &[f64],
-    wavelet: &W,
+    family: WaveletFamily,
     levels: usize,
     mode: BoundaryMode,
 ) -> Result<WaveletDecomposition, DspError> {
     let mut out = WaveletDecomposition::empty();
     let mut scratch = DwtScratch::new();
-    dwt_boundary_into(signal, wavelet, levels, mode, &mut scratch, &mut out)?;
+    dwt_boundary_into(signal, family, levels, mode, &mut scratch, &mut out)?;
     Ok(out)
 }
 
@@ -493,9 +502,9 @@ pub fn dwt_boundary<W: Wavelet + ?Sized>(
 /// * [`DspError::ZeroLevels`] when `levels == 0`.
 /// * [`DspError::BadLength`] under `Periodic` for a length not divisible
 ///   by `2^levels` or a pyramid step shorter than the filter.
-pub fn dwt_boundary_into<W: Wavelet + ?Sized>(
+pub fn dwt_boundary_into(
     signal: &[f64],
-    wavelet: &W,
+    family: WaveletFamily,
     levels: usize,
     mode: BoundaryMode,
     scratch: &mut DwtScratch,
@@ -508,48 +517,75 @@ pub fn dwt_boundary_into<W: Wavelet + ?Sized>(
     if levels == 0 {
         return Err(DspError::ZeroLevels);
     }
-    let depth_cap = max_dwt_levels(signal.len()).max(1);
-    let levels = if levels > depth_cap {
-        didt_telemetry::MetricsRegistry::global()
-            .counter(LEVELS_CLAMPED_COUNTER)
-            .incr();
-        depth_cap
-    } else {
-        levels
-    };
+    let levels = clamp_levels(signal.len(), levels);
     if mode == BoundaryMode::Periodic && !signal.len().is_multiple_of(1usize << levels) {
         return Err(DspError::BadLength {
             len: signal.len(),
             requirement: "length must be divisible by 2^levels",
         });
     }
-    dwt_core(signal, wavelet, levels, mode, scratch, out)?;
+    dwt_core(signal, family, levels, mode, scratch, out)?;
     Ok(levels)
 }
 
+/// One periodic analysis step, the filter-bank split shared by the
+/// pyramid and the packet tree:
+/// `lo[k] = Σ h[m]·x[(2k+m) % n]`, `hi[k] = Σ g[m]·x[(2k+m) % n]` for
+/// `k < lo.len()`. Taps accumulate in ascending `m`; that order is
+/// bit-load-bearing for every pin downstream.
+pub(crate) fn periodic_analysis_step(
+    x: &[f64],
+    h: &[f64],
+    g: &[f64],
+    lo: &mut [f64],
+    hi: &mut [f64],
+) {
+    let n = x.len();
+    for (k, (lo_k, hi_k)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+        let mut sl = 0.0;
+        let mut sh = 0.0;
+        for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
+            let idx = (2 * k + m) % n;
+            sl += hm * x[idx];
+            sh += gm * x[idx];
+        }
+        *lo_k = sl;
+        *hi_k = sh;
+    }
+}
+
+/// One periodic synthesis merge, the transpose of
+/// [`periodic_analysis_step`]: rebuilds the `2·lo.len()` samples a split
+/// produced `lo`/`hi` from.
+pub(crate) fn periodic_synthesis_step(lo: &[f64], hi: &[f64], h: &[f64], g: &[f64]) -> Vec<f64> {
+    let half = lo.len();
+    let n = half * 2;
+    let mut out = vec![0.0; n];
+    for k in 0..half {
+        for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
+            let idx = (2 * k + m) % n;
+            out[idx] += hm * lo[k] + gm * hi[k];
+        }
+    }
+    out
+}
+
 /// The shared pyramid kernel behind [`dwt_into`] and
-/// [`dwt_boundary_into`]. The `Periodic` arm is the untouched legacy
-/// loop (the hot path of the characterization sweeps — its inner
-/// accumulation order is bit-load-bearing); the expansive arm emits one
-/// coefficient per even-shift filter translate overlapping the current
-/// level's extent.
-fn dwt_core<W: Wavelet + ?Sized>(
+/// [`dwt_boundary_into`]. The `Periodic` arm is
+/// [`periodic_analysis_step`] (the hot path of the characterization
+/// sweeps); the expansive arm emits one coefficient per even-shift
+/// filter translate overlapping the current level's extent.
+fn dwt_core(
     signal: &[f64],
-    wavelet: &W,
+    family: WaveletFamily,
     levels: usize,
     mode: BoundaryMode,
     scratch: &mut DwtScratch,
     out: &mut WaveletDecomposition,
 ) -> Result<(), DspError> {
-    let h = wavelet.lowpass();
-    let g = wavelet.highpass();
-    if out.lowpass != h {
-        out.lowpass.clear();
-        out.lowpass.extend_from_slice(h);
-        out.highpass.clear();
-        out.highpass.extend_from_slice(g);
-    }
-    out.wavelet_name = wavelet.name();
+    let h = family.lowpass();
+    let g = family.highpass();
+    out.family = family;
     out.signal_len = signal.len();
     out.mode = mode;
     out.details.truncate(levels);
@@ -585,17 +621,7 @@ fn dwt_core<W: Wavelet + ?Sized>(
         next_a.clear();
         next_a.resize(half, 0.0);
         if mode == BoundaryMode::Periodic {
-            for k in 0..half {
-                let mut sa = 0.0;
-                let mut sd = 0.0;
-                for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
-                    let idx = (2 * k + m) % n;
-                    sa += hm * approx[idx];
-                    sd += gm * approx[idx];
-                }
-                next_a[k] = sa;
-                d[k] = sd;
-            }
+            periodic_analysis_step(approx, h, g, next_a, d);
         } else {
             // Coefficient k correlates against samples starting at
             // 2k − (L−2): the leftmost even shift still touching x[0].
@@ -636,8 +662,8 @@ fn dwt_core<W: Wavelet + ?Sized>(
 /// Returns [`DspError::BadLength`] if the decomposition's rows are
 /// internally inconsistent (possible only if constructed by hand).
 pub fn idwt(decomp: &WaveletDecomposition) -> Result<Vec<f64>, DspError> {
-    let h = &decomp.lowpass;
-    let g = &decomp.highpass;
+    let h = decomp.family.lowpass();
+    let g = decomp.family.highpass();
     let mut approx = decomp.approx.clone();
     if decomp.mode == BoundaryMode::Periodic {
         // Walk from the coarsest detail row back to the finest.
@@ -648,16 +674,7 @@ pub fn idwt(decomp: &WaveletDecomposition) -> Result<Vec<f64>, DspError> {
                     requirement: "detail row must match approximation length",
                 });
             }
-            let half = approx.len();
-            let n = half * 2;
-            let mut next = vec![0.0; n];
-            for k in 0..half {
-                for (m, (&hm, &gm)) in h.iter().zip(g.iter()).enumerate() {
-                    let idx = (2 * k + m) % n;
-                    next[idx] += hm * approx[k] + gm * d[k];
-                }
-            }
-            approx = next;
+            approx = periodic_synthesis_step(&approx, d, h, g);
         }
         return Ok(approx);
     }
@@ -680,7 +697,7 @@ pub fn idwt(decomp: &WaveletDecomposition) -> Result<Vec<f64>, DspError> {
         let mut next = vec![0.0; n];
         for k in 0..half {
             let start = 2 * k as isize - shift;
-            for (m, (&hm, &gm)) in h.iter().zip(g.iter()).enumerate() {
+            for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
                 let i = start + m as isize;
                 if i >= 0 && (i as usize) < n {
                     next[i as usize] += hm * approx[k] + gm * d[k];
@@ -695,7 +712,6 @@ pub fn idwt(decomp: &WaveletDecomposition) -> Result<Vec<f64>, DspError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wavelet::{Daubechies4, Haar};
 
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < tol)
@@ -705,7 +721,7 @@ mod tests {
     fn haar_level1_hand_computed() {
         // a[k] = (x[2k]+x[2k+1])/√2 ; d[k] = (x[2k]-x[2k+1])/√2
         let s = [4.0, 2.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0];
-        let d = dwt(&s, &Haar, 1).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 1).unwrap();
         let r2 = std::f64::consts::SQRT_2;
         let want_a = [6.0 / r2, 4.0 / r2, 4.0 / r2, 2.0 / r2];
         let want_d = [2.0 / r2, 4.0 / r2, 0.0, 2.0 / r2];
@@ -717,7 +733,7 @@ mod tests {
     fn figure3_two_level_structure() {
         // The paper's Figure 3 example signal decomposed to 2 levels.
         let s = [4.0, 2.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0];
-        let d = dwt(&s, &Haar, 2).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 2).unwrap();
         // Level-2 approximation: pairwise averages of level-1 approx.
         // a1 = [6,4,4,2]/√2  →  a2 = [10, 6]/2 = [5, 3]
         assert!(close(d.approximation(), &[5.0, 3.0], 1e-12));
@@ -729,7 +745,7 @@ mod tests {
     fn perfect_reconstruction_haar() {
         let s: Vec<f64> = (0..64).map(|i| ((i * 7 % 13) as f64) - 5.0).collect();
         for levels in 1..=6 {
-            let d = dwt(&s, &Haar, levels).unwrap();
+            let d = dwt(&s, WaveletFamily::Haar, levels).unwrap();
             let r = idwt(&d).unwrap();
             assert!(close(&s, &r, 1e-10), "levels {levels}");
         }
@@ -739,7 +755,7 @@ mod tests {
     fn perfect_reconstruction_db4() {
         let s: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).cos() * 2.0).collect();
         for levels in 1..=4 {
-            let d = dwt(&s, &Daubechies4, levels).unwrap();
+            let d = dwt(&s, WaveletFamily::Db2, levels).unwrap();
             let r = idwt(&d).unwrap();
             assert!(close(&s, &r, 1e-10), "levels {levels}");
         }
@@ -751,7 +767,7 @@ mod tests {
             .map(|i| (i as f64 * 0.17).sin() * 3.0 + 1.0)
             .collect();
         let sig_energy: f64 = s.iter().map(|x| x * x).sum();
-        for w in [&Haar as &dyn Wavelet, &Daubechies4] {
+        for w in [WaveletFamily::Haar, WaveletFamily::Db2] {
             let d = dwt(&s, w, 5).unwrap();
             assert!(
                 (d.energy() - sig_energy).abs() < 1e-9 * sig_energy,
@@ -763,7 +779,7 @@ mod tests {
 
     #[test]
     fn constant_signal_all_energy_in_approx() {
-        let d = dwt(&[2.0; 32], &Haar, 5).unwrap();
+        let d = dwt(&[2.0; 32], WaveletFamily::Haar, 5).unwrap();
         for level in 1..=5 {
             assert!(d.detail_energy(level).unwrap() < 1e-20);
         }
@@ -777,7 +793,7 @@ mod tests {
         let s: Vec<f64> = (0..32)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let d = dwt(&s, &Haar, 3).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 3).unwrap();
         let total: f64 = s.iter().map(|x| x * x).sum();
         assert!((d.detail_energy(1).unwrap() - total).abs() < 1e-10);
         assert!(d.detail_energy(2).unwrap() < 1e-20);
@@ -788,7 +804,7 @@ mod tests {
     fn coefficient_count_equals_signal_len() {
         let s = vec![1.0; 64];
         for levels in 1..=6 {
-            let d = dwt(&s, &Haar, levels).unwrap();
+            let d = dwt(&s, WaveletFamily::Haar, levels).unwrap();
             assert_eq!(d.coefficient_count(), 64);
         }
     }
@@ -798,27 +814,30 @@ mod tests {
         // Piecewise-constant signal: sparse in Haar.
         let mut s = vec![1.0; 32];
         s[16..].fill(5.0);
-        let d = dwt(&s, &Haar, 5).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 5).unwrap();
         // Only the boundary produces nonzero details; most coefficients tiny.
         assert!(d.near_zero_count(1e-9) >= 26);
     }
 
     #[test]
     fn rejects_empty_zero_levels_and_bad_length() {
-        assert!(matches!(dwt(&[], &Haar, 1), Err(DspError::EmptySignal)));
         assert!(matches!(
-            dwt(&[1.0; 8], &Haar, 0),
+            dwt(&[], WaveletFamily::Haar, 1),
+            Err(DspError::EmptySignal)
+        ));
+        assert!(matches!(
+            dwt(&[1.0; 8], WaveletFamily::Haar, 0),
             Err(DspError::ZeroLevels)
         ));
         assert!(matches!(
-            dwt(&[1.0; 12], &Haar, 3),
+            dwt(&[1.0; 12], WaveletFamily::Haar, 3),
             Err(DspError::BadLength { .. })
         ));
     }
 
     #[test]
     fn detail_level_bounds_checked() {
-        let d = dwt(&[1.0; 8], &Haar, 2).unwrap();
+        let d = dwt(&[1.0; 8], WaveletFamily::Haar, 2).unwrap();
         assert!(d.detail(0).is_err());
         assert!(d.detail(3).is_err());
         assert!(d.detail(1).is_ok());
@@ -828,7 +847,7 @@ mod tests {
     #[test]
     fn detail_mut_allows_filtering() {
         let s: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let mut d = dwt(&s, &Haar, 2).unwrap();
+        let mut d = dwt(&s, WaveletFamily::Haar, 2).unwrap();
         d.detail_mut(1).unwrap().fill(0.0);
         let r = idwt(&d).unwrap();
         // Finest detail removed: pairwise averages remain.
@@ -844,9 +863,9 @@ mod tests {
         let a: Vec<f64> = (0..32).map(|i| (i as f64 * 0.4).sin()).collect();
         let b: Vec<f64> = (0..32).map(|i| (i as f64 * 0.9).cos()).collect();
         let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| 2.0 * x + 3.0 * y).collect();
-        let da = dwt(&a, &Haar, 3).unwrap();
-        let db = dwt(&b, &Haar, 3).unwrap();
-        let ds = dwt(&sum, &Haar, 3).unwrap();
+        let da = dwt(&a, WaveletFamily::Haar, 3).unwrap();
+        let db = dwt(&b, WaveletFamily::Haar, 3).unwrap();
+        let ds = dwt(&sum, WaveletFamily::Haar, 3).unwrap();
         for lvl in 1..=3 {
             let ra = da.detail(lvl).unwrap();
             let rb = db.detail(lvl).unwrap();
@@ -860,8 +879,8 @@ mod tests {
     #[test]
     fn dwt_into_matches_batch_dwt_and_reuses_storage() {
         let mut scratch = DwtScratch::new();
-        let mut out = dwt(&[0.0; 16], &Haar, 2).unwrap();
-        for (i, w) in [&Haar as &dyn Wavelet, &Daubechies4]
+        let mut out = dwt(&[0.0; 16], WaveletFamily::Haar, 2).unwrap();
+        for (i, w) in [WaveletFamily::Haar, WaveletFamily::Db2]
             .into_iter()
             .enumerate()
         {
@@ -876,7 +895,7 @@ mod tests {
         }
         // Reused output remains invertible.
         let s: Vec<f64> = (0..32).map(|k| (k as f64 * 0.7).sin()).collect();
-        dwt_into(&s, &Haar, 5, &mut scratch, &mut out).unwrap();
+        dwt_into(&s, WaveletFamily::Haar, 5, &mut scratch, &mut out).unwrap();
         let r = idwt(&out).unwrap();
         assert!(close(&s, &r, 1e-10));
     }
@@ -884,29 +903,27 @@ mod tests {
     #[test]
     fn dwt_into_propagates_errors() {
         let mut scratch = DwtScratch::new();
-        let mut out = dwt(&[0.0; 8], &Haar, 1).unwrap();
+        let mut out = dwt(&[0.0; 8], WaveletFamily::Haar, 1).unwrap();
         assert!(matches!(
-            dwt_into(&[], &Haar, 1, &mut scratch, &mut out),
+            dwt_into(&[], WaveletFamily::Haar, 1, &mut scratch, &mut out),
             Err(DspError::EmptySignal)
         ));
         assert!(matches!(
-            dwt_into(&[1.0; 8], &Haar, 0, &mut scratch, &mut out),
+            dwt_into(&[1.0; 8], WaveletFamily::Haar, 0, &mut scratch, &mut out),
             Err(DspError::ZeroLevels)
         ));
         assert!(matches!(
-            dwt_into(&[1.0; 12], &Haar, 3, &mut scratch, &mut out),
+            dwt_into(&[1.0; 12], WaveletFamily::Haar, 3, &mut scratch, &mut out),
             Err(DspError::BadLength { .. })
         ));
     }
 
     #[test]
     fn detail_rows_iterates_fine_to_coarse() {
-        let d = dwt(&[1.0; 16], &Haar, 3).unwrap();
+        let d = dwt(&[1.0; 16], WaveletFamily::Haar, 3).unwrap();
         let lens: Vec<usize> = d.detail_rows().map(<[f64]>::len).collect();
         assert_eq!(lens, vec![8, 4, 2]);
     }
-
-    use crate::wavelet::WaveletFamily;
 
     fn test_signal(len: usize) -> Vec<f64> {
         (0..len)
@@ -921,7 +938,7 @@ mod tests {
                 for len in [1, 2, 3, 5, 17, 37, 64, 100] {
                     let s = test_signal(len);
                     let levels = 3.min(max_dwt_levels(len).max(1));
-                    let d = dwt_boundary(&s, &family, levels, mode).unwrap();
+                    let d = dwt_boundary(&s, family, levels, mode).unwrap();
                     let r = idwt(&d).unwrap();
                     assert_eq!(r.len(), len);
                     let scale = s.iter().map(|x| x.abs()).fold(1.0, f64::max);
@@ -942,9 +959,8 @@ mod tests {
     fn dwt_boundary_periodic_matches_legacy_bitwise() {
         let s = test_signal(64);
         for levels in 1..=4 {
-            let legacy = dwt(&s, &WaveletFamily::Db3, levels).unwrap();
-            let new =
-                dwt_boundary(&s, &WaveletFamily::Db3, levels, BoundaryMode::Periodic).unwrap();
+            let legacy = dwt(&s, WaveletFamily::Db3, levels).unwrap();
+            let new = dwt_boundary(&s, WaveletFamily::Db3, levels, BoundaryMode::Periodic).unwrap();
             assert_eq!(legacy, new);
         }
     }
@@ -956,7 +972,7 @@ mod tests {
                 let s = test_signal(len);
                 let sig_energy: f64 = s.iter().map(|x| x * x).sum();
                 let levels = 3.min(max_dwt_levels(len).max(1));
-                let d = dwt_boundary(&s, &family, levels, BoundaryMode::ZeroPad).unwrap();
+                let d = dwt_boundary(&s, family, levels, BoundaryMode::ZeroPad).unwrap();
                 assert!(
                     (d.energy() - sig_energy).abs() < 1e-9 * sig_energy.max(1.0),
                     "{} len {len}: {} vs {sig_energy}",
@@ -976,7 +992,7 @@ mod tests {
             for len in [5, 37, 100] {
                 let s = test_signal(len);
                 let sig_energy: f64 = s.iter().map(|x| x * x).sum();
-                let d = dwt_boundary(&s, &WaveletFamily::Db5, 2, mode).unwrap();
+                let d = dwt_boundary(&s, WaveletFamily::Db5, 2, mode).unwrap();
                 assert!(
                     d.energy() >= sig_energy - 1e-9 * sig_energy,
                     "{} len {len}",
@@ -995,7 +1011,7 @@ mod tests {
         // Length 1: clamps any request to a single expansive level.
         let used = dwt_boundary_into(
             &[2.5],
-            &Haar,
+            WaveletFamily::Haar,
             9,
             BoundaryMode::ZeroPad,
             &mut scratch,
@@ -1009,7 +1025,7 @@ mod tests {
         // Length 12 supports floor(log2(12)) = 3 levels.
         let used = dwt_boundary_into(
             &test_signal(12),
-            &Haar,
+            WaveletFamily::Haar,
             10,
             BoundaryMode::Symmetric,
             &mut scratch,
@@ -1021,7 +1037,7 @@ mod tests {
         // In-range requests do not clamp.
         let used = dwt_boundary_into(
             &test_signal(12),
-            &Haar,
+            WaveletFamily::Haar,
             3,
             BoundaryMode::ZeroPad,
             &mut scratch,
@@ -1031,11 +1047,16 @@ mod tests {
         assert_eq!(used, 3);
         // Length 0 is still a hard error, never a silent zero-pad.
         assert!(matches!(
-            dwt_boundary(&[], &Haar, 1, BoundaryMode::ZeroPad),
+            dwt_boundary(&[], WaveletFamily::Haar, 1, BoundaryMode::ZeroPad),
             Err(DspError::EmptySignal)
         ));
         assert!(matches!(
-            dwt_boundary(&test_signal(8), &Haar, 0, BoundaryMode::ZeroPad),
+            dwt_boundary(
+                &test_signal(8),
+                WaveletFamily::Haar,
+                0,
+                BoundaryMode::ZeroPad
+            ),
             Err(DspError::ZeroLevels)
         ));
     }
@@ -1046,11 +1067,22 @@ mod tests {
         // 8, so Periodic still refuses — clamping never silently changes
         // the legacy contract.
         assert!(matches!(
-            dwt_boundary(&test_signal(12), &Haar, 3, BoundaryMode::Periodic),
+            dwt_boundary(
+                &test_signal(12),
+                WaveletFamily::Haar,
+                3,
+                BoundaryMode::Periodic
+            ),
             Err(DspError::BadLength { .. })
         ));
         // But a conforming length passes through untouched.
-        let d = dwt_boundary(&test_signal(16), &Haar, 4, BoundaryMode::Periodic).unwrap();
+        let d = dwt_boundary(
+            &test_signal(16),
+            WaveletFamily::Haar,
+            4,
+            BoundaryMode::Periodic,
+        )
+        .unwrap();
         assert_eq!(d.levels(), 4);
     }
 
@@ -1060,8 +1092,8 @@ mod tests {
         // expansive path must agree bit-for-bit with the periodic wrap on
         // even lengths — the anchor for serve-path equivalence.
         let s = test_signal(64);
-        let p = dwt(&s, &Haar, 1).unwrap();
-        let z = dwt_boundary(&s, &Haar, 1, BoundaryMode::ZeroPad).unwrap();
+        let p = dwt(&s, WaveletFamily::Haar, 1).unwrap();
+        let z = dwt_boundary(&s, WaveletFamily::Haar, 1, BoundaryMode::ZeroPad).unwrap();
         assert_eq!(p.approximation(), z.approximation());
         assert_eq!(p.detail(1).unwrap(), z.detail(1).unwrap());
     }
@@ -1069,7 +1101,7 @@ mod tests {
     #[test]
     fn subband_filtering_works_under_expansive_modes() {
         let s = test_signal(50);
-        let mut d = dwt_boundary(&s, &WaveletFamily::Db3, 2, BoundaryMode::Symmetric).unwrap();
+        let mut d = dwt_boundary(&s, WaveletFamily::Db3, 2, BoundaryMode::Symmetric).unwrap();
         d.detail_mut(1).unwrap().fill(0.0);
         d.detail_mut(2).unwrap().fill(0.0);
         let r = idwt(&d).unwrap();

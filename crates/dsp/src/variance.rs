@@ -52,11 +52,11 @@ pub fn wavelet_variance(decomp: &WaveletDecomposition, level: usize) -> Result<f
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::{dwt, scale_variances, wavelet::Haar};
+/// use didt_dsp::{dwt, scale_variances, WaveletFamily};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let s: Vec<f64> = (0..256).map(|i| (i as f64 * 0.3).sin()).collect();
-/// let d = dwt(&s, &Haar, 8)?; // full depth: 256 = 2^8
+/// let d = dwt(&s, WaveletFamily::Haar, 8)?; // full depth: 256 = 2^8
 /// let scales = scale_variances(&d)?;
 /// let total: f64 = scales.iter().map(|s| s.variance).sum();
 /// let sig_var = didt_stats::variance(&s);
@@ -65,32 +65,42 @@ pub fn wavelet_variance(decomp: &WaveletDecomposition, level: usize) -> Result<f
 /// # }
 /// ```
 pub fn scale_variances(decomp: &WaveletDecomposition) -> Result<Vec<ScaleVariance>, DspError> {
-    let n = decomp.signal_len() as f64;
-    let mut out = Vec::with_capacity(decomp.levels());
-    for level in 1..=decomp.levels() {
-        let d = decomp.detail(level)?;
-        let variance = d.iter().map(|x| x * x).sum::<f64>() / n;
-        // Correlation needs at least 3 coefficients; coarser rows report 0.
-        let adjacent_correlation = if d.len() >= 3 {
-            lag_correlation(d).unwrap_or(0.0)
-        } else {
-            0.0
-        };
-        out.push(ScaleVariance {
-            level,
-            span: 1usize << level,
-            variance,
-            adjacent_correlation,
-        });
+    (1..=decomp.levels())
+        .map(|level| {
+            Ok(scale_variance(
+                level,
+                decomp.detail(level)?,
+                decomp.signal_len(),
+            ))
+        })
+        .collect()
+}
+
+/// The [`ScaleVariance`] of one detail row at `level`, for a signal of
+/// `signal_len` samples: `Σ d[k]² / signal_len`, and the lag-1
+/// correlation of adjacent coefficients.
+#[must_use]
+pub fn scale_variance(level: usize, detail: &[f64], signal_len: usize) -> ScaleVariance {
+    let variance = detail.iter().map(|x| x * x).sum::<f64>() / signal_len as f64;
+    // Correlation needs at least 3 coefficients; coarser rows report 0.
+    let adjacent_correlation = if detail.len() >= 3 {
+        lag_correlation(detail).unwrap_or(0.0)
+    } else {
+        0.0
+    };
+    ScaleVariance {
+        level,
+        span: 1usize << level,
+        variance,
+        adjacent_correlation,
     }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transform::dwt;
-    use crate::wavelet::Haar;
+    use crate::wavelet::WaveletFamily;
     use didt_stats::variance;
 
     #[test]
@@ -98,7 +108,7 @@ mod tests {
         let s: Vec<f64> = (0..128)
             .map(|i| (i as f64 * 0.13).sin() * 2.0 + (i % 10) as f64 * 0.1)
             .collect();
-        let d = dwt(&s, &Haar, 7).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 7).unwrap();
         let scales = scale_variances(&d).unwrap();
         let total: f64 = scales.iter().map(|s| s.variance).sum();
         assert!((total - variance(&s)).abs() < 1e-9);
@@ -110,7 +120,7 @@ mod tests {
         let s: Vec<f64> = (0..64)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let d = dwt(&s, &Haar, 6).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 6).unwrap();
         let scales = scale_variances(&d).unwrap();
         assert!((scales[0].variance - 1.0).abs() < 1e-10);
         for sv in &scales[1..] {
@@ -124,7 +134,7 @@ mod tests {
         let s: Vec<f64> = (0..64)
             .map(|i| if i % 4 < 2 { 1.0 } else { -1.0 })
             .collect();
-        let d = dwt(&s, &Haar, 6).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 6).unwrap();
         let scales = scale_variances(&d).unwrap();
         assert!(scales[0].variance < 1e-12);
         assert!((scales[1].variance - 1.0).abs() < 1e-10);
@@ -132,7 +142,7 @@ mod tests {
 
     #[test]
     fn span_doubles_per_level() {
-        let d = dwt(&[0.0; 64], &Haar, 4).unwrap();
+        let d = dwt(&[0.0; 64], WaveletFamily::Haar, 4).unwrap();
         let scales = scale_variances(&d).unwrap();
         let spans: Vec<usize> = scales.iter().map(|s| s.span).collect();
         assert_eq!(spans, vec![2, 4, 8, 16]);
@@ -155,7 +165,7 @@ mod tests {
                 }
             })
             .collect();
-        let d = dwt(&s, &Haar, 4).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 4).unwrap();
         let scales = scale_variances(&d).unwrap();
         // Envelope varies slowly → adjacent d1 coefficients near-equal →
         // strong positive correlation.
@@ -169,7 +179,7 @@ mod tests {
     #[test]
     fn wavelet_variance_matches_scale_variances() {
         let s: Vec<f64> = (0..64).map(|i| ((i * 31) % 17) as f64).collect();
-        let d = dwt(&s, &Haar, 4).unwrap();
+        let d = dwt(&s, WaveletFamily::Haar, 4).unwrap();
         let scales = scale_variances(&d).unwrap();
         for sv in &scales {
             let v = wavelet_variance(&d, sv.level).unwrap();
@@ -180,7 +190,12 @@ mod tests {
     #[test]
     fn coarse_levels_report_zero_correlation() {
         // Level with < 3 coefficients cannot estimate correlation.
-        let d = dwt(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], &Haar, 3).unwrap();
+        let d = dwt(
+            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+            WaveletFamily::Haar,
+            3,
+        )
+        .unwrap();
         let scales = scale_variances(&d).unwrap();
         assert_eq!(scales[2].adjacent_correlation, 0.0); // 1 coefficient
         assert_eq!(scales[1].adjacent_correlation, 0.0); // 2 coefficients

@@ -5,93 +5,29 @@
 //! filter `g`. The paper works exclusively with the Haar basis (Figure 1)
 //! because it matches the sharp discontinuities of processor current
 //! waveforms and admits a trivially cheap hardware implementation
-//! (shift-register sums, Figure 14). [`Daubechies4`] is provided for the
-//! "which basis?" ablation the paper alludes to in §2.1, and
-//! [`WaveletFamily`] generalizes it to the whole Daubechies ladder
-//! (db2–db8) so the §5 truncation study can ask whether a smoother basis
+//! (shift-register sums, Figure 14). [`WaveletFamily`] is the one basis
+//! value every transform takes: Haar, plus the Daubechies ladder
+//! (db2–db8) for the "which basis?" ablation the paper alludes to in
+//! §2.1 and the §5 truncation study, which asks whether a smoother basis
 //! buys monitor accuracy per retained tap.
 //!
 //! # Naming
 //!
 //! `WaveletFamily` follows the modern "dbN = N vanishing moments = 2N
-//! taps" convention (PyWavelets, MATLAB). Under that convention the
-//! legacy 4-tap [`Daubechies4`] basis *is* db2; its `name()` reports the
-//! tap-count label `"d4"` to keep the two conventions from colliding.
-//! [`WaveletFamily::Db2`] reuses the exact same constants, so the two are
-//! numerically interchangeable.
+//! taps" convention (PyWavelets, MATLAB): the 4-tap basis often called
+//! "D4" is [`WaveletFamily::Db2`].
 
 use std::sync::OnceLock;
-
-/// An orthonormal wavelet basis, defined by its analysis filter pair.
-///
-/// Implementations must satisfy the orthonormality conditions
-/// `Σ h[k]² = 1` and `g[k] = (-1)^k h[L-1-k]` (quadrature mirror), which
-/// the provided tests verify for both built-in bases. The synthesis
-/// filters of an orthonormal basis are the time-reverses of the analysis
-/// filters, so the inverse transform needs no extra data.
-pub trait Wavelet {
-    /// Scaling (low-pass) analysis filter coefficients.
-    fn lowpass(&self) -> &[f64];
-
-    /// Wavelet (high-pass) analysis filter coefficients.
-    fn highpass(&self) -> &[f64];
-
-    /// Short human-readable basis name (e.g. `"haar"`).
-    fn name(&self) -> &'static str;
-
-    /// Filter length.
-    fn filter_len(&self) -> usize {
-        self.lowpass().len()
-    }
-}
-
-/// The Haar wavelet basis (paper Figure 1).
-///
-/// The scaling function is a unit box; the wavelet function is a
-/// positive pulse followed by a negative pulse. Orthonormal filter
-/// coefficients are `[1/√2, 1/√2]` and `[1/√2, -1/√2]`.
-///
-/// # Examples
-///
-/// ```
-/// use didt_dsp::wavelet::{Haar, Wavelet};
-///
-/// let h = Haar.lowpass();
-/// assert!((h[0] - 0.5f64.sqrt()).abs() < 1e-15);
-/// assert_eq!(Haar.filter_len(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Haar;
 
 /// `1/sqrt(2)`, the Haar filter coefficient.
 pub const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+// Haar (paper Figure 1): a unit-box scaling function and a
+// positive-then-negative pulse wavelet.
 const HAAR_LO: [f64; 2] = [FRAC_1_SQRT_2, FRAC_1_SQRT_2];
 const HAAR_HI: [f64; 2] = [FRAC_1_SQRT_2, -FRAC_1_SQRT_2];
 
-impl Wavelet for Haar {
-    fn lowpass(&self) -> &[f64] {
-        &HAAR_LO
-    }
-
-    fn highpass(&self) -> &[f64] {
-        &HAAR_HI
-    }
-
-    fn name(&self) -> &'static str {
-        "haar"
-    }
-}
-
-/// The Daubechies 4-tap wavelet basis (two vanishing moments — db2 in
-/// the vanishing-moment naming of [`WaveletFamily`]).
-///
-/// Smoother than Haar; used in the basis-choice ablation benches to show
-/// why the paper's Haar choice is appropriate for bursty current traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Daubechies4;
-
-// h = [(1+√3), (3+√3), (3−√3), (1−√3)] / (4√2)
+// db2: h = [(1+√3), (3+√3), (3−√3), (1−√3)] / (4√2)
 const D4_LO: [f64; 4] = [
     0.482_962_913_144_690_2,
     0.836_516_303_737_469,
@@ -106,20 +42,6 @@ const D4_HI: [f64; 4] = [
     -0.482_962_913_144_690_2,
 ];
 
-impl Wavelet for Daubechies4 {
-    fn lowpass(&self) -> &[f64] {
-        &D4_LO
-    }
-
-    fn highpass(&self) -> &[f64] {
-        &D4_HI
-    }
-
-    fn name(&self) -> &'static str {
-        "d4"
-    }
-}
-
 /// A member of the orthonormal Daubechies ladder, Haar (db1) through db8.
 ///
 /// Each family has `N` vanishing moments and a `2N`-tap filter bank: the
@@ -127,31 +49,33 @@ impl Wavelet for Daubechies4 {
 /// families compress smooth impulse responses into fewer significant
 /// coefficients (the question the `ext_wavelet_family` experiment puts to
 /// the paper's Haar-first choice). Filter constants are exact: Haar and
-/// db2 reuse the crate's vendored closed-form values; db3–db8 are
+/// db2 use the crate's vendored closed-form values; db3–db8 are
 /// produced once (and cached) by deterministic spectral factorization of
 /// the Daubechies polynomial, accurate to f64 round-off and verified by
 /// the orthonormality and vanishing-moment tests.
 ///
+/// Every bank satisfies the orthonormality conditions `Σ h[k]² = 1` and
+/// `g[k] = (-1)^k h[L-1-k]` (quadrature mirror). The synthesis filters
+/// of an orthonormal basis are the time-reverses of the analysis filters,
+/// so the inverse transform needs no extra data.
+///
 /// # Examples
 ///
 /// ```
-/// use didt_dsp::wavelet::{Wavelet, WaveletFamily};
+/// use didt_dsp::wavelet::WaveletFamily;
 ///
 /// assert_eq!(WaveletFamily::Db5.filter_len(), 10);
 /// assert_eq!(WaveletFamily::Db5.vanishing_moments(), 5);
 /// assert_eq!(WaveletFamily::parse("db3"), Some(WaveletFamily::Db3));
-/// // db2 is the legacy 4-tap basis under its modern name.
-/// assert_eq!(
-///     WaveletFamily::Db2.lowpass(),
-///     didt_dsp::wavelet::Daubechies4.lowpass()
-/// );
+/// let h = WaveletFamily::Haar.lowpass();
+/// assert!((h[0] - 0.5f64.sqrt()).abs() < 1e-15);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WaveletFamily {
     /// Haar (db1): 2 taps, 1 vanishing moment — the paper's basis.
     #[default]
     Haar,
-    /// db2: 4 taps (the legacy [`Daubechies4`] constants, bit-identical).
+    /// db2: 4 taps.
     Db2,
     /// db3: 6 taps.
     Db3,
@@ -196,7 +120,69 @@ impl WaveletFamily {
         }
     }
 
-    /// Parse a family from its [`Wavelet::name`] string (`"haar"`,
+    /// Scaling (low-pass) analysis filter coefficients.
+    #[must_use]
+    pub fn lowpass(self) -> &'static [f64] {
+        match self {
+            WaveletFamily::Haar => &HAAR_LO,
+            _ => &self.bank().lo,
+        }
+    }
+
+    /// Wavelet (high-pass) analysis filter coefficients.
+    #[must_use]
+    pub fn highpass(self) -> &'static [f64] {
+        match self {
+            WaveletFamily::Haar => &HAAR_HI,
+            _ => &self.bank().hi,
+        }
+    }
+
+    /// Short stable name (`"haar"`, `"db2"`…`"db8"`), used by manifests
+    /// and the wire protocol.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WaveletFamily::Haar => "haar",
+            WaveletFamily::Db2 => "db2",
+            WaveletFamily::Db3 => "db3",
+            WaveletFamily::Db4 => "db4",
+            WaveletFamily::Db5 => "db5",
+            WaveletFamily::Db6 => "db6",
+            WaveletFamily::Db7 => "db7",
+            WaveletFamily::Db8 => "db8",
+        }
+    }
+
+    /// Filter length, `2N` taps.
+    #[must_use]
+    pub fn filter_len(self) -> usize {
+        2 * self.vanishing_moments()
+    }
+
+    /// Deepest periodic pyramid for a power-of-two `window`: its dyadic
+    /// depth, reduced while the coarsest step's input (`window >>
+    /// (levels − 1)` samples) would be shorter than the filter. Never
+    /// below 1; only the longer dbN banks reduce it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use didt_dsp::WaveletFamily;
+    ///
+    /// assert_eq!(WaveletFamily::Haar.periodic_levels(256), 8);
+    /// assert_eq!(WaveletFamily::Db8.periodic_levels(256), 5);
+    /// ```
+    #[must_use]
+    pub fn periodic_levels(self, window: usize) -> usize {
+        let mut levels = window.trailing_zeros() as usize;
+        while levels > 1 && (window >> (levels - 1)) < self.filter_len() {
+            levels -= 1;
+        }
+        levels
+    }
+
+    /// Parse a family from its [`Self::name`] string (`"haar"`,
     /// `"db2"`…`"db8"`; `"db1"` is accepted as an alias for Haar).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
@@ -218,8 +204,7 @@ impl WaveletFamily {
         debug_assert!(n >= 2, "Haar handled without a generated bank");
         DB_BANKS[n - 2].get_or_init(|| {
             if n == 2 {
-                // Snap db2 to the vendored closed-form constants so the
-                // family path is bit-identical to the legacy Daubechies4.
+                // db2 uses the vendored closed-form constants.
                 FilterPair {
                     lo: D4_LO.to_vec(),
                     hi: D4_HI.to_vec(),
@@ -228,46 +213,6 @@ impl WaveletFamily {
                 FilterPair::daubechies(n)
             }
         })
-    }
-}
-
-impl std::str::FromStr for WaveletFamily {
-    type Err = crate::DspError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        WaveletFamily::parse(s).ok_or(crate::DspError::BadLength {
-            len: s.len(),
-            requirement: "unknown wavelet family (expected haar or db2..db8)",
-        })
-    }
-}
-
-impl Wavelet for WaveletFamily {
-    fn lowpass(&self) -> &[f64] {
-        match self {
-            WaveletFamily::Haar => &HAAR_LO,
-            _ => &self.bank().lo,
-        }
-    }
-
-    fn highpass(&self) -> &[f64] {
-        match self {
-            WaveletFamily::Haar => &HAAR_HI,
-            _ => &self.bank().hi,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            WaveletFamily::Haar => "haar",
-            WaveletFamily::Db2 => "db2",
-            WaveletFamily::Db3 => "db3",
-            WaveletFamily::Db4 => "db4",
-            WaveletFamily::Db5 => "db5",
-            WaveletFamily::Db6 => "db6",
-            WaveletFamily::Db7 => "db7",
-            WaveletFamily::Db8 => "db8",
-        }
     }
 }
 
@@ -444,7 +389,7 @@ fn durand_kerner(poly: &[f64]) -> Vec<Cx> {
 mod tests {
     use super::*;
 
-    fn check_orthonormal(w: &dyn Wavelet) {
+    fn check_orthonormal(w: WaveletFamily) {
         let h = w.lowpass();
         let g = w.highpass();
         assert_eq!(h.len(), g.len());
@@ -479,55 +424,50 @@ mod tests {
 
     #[test]
     fn haar_is_orthonormal() {
-        check_orthonormal(&Haar);
+        check_orthonormal(WaveletFamily::Haar);
+        assert_eq!(WaveletFamily::Haar.filter_len(), 2);
     }
 
     #[test]
     fn db4_is_orthonormal() {
-        check_orthonormal(&Daubechies4);
+        // The 4-tap "D4" bank is db2 in vanishing-moment naming.
+        check_orthonormal(WaveletFamily::Db2);
+        assert_eq!(WaveletFamily::Db2.filter_len(), 4);
     }
 
     #[test]
     fn db4_has_vanishing_first_moment() {
         // Two vanishing moments: Σ k·g[k] = 0 as well as Σ g[k] = 0.
-        let g = Daubechies4.highpass();
+        let g = WaveletFamily::Db2.highpass();
         let m1: f64 = g.iter().enumerate().map(|(k, &v)| k as f64 * v).sum();
         assert!(m1.abs() < 1e-10, "first moment {m1}");
     }
 
     #[test]
     fn names_distinct() {
-        assert_ne!(Haar.name(), Daubechies4.name());
-        let mut names: Vec<&str> = WaveletFamily::ALL.iter().map(Wavelet::name).collect();
-        names.push(Daubechies4.name());
+        let mut names: Vec<&str> = WaveletFamily::ALL.iter().map(|f| f.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 9, "family names collide: {names:?}");
-    }
-
-    #[test]
-    fn trait_is_object_safe() {
-        let bases: Vec<Box<dyn Wavelet>> = vec![Box::new(Haar), Box::new(Daubechies4)];
-        assert_eq!(bases[0].filter_len(), 2);
-        assert_eq!(bases[1].filter_len(), 4);
+        assert_eq!(names.len(), 8, "family names collide: {names:?}");
     }
 
     #[test]
     fn every_family_is_orthonormal() {
         for family in WaveletFamily::ALL {
-            check_orthonormal(&family);
+            check_orthonormal(family);
+            assert_eq!(family.lowpass().len(), family.filter_len());
             assert_eq!(family.filter_len(), 2 * family.vanishing_moments());
         }
     }
 
     #[test]
     fn family_haar_and_db2_reuse_vendored_constants() {
-        // Bit-identity, not tolerance: the family path must produce the
-        // exact same filters as the legacy structs.
-        assert_eq!(WaveletFamily::Haar.lowpass(), Haar.lowpass());
-        assert_eq!(WaveletFamily::Haar.highpass(), Haar.highpass());
-        assert_eq!(WaveletFamily::Db2.lowpass(), Daubechies4.lowpass());
-        assert_eq!(WaveletFamily::Db2.highpass(), Daubechies4.highpass());
+        // Bit-identity, not tolerance: Haar and db2 are the vendored
+        // closed-form banks, never the generator's output.
+        assert_eq!(WaveletFamily::Haar.lowpass(), HAAR_LO);
+        assert_eq!(WaveletFamily::Haar.highpass(), HAAR_HI);
+        assert_eq!(WaveletFamily::Db2.lowpass(), D4_LO);
+        assert_eq!(WaveletFamily::Db2.highpass(), D4_HI);
     }
 
     #[test]
@@ -576,10 +516,9 @@ mod tests {
     fn parse_roundtrips_every_family() {
         for family in WaveletFamily::ALL {
             assert_eq!(WaveletFamily::parse(family.name()), Some(family));
-            assert_eq!(family.name().parse::<WaveletFamily>().unwrap(), family);
         }
         assert_eq!(WaveletFamily::parse("db1"), Some(WaveletFamily::Haar));
         assert_eq!(WaveletFamily::parse("coif1"), None);
-        assert!("sym5".parse::<WaveletFamily>().is_err());
+        assert_eq!(WaveletFamily::parse("sym5"), None);
     }
 }

@@ -3,8 +3,7 @@
 //! transform linearity and convolution consistency.
 
 use didt_dsp::{
-    convolve_full, dwt, fir_filter, idwt, scale_variances, subband_decompose, wavelet::Daubechies4,
-    wavelet::Haar,
+    convolve_full, dwt, fir_filter, idwt, scale_variances, subband_decompose, WaveletFamily,
 };
 use proptest::prelude::*;
 
@@ -19,7 +18,7 @@ proptest! {
     #[test]
     fn dwt_idwt_roundtrip_haar(s in signal_strategy()) {
         let levels = s.len().trailing_zeros() as usize;
-        let d = dwt(&s, &Haar, levels).expect("dwt");
+        let d = dwt(&s, WaveletFamily::Haar, levels).expect("dwt");
         let r = idwt(&d).expect("idwt");
         for (a, b) in s.iter().zip(&r) {
             prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
@@ -30,7 +29,7 @@ proptest! {
     fn dwt_idwt_roundtrip_db4(s in signal_strategy()) {
         // db4 needs at least 4 samples per pyramid step.
         let levels = (s.len().trailing_zeros() as usize).saturating_sub(2).max(1);
-        let d = dwt(&s, &Daubechies4, levels).expect("dwt");
+        let d = dwt(&s, WaveletFamily::Db2, levels).expect("dwt");
         let r = idwt(&d).expect("idwt");
         for (a, b) in s.iter().zip(&r) {
             prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
@@ -40,7 +39,7 @@ proptest! {
     #[test]
     fn parseval_energy_conservation(s in signal_strategy()) {
         let levels = s.len().trailing_zeros() as usize;
-        let d = dwt(&s, &Haar, levels).expect("dwt");
+        let d = dwt(&s, WaveletFamily::Haar, levels).expect("dwt");
         let sig_energy: f64 = s.iter().map(|x| x * x).sum();
         prop_assert!((d.energy() - sig_energy).abs() <= 1e-7 * sig_energy.max(1.0));
     }
@@ -48,7 +47,7 @@ proptest! {
     #[test]
     fn subbands_sum_to_signal(s in signal_strategy()) {
         let levels = (s.len().trailing_zeros() as usize).min(5);
-        let d = dwt(&s, &Haar, levels).expect("dwt");
+        let d = dwt(&s, WaveletFamily::Haar, levels).expect("dwt");
         let bands = subband_decompose(&d).expect("subbands");
         for t in 0..s.len() {
             let sum: f64 = bands.iter().map(|b| b[t]).sum();
@@ -59,7 +58,7 @@ proptest! {
     #[test]
     fn full_depth_scale_variances_sum_to_population_variance(s in signal_strategy()) {
         let levels = s.len().trailing_zeros() as usize;
-        let d = dwt(&s, &Haar, levels).expect("dwt");
+        let d = dwt(&s, WaveletFamily::Haar, levels).expect("dwt");
         let scales = scale_variances(&d).expect("variances");
         let total: f64 = scales.iter().map(|sv| sv.variance).sum();
         let var = didt_stats::variance(&s);
@@ -77,9 +76,9 @@ proptest! {
         alpha in -3.0..3.0f64,
     ) {
         let combo: Vec<f64> = a.iter().zip(&b).map(|(x, y)| alpha * x + y).collect();
-        let da = dwt(&a, &Haar, 4).expect("dwt");
-        let db = dwt(&b, &Haar, 4).expect("dwt");
-        let dc = dwt(&combo, &Haar, 4).expect("dwt");
+        let da = dwt(&a, WaveletFamily::Haar, 4).expect("dwt");
+        let db = dwt(&b, WaveletFamily::Haar, 4).expect("dwt");
+        let dc = dwt(&combo, WaveletFamily::Haar, 4).expect("dwt");
         for lvl in 1..=4 {
             let ra = da.detail(lvl).expect("detail");
             let rb = db.detail(lvl).expect("detail");
@@ -123,7 +122,6 @@ proptest! {
 /// polynomials up to its vanishing-moment order, and clamp (not reject)
 /// over-deep level requests.
 mod family_boundary {
-    use didt_dsp::wavelet::{Daubechies4, Haar, Wavelet};
     use didt_dsp::{
         dwt, dwt_boundary, dwt_boundary_into, idwt, max_dwt_levels, BoundaryMode, DwtScratch,
         WaveletDecomposition, WaveletFamily,
@@ -160,7 +158,7 @@ mod family_boundary {
             raw in prop::collection::vec(-100.0f64..100.0, 200..=200),
         ) {
             let signal = &raw[..len];
-            let d = dwt_boundary(signal, &family, levels, mode).expect("dwt");
+            let d = dwt_boundary(signal, family, levels, mode).expect("dwt");
             let r = idwt(&d).expect("idwt");
             let scale = signal.iter().fold(1.0f64, |m, x| m.max(x.abs()));
             prop_assert!(
@@ -185,7 +183,7 @@ mod family_boundary {
             while (len >> levels) >= family.filter_len() {
                 levels += 1;
             }
-            let d = dwt_boundary(signal, &family, levels, BoundaryMode::Periodic).expect("dwt");
+            let d = dwt_boundary(signal, family, levels, BoundaryMode::Periodic).expect("dwt");
             let r = idwt(&d).expect("idwt");
             prop_assert!(
                 max_abs_diff(signal, &r) < 1e-8,
@@ -209,7 +207,7 @@ mod family_boundary {
             raw in prop::collection::vec(-50.0f64..50.0, 150..=150),
         ) {
             let signal = &raw[..len];
-            let d = dwt_boundary(signal, &family, levels, BoundaryMode::ZeroPad).expect("dwt");
+            let d = dwt_boundary(signal, family, levels, BoundaryMode::ZeroPad).expect("dwt");
             let sig_energy: f64 = signal.iter().map(|x| x * x).sum();
             prop_assert!(
                 (d.energy() - sig_energy).abs() <= 1e-8 * sig_energy.max(1.0),
@@ -218,21 +216,20 @@ mod family_boundary {
             );
         }
 
-        /// The generic engine owns the legacy hot path: under the periodic
-        /// wrap, `WaveletFamily::Haar` and `Db2` must be *bit-identical*
-        /// (not merely close) to the vendored `Haar` / `Daubechies4`
-        /// kernels on every power-of-two signal.
+        /// The boundary engine owns the legacy periodic entry point:
+        /// `dwt_boundary(…, Periodic)` must be *bit-identical* (not merely
+        /// close) to `dwt` for Haar and db2 on every power-of-two signal.
         #[test]
         fn generic_periodic_bit_identical_to_legacy(s in super::signal_strategy()) {
             let full = s.len().trailing_zeros() as usize;
-            let pairs: [(&dyn Wavelet, WaveletFamily, usize); 2] = [
-                (&Haar, WaveletFamily::Haar, full),
-                (&Daubechies4, WaveletFamily::Db2, full.saturating_sub(1).max(1)),
+            let cases = [
+                (WaveletFamily::Haar, full),
+                (WaveletFamily::Db2, full.saturating_sub(1).max(1)),
             ];
-            for (legacy, family, levels) in pairs {
-                let old = dwt(&s, legacy, levels).expect("legacy dwt");
+            for (family, levels) in cases {
+                let old = dwt(&s, family, levels).expect("legacy dwt");
                 let new =
-                    dwt_boundary(&s, &family, levels, BoundaryMode::Periodic).expect("generic dwt");
+                    dwt_boundary(&s, family, levels, BoundaryMode::Periodic).expect("generic dwt");
                 prop_assert_eq!(old.approximation().len(), new.approximation().len());
                 for (a, b) in old.approximation().iter().zip(new.approximation()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -265,7 +262,7 @@ mod family_boundary {
                     coeffs.iter().rev().fold(0.0, |acc, c| acc * x + c)
                 })
                 .collect();
-            let d = dwt_boundary(&signal, &family, 1, BoundaryMode::ZeroPad).expect("dwt");
+            let d = dwt_boundary(&signal, family, 1, BoundaryMode::ZeroPad).expect("dwt");
             let details = d.detail(1).expect("level 1");
             let taps = family.filter_len() as isize;
             let tol = 1e-7 * (1.0 + coeffs.iter().map(|c| c.abs()).sum::<f64>());
@@ -296,7 +293,7 @@ mod family_boundary {
             let signal = &raw[..len];
             let mut scratch = DwtScratch::new();
             let mut out = WaveletDecomposition::empty();
-            let got = dwt_boundary_into(signal, &family, 30, mode, &mut scratch, &mut out)
+            let got = dwt_boundary_into(signal, family, 30, mode, &mut scratch, &mut out)
                 .expect("clamped dwt");
             prop_assert_eq!(got, max_dwt_levels(len).max(1));
             prop_assert_eq!(out.levels(), got);
@@ -319,9 +316,9 @@ mod family_boundary {
             let mut out = WaveletDecomposition::empty();
             for family in [WaveletFamily::Haar, WaveletFamily::Db3, WaveletFamily::Db8] {
                 for mode in BoundaryMode::EXTENSIONS {
-                    dwt_boundary_into(signal, &family, levels, mode, &mut scratch, &mut out)
+                    dwt_boundary_into(signal, family, levels, mode, &mut scratch, &mut out)
                         .expect("scratch dwt");
-                    let batch = dwt_boundary(signal, &family, levels, mode).expect("batch dwt");
+                    let batch = dwt_boundary(signal, family, levels, mode).expect("batch dwt");
                     prop_assert_eq!(&out, &batch);
                 }
             }
@@ -331,7 +328,7 @@ mod family_boundary {
 
 mod packet_and_streaming {
     use didt_dsp::packet::wavelet_packet;
-    use didt_dsp::wavelet::Haar;
+    use didt_dsp::WaveletFamily;
     use didt_dsp::{dwt, StreamingHaar};
     use proptest::prelude::*;
 
@@ -345,7 +342,7 @@ mod packet_and_streaming {
             }),
         ) {
             let depth = (s.len().trailing_zeros() as usize - 1).clamp(1, 4);
-            let wp = wavelet_packet(&s, &Haar, depth).expect("packet");
+            let wp = wavelet_packet(&s, WaveletFamily::Haar, depth).expect("packet");
             let e_sig: f64 = s.iter().map(|x| x * x).sum();
             let e_bands: f64 = (0..wp.num_bands()).map(|b| wp.band_energy(b)).sum();
             prop_assert!((e_sig - e_bands).abs() <= 1e-7 * e_sig.max(1.0));
@@ -369,7 +366,7 @@ mod packet_and_streaming {
                     per_level[c.level - 1].push(c.value);
                 }
             }
-            let batch = dwt(&s, &Haar, levels).expect("dwt");
+            let batch = dwt(&s, WaveletFamily::Haar, levels).expect("dwt");
             for level in 1..=levels {
                 let want = batch.detail(level).expect("detail");
                 prop_assert_eq!(per_level[level - 1].len(), want.len());

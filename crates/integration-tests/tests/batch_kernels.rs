@@ -49,20 +49,20 @@ proptest! {
         let mut scratch = DwtScratch::new();
         let mut decomp = WaveletDecomposition::empty();
         let scalar_ok = dwt_boundary_into(
-            refs[0], &family, levels, BoundaryMode::Periodic, &mut scratch, &mut decomp,
+            refs[0], family, levels, BoundaryMode::Periodic, &mut scratch, &mut decomp,
         )
         .is_ok();
 
         let tb = TraceBatch::<4>::from_traces(&refs).unwrap();
         let mut bscratch = BatchDwtScratch::<4>::new();
         let mut bdecomp = BatchDecomposition::<4>::empty();
-        let batch = dwt_into_batch(&tb, &family, levels, &mut bscratch, &mut bdecomp);
+        let batch = dwt_into_batch(&tb, family, levels, &mut bscratch, &mut bdecomp);
         prop_assert_eq!(scalar_ok, batch.is_ok());
         prop_assume!(scalar_ok);
 
         for (l, x) in refs.iter().enumerate() {
             dwt_boundary_into(
-                x, &family, levels, BoundaryMode::Periodic, &mut scratch, &mut decomp,
+                x, family, levels, BoundaryMode::Periodic, &mut scratch, &mut decomp,
             )
             .unwrap();
             let approx: Vec<f64> = bdecomp.approximation().iter().map(|col| col[l]).collect();
@@ -89,7 +89,7 @@ proptest! {
         let mut scratch = DwtScratch::new();
         let mut decomp = WaveletDecomposition::empty();
         prop_assume!(dwt_boundary_into(
-            signal, &WaveletFamily::Db3, levels, BoundaryMode::Periodic,
+            signal, WaveletFamily::Db3, levels, BoundaryMode::Periodic,
             &mut scratch, &mut decomp,
         )
         .is_ok());
@@ -97,7 +97,7 @@ proptest! {
         let tb = TraceBatch::<1>::from_traces(&[signal]).unwrap();
         let mut bscratch = BatchDwtScratch::<1>::new();
         let mut bdecomp = BatchDecomposition::<1>::empty();
-        dwt_into_batch(&tb, &WaveletFamily::Db3, levels, &mut bscratch, &mut bdecomp).unwrap();
+        dwt_into_batch(&tb, WaveletFamily::Db3, levels, &mut bscratch, &mut bdecomp).unwrap();
         for level in 1..=bdecomp.levels() {
             prop_assert!(bits_eq(
                 &bdecomp.detail_lane(level, 0).unwrap(),

@@ -1,21 +1,19 @@
 //! Property tests for the DWT machinery: perfect reconstruction on
 //! lengths that are *not* powers of two (any multiple of `2^levels` is
-//! legal), for both the Haar and Daubechies-4 bases; orthonormal energy
+//! legal), for both the Haar and db2 bases; orthonormal energy
 //! conservation (Parseval); the per-scale variance decomposition of
 //! `didt_dsp::variance` summing back to the signal's population
 //! variance at full depth; and the filter-generic family engine
 //! (db2–db8, expansive boundary modes) reconstructing on arbitrary
-//! lengths while staying bit-identical to the legacy kernels under the
-//! periodic wrap.
+//! lengths.
 
-use didt_dsp::wavelet::{Daubechies4, Haar, Wavelet};
 use didt_dsp::{
     dwt, dwt_boundary, dwt_into, idwt, scale_variances, BoundaryMode, DwtScratch,
     WaveletDecomposition, WaveletFamily,
 };
 use proptest::prelude::*;
 
-fn reconstruction_error(signal: &[f64], wavelet: &dyn Wavelet, levels: usize) -> f64 {
+fn reconstruction_error(signal: &[f64], wavelet: WaveletFamily, levels: usize) -> f64 {
     let d = dwt(signal, wavelet, levels).unwrap();
     let r = idwt(&d).unwrap();
     signal
@@ -31,7 +29,7 @@ fn energy(x: &[f64]) -> f64 {
 
 proptest! {
     /// Lengths like 24, 48, 96, 72 — divisible by `2^levels` yet far
-    /// from a power of two — must reconstruct exactly, Haar and D4.
+    /// from a power of two — must reconstruct exactly, Haar and db2.
     #[test]
     fn roundtrip_on_non_power_of_two_lengths(
         m in 3usize..=9,
@@ -41,11 +39,11 @@ proptest! {
         let len = m << levels;
         prop_assume!(len <= raw.len());
         let signal = &raw[..len];
-        prop_assert!(reconstruction_error(signal, &Haar, levels) < 1e-9);
-        prop_assert!(reconstruction_error(signal, &Daubechies4, levels) < 1e-9);
+        prop_assert!(reconstruction_error(signal, WaveletFamily::Haar, levels) < 1e-9);
+        prop_assert!(reconstruction_error(signal, WaveletFamily::Db2, levels) < 1e-9);
     }
 
-    /// Daubechies-4 at full depth on power-of-two windows.
+    /// The 4-tap db2 ("D4") basis at full depth on power-of-two windows.
     #[test]
     fn daubechies4_full_depth_roundtrip(
         pow in 3u32..=7,
@@ -53,10 +51,10 @@ proptest! {
     ) {
         let len = 1usize << pow;
         let signal = &raw[..len];
-        // D4's 4-tap filter needs the coarsest pyramid level to keep at
+        // db2's 4-tap filter needs the coarsest pyramid level to keep at
         // least 4 samples: cap the depth accordingly.
         let levels = (pow as usize).saturating_sub(1).max(1);
-        prop_assert!(reconstruction_error(signal, &Daubechies4, levels) < 1e-9);
+        prop_assert!(reconstruction_error(signal, WaveletFamily::Db2, levels) < 1e-9);
     }
 
     /// Orthonormal bases conserve energy across the transform:
@@ -70,7 +68,7 @@ proptest! {
         let len = m << levels;
         prop_assume!(len <= raw.len());
         let signal = &raw[..len];
-        for wavelet in [&Haar as &dyn Wavelet, &Daubechies4] {
+        for wavelet in [WaveletFamily::Haar, WaveletFamily::Db2] {
             let d = dwt(signal, wavelet, levels).unwrap();
             let mut coeff_energy = energy(d.approximation());
             for level in 1..=levels {
@@ -93,7 +91,7 @@ proptest! {
     ) {
         let len = 1usize << pow;
         let signal = &raw[..len];
-        let d = dwt(signal, &Haar, pow as usize).unwrap();
+        let d = dwt(signal, WaveletFamily::Haar, pow as usize).unwrap();
         let scales = scale_variances(&d).unwrap();
         let total: f64 = scales.iter().map(|s| s.variance).sum();
         let mean = signal.iter().sum::<f64>() / len as f64;
@@ -118,7 +116,7 @@ proptest! {
         let family = WaveletFamily::ALL[fam_idx];
         let mode = BoundaryMode::EXTENSIONS[mode_idx];
         let signal = &raw[..len];
-        let d = dwt_boundary(signal, &family, levels, mode).unwrap();
+        let d = dwt_boundary(signal, family, levels, mode).unwrap();
         let r = idwt(&d).unwrap();
         let worst = signal
             .iter()
@@ -143,46 +141,13 @@ proptest! {
     ) {
         let family = WaveletFamily::ALL[fam_idx];
         let signal = &raw[..len];
-        let d = dwt_boundary(signal, &family, levels, BoundaryMode::ZeroPad).unwrap();
+        let d = dwt_boundary(signal, family, levels, BoundaryMode::ZeroPad).unwrap();
         let sig_energy = energy(signal);
         prop_assert!(
             (d.energy() - sig_energy).abs() <= 1e-8 * sig_energy.max(1.0),
             "{} len {} levels {}: {} vs {}",
             family.name(), len, levels, d.energy(), sig_energy
         );
-    }
-
-    /// The generic periodic path is the legacy path, bit for bit: the
-    /// offline characterization pipeline (calibration, variance models,
-    /// golden numbers) must not move when routed through
-    /// `WaveletFamily::Haar` / `Db2` instead of the vendored kernels.
-    #[test]
-    fn family_engine_periodic_is_bit_identical_to_legacy(
-        pow in 3u32..=8,
-        raw in prop::collection::vec(-100.0f64..100.0, 256..=256),
-    ) {
-        let len = 1usize << pow;
-        let signal = &raw[..len];
-        let pairs: [(&dyn Wavelet, WaveletFamily, usize); 2] = [
-            (&Haar, WaveletFamily::Haar, pow as usize),
-            (&Daubechies4, WaveletFamily::Db2, (pow as usize).saturating_sub(1).max(1)),
-        ];
-        for (legacy, family, levels) in pairs {
-            let old = dwt(signal, legacy, levels).unwrap();
-            let new = dwt_boundary(signal, &family, levels, BoundaryMode::Periodic).unwrap();
-            prop_assert_eq!(old.approximation().len(), new.approximation().len());
-            for (a, b) in old.approximation().iter().zip(new.approximation()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for level in 1..=levels {
-                let oa = old.detail(level).unwrap();
-                let nb = new.detail(level).unwrap();
-                prop_assert_eq!(oa.len(), nb.len());
-                for (a, b) in oa.iter().zip(nb) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
     }
 
     /// The in-place scratch path agrees with the batch transform even
@@ -199,7 +164,7 @@ proptest! {
         let signal = &raw[..len];
         let mut scratch = DwtScratch::new();
         let mut out = WaveletDecomposition::empty();
-        for wavelet in [&Haar as &dyn Wavelet, &Daubechies4] {
+        for wavelet in [WaveletFamily::Haar, WaveletFamily::Db2] {
             dwt_into(signal, wavelet, levels, &mut scratch, &mut out).unwrap();
             prop_assert_eq!(&out, &dwt(signal, wavelet, levels).unwrap());
         }

@@ -15,7 +15,7 @@ use didt_bench::{
 };
 use didt_core::characterize::{EmergencyEstimator, ScaleGainModel, VarianceModel};
 use didt_core::monitor::FamilyMonitorDesign;
-use didt_dsp::{BoundaryMode, Wavelet, WaveletFamily};
+use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_serve::{CharacterizeSpec, Request, RequestBody, ResponsePayload, Service, TraceSource};
 use didt_telemetry::Json;
 use didt_uarch::{capture_trace, Benchmark};

@@ -6,7 +6,7 @@
 use didt_core::characterize::GaussianityStudy;
 use didt_core::monitor::{CycleSense, VoltageMonitor, WaveletMonitorDesign};
 use didt_core::DidtSystem;
-use didt_dsp::{dwt, wavelet::Haar, Scalogram};
+use didt_dsp::{dwt, Scalogram, WaveletFamily};
 use didt_pdn::resonant_square_wave;
 use didt_uarch::{capture_trace, Benchmark, ProcessorConfig};
 
@@ -41,7 +41,7 @@ fn figure4_scalogram_renders_for_every_benchmark_class() {
     let sys = DidtSystem::standard().expect("system");
     for b in [Benchmark::Gzip, Benchmark::Mcf] {
         let trace = capture_trace(b, sys.processor(), 1, 20_000, 256);
-        let d = dwt(&trace.samples, &Haar, 8).expect("dwt");
+        let d = dwt(&trace.samples, WaveletFamily::Haar, 8).expect("dwt");
         let sg = Scalogram::from_decomposition(&d);
         let art = sg.render();
         assert_eq!(art.lines().count(), 8);

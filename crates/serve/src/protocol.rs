@@ -26,7 +26,7 @@ use std::io::{self, Read, Write};
 
 use didt_bench::{ControllerSpec, GainSnapshotEntry};
 use didt_core::characterize::ScaleGainModel;
-use didt_dsp::{BoundaryMode, Wavelet, WaveletFamily};
+use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_telemetry::{seed_from_hex, seed_to_hex, Json, JsonError};
 
 /// Protocol version reported by `Ping`. Version 2 adds the streaming

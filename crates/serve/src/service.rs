@@ -24,8 +24,7 @@ use didt_core::characterize::{EmergencyEstimator, GaussianityStudy, VarianceMode
 use didt_core::monitor::TermKind;
 use didt_core::DidtError;
 use didt_dsp::streaming::StreamingHaar;
-use didt_dsp::{dwt_boundary, BoundaryMode, Wavelet, WaveletFamily};
-use didt_stats::lag_correlation;
+use didt_dsp::{dwt_boundary, scale_variance, BoundaryMode, WaveletFamily};
 use didt_telemetry::{seed_to_hex, Json, MetricsRegistry};
 use didt_uarch::Benchmark;
 
@@ -405,7 +404,6 @@ impl Service {
                 spec.window
             )));
         }
-        let mut levels = spec.window.trailing_zeros() as usize;
         // The Haar/periodic combination (every pre-family client) keeps
         // the streaming single-pass path below, bit-identical to the
         // pre-family service. Other combinations run the batch
@@ -413,11 +411,11 @@ impl Service {
         // the online pyramid is a documented Haar-only capability.
         let haar_streaming =
             spec.family == WaveletFamily::Haar && spec.boundary == BoundaryMode::Periodic;
-        if spec.boundary == BoundaryMode::Periodic {
-            while levels > 1 && (spec.window >> (levels - 1)) < spec.family.filter_len() {
-                levels -= 1;
-            }
-        }
+        let levels = if spec.boundary == BoundaryMode::Periodic {
+            spec.family.periodic_levels(spec.window)
+        } else {
+            spec.window.trailing_zeros() as usize
+        };
 
         // Per-scale variance over the whole (arbitrary-length) trace:
         // streaming pyramid plus an explicit zero-padded tail, so no
@@ -448,7 +446,7 @@ impl Service {
                     1usize << levels
                 )));
             }
-            let decomp = dwt_boundary(&trace, &spec.family, levels, spec.boundary)
+            let decomp = dwt_boundary(&trace, spec.family, levels, spec.boundary)
                 .map_err(|e| bad(format!("family transform: {e}")))?;
             for (row, detail) in decomp.detail_rows().enumerate() {
                 per_level[row].extend_from_slice(detail);
@@ -480,22 +478,16 @@ impl Service {
         spec: &SessionSpec,
         deadline: Option<Instant>,
     ) -> HandlerResult {
-        let n = trace.len() as f64;
         let scales: Vec<Json> = per_level
             .iter()
             .enumerate()
             .map(|(i, d)| {
-                let variance = d.iter().map(|x| x * x).sum::<f64>() / n;
-                let corr = if d.len() >= 3 {
-                    lag_correlation(d).unwrap_or(0.0)
-                } else {
-                    0.0
-                };
+                let sv = scale_variance(i + 1, d, trace.len());
                 Json::obj(vec![
-                    ("level", Json::num((i + 1) as f64)),
-                    ("span", Json::num((1usize << (i + 1)) as f64)),
-                    ("variance", Json::num(variance)),
-                    ("adjacent_correlation", Json::num(corr)),
+                    ("level", Json::num(sv.level as f64)),
+                    ("span", Json::num(sv.span as f64)),
+                    ("variance", Json::num(sv.variance)),
+                    ("adjacent_correlation", Json::num(sv.adjacent_correlation)),
                 ])
             })
             .collect();

@@ -26,7 +26,7 @@
 //! representative-slice estimates of the emergency fraction track the
 //! full-trace ground truth at ≥10× fewer simulated cycles.
 
-use didt_dsp::{dwt, scale_variances, wavelet::Haar};
+use didt_dsp::{dwt, scale_variances, WaveletFamily};
 
 use crate::record::Record;
 
@@ -208,7 +208,7 @@ pub fn interval_signatures(
             .sum::<f64>()
             * inv;
         let mut sig = vec![mean_i, var.sqrt(), mean_p, committed as f64 * inv];
-        let decomp = dwt(&currents, &Haar, cfg.levels)
+        let decomp = dwt(&currents, WaveletFamily::Haar, cfg.levels)
             .map_err(|_| PhaseError::InvalidConfig("interval does not support DWT depth"))?;
         let scales =
             scale_variances(&decomp).map_err(|_| PhaseError::InvalidConfig("DWT scales"))?;

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use didt_core::DidtSystem;
-use didt_dsp::{dwt, subband_decompose, wavelet::Haar};
+use didt_dsp::{dwt, subband_decompose, WaveletFamily};
 use didt_uarch::{capture_trace, Benchmark};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let signal = [4.0, 2.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0];
     println!("signal: {signal:?}\n");
 
-    let decomp = dwt(&signal, &Haar, 2)?;
+    let decomp = dwt(&signal, WaveletFamily::Haar, 2)?;
     println!("coefficient matrix (orthonormal Haar):");
     println!("  a[k]    = {:?}", rounded(decomp.approximation()));
     println!(
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Part 2: a real current window -------------------------------
     let sys = DidtSystem::standard()?;
     let trace = capture_trace(Benchmark::Gzip, sys.processor(), 7, 50_000, 256);
-    let decomp = dwt(&trace.samples, &Haar, 8)?;
+    let decomp = dwt(&trace.samples, WaveletFamily::Haar, 8)?;
     println!("gzip 256-cycle current window:");
     println!("  mean current   : {:.1} A", trace.mean_current());
     let scales = didt_dsp::scale_variances(&decomp)?;

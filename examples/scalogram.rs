@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example scalogram [name] [cycles]`
 
 use didt_core::DidtSystem;
-use didt_dsp::{dwt, wavelet::Haar, Scalogram};
+use didt_dsp::{dwt, Scalogram, WaveletFamily};
 use didt_uarch::{capture_trace, Benchmark};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.mean_current()
     );
     let levels = (cycles.trailing_zeros() as usize).min(8);
-    let decomp = dwt(&trace.samples, &Haar, levels)?;
+    let decomp = dwt(&trace.samples, WaveletFamily::Haar, levels)?;
     let sg = Scalogram::from_decomposition(&decomp);
     print!("{}", sg.render());
     println!(
