@@ -152,7 +152,12 @@ fn main() {
         // into this) or, standalone, a freshly captured short trace.
         let (records, source) = match &trace_path {
             Some(path) => {
-                let (meta, records) = didt_trace::read_path(path).expect("read --trace file");
+                // A rejected file is a clean failure with the reader's
+                // own message (CI's corruption gate greps for it).
+                let (meta, records) = didt_trace::read_path(path).unwrap_or_else(|e| {
+                    eprintln!("read --trace file {}: {e}", path.display());
+                    std::process::exit(1)
+                });
                 println!(
                     "clustering {} records of '{}' from {}",
                     records.len(),

@@ -17,9 +17,11 @@
 //! * every strict prefix of a valid file is an error, never a panic or
 //!   a silent partial answer;
 //! * any single corrupted byte is detected by both decoders;
-//! * a header `pre_roll` beyond the file's record count is rejected.
+//! * a header `pre_roll` beyond the file's record count is rejected;
+//! * the library's sliced CRC-32, fed any byte string in any pieces,
+//!   equals the reference's bitwise one.
 
-use didt_trace::{read_all, Record, RecordKind, TraceMeta, TraceWriter};
+use didt_trace::{read_all, Crc32, Record, RecordKind, TraceMeta, TraceWriter};
 use proptest::prelude::*;
 
 /// An independent `.dtrc` decoder implemented from TRACE_FORMAT.md
@@ -308,6 +310,28 @@ fn assert_both_decoders_agree(bytes: &[u8], want: &[Record], kind: RecordKind) {
 }
 
 proptest! {
+    /// §0: `Crc32::update` over random bytes (0–4 KiB) cut at random
+    /// split points — empty pieces and lengths off the 16-byte step
+    /// included — equals the bitwise reference CRC of the whole.
+    #[test]
+    fn streaming_crc_equals_the_bitwise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..=4096),
+        cuts in prop::collection::vec(0.0f64..=1.0, 0..=6),
+    ) {
+        let mut splits: Vec<usize> = cuts
+            .iter()
+            .map(|&f| ((bytes.len() as f64) * f) as usize)
+            .collect();
+        // The doubled 0 makes the first piece always empty.
+        splits.extend([0, 0, bytes.len()]);
+        splits.sort_unstable();
+        let mut crc = Crc32::new();
+        for w in splits.windows(2) {
+            crc.update(&bytes[w[0]..w[1]]);
+        }
+        prop_assert!(crc.finish() == reference::crc32(&bytes), "splits {splits:?}");
+    }
+
     /// Arbitrary full records at arbitrary lengths and chunk sizes:
     /// both decoders accept and return bit-identical records.
     #[test]

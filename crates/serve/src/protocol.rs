@@ -23,11 +23,12 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::{Arc, OnceLock};
 
 use didt_bench::{ControllerSpec, GainSnapshotEntry};
 use didt_core::characterize::ScaleGainModel;
 use didt_dsp::{BoundaryMode, WaveletFamily};
-use didt_telemetry::{seed_from_hex, seed_to_hex, Json, JsonError};
+use didt_telemetry::{seed_from_hex, seed_to_hex, Counter, Json, JsonError, MetricsRegistry};
 
 /// Protocol version reported by `Ping`. Version 2 adds the streaming
 /// session kinds (`session_*`) and the cache-warming snapshot pair
@@ -160,6 +161,7 @@ impl<R: Read> FrameReader<R> {
         max_len: usize,
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Json, FrameError> {
+        static BUF_REUSE: OnceLock<Arc<Counter>> = OnceLock::new();
         let mut chunk = [0u8; 4096];
         loop {
             if self.buf.len() >= 4 {
@@ -178,8 +180,10 @@ impl<R: Read> FrameReader<R> {
                     self.payload.extend_from_slice(&self.buf[4..4 + len]);
                     self.buf.drain(..4 + len);
                     if reused {
-                        didt_telemetry::MetricsRegistry::global()
-                            .counter("serve.frame.buf_reuse")
+                        BUF_REUSE
+                            .get_or_init(|| {
+                                MetricsRegistry::global().counter("serve.frame.buf_reuse")
+                            })
                             .incr();
                     }
                     let text = std::str::from_utf8(&self.payload).map_err(|e| {

@@ -44,10 +44,10 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use didt_telemetry::MetricsRegistry;
+use didt_telemetry::{Counter, Histogram, MetricsRegistry};
 
 use crate::front::{send_response, ConnWriter, Front, Handler};
 use crate::protocol::{ErrorCode, Request, Response, ResponsePayload, MAX_FRAME_LEN};
@@ -289,6 +289,7 @@ impl Server {
 
 /// Queue `request`, or answer `Rejected` at once when the queue is full.
 fn admit(shared: &Shared, request: Request, writer: &ConnWriter) -> std::io::Result<()> {
+    static REJECTED: OnceLock<Arc<Counter>> = OnceLock::new();
     let id = request.id;
     let deadline = request
         .deadline_ms
@@ -305,7 +306,9 @@ fn admit(shared: &Shared, request: Request, writer: &ConnWriter) -> std::io::Res
     }
     let stats = shared.service.stats();
     stats.rejected.fetch_add(1, Ordering::Relaxed);
-    MetricsRegistry::global().counter("serve.rejected").incr();
+    REJECTED
+        .get_or_init(|| MetricsRegistry::global().counter("serve.rejected"))
+        .incr();
     send_response(
         writer,
         &Response::rejected(id, shared.config.retry_after_ms, shared.queue.len() as u64),
@@ -315,11 +318,12 @@ fn admit(shared: &Shared, request: Request, writer: &ConnWriter) -> std::io::Res
 /// Run one job: queue-wait accounting, deadline check, the handler
 /// under `catch_unwind`, response write.
 fn process_job(shared: &Shared, job: Job) {
+    static QUEUE_WAIT: OnceLock<Arc<Histogram>> = OnceLock::new();
     let stats = shared.service.stats();
     let metrics = MetricsRegistry::global();
     let now = Instant::now();
-    metrics
-        .histogram("serve.queue_wait_ns")
+    QUEUE_WAIT
+        .get_or_init(|| metrics.histogram("serve.queue_wait_ns"))
         .record_duration(now.duration_since(job.enqueued));
     let id = job.request.id;
     let response = if job.deadline.is_some_and(|d| now >= d) {

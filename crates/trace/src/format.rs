@@ -19,11 +19,16 @@
 //! [`TraceReader::next_chunk`] decodes into caller-supplied buffers:
 //! iterating an arbitrarily long file allocates only up to the largest
 //! chunk, which is what makes the reader usable as a streaming source
-//! for replay.
+//! for replay. [`read_all`] runs the same per-chunk step but decodes
+//! each chunk straight onto the end of its result vector, growing it
+//! by the chunk's announced (already limit-checked) record count, so a
+//! whole-file read copies no record twice. Either way a chunk is
+//! CRC-checked before any of it is decoded, and an error drops the
+//! partial result: `read_all` returns `Err`, never a prefix.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use didt_telemetry::{Counter, MetricsRegistry};
 
@@ -255,14 +260,17 @@ fn decode_column_u16(
     Ok(())
 }
 
+/// Decode one CRC-checked payload of `count` records onto the end of
+/// `out`, growing it once by the announced count.
 fn decode_chunk(
     kind: RecordKind,
     count: usize,
     payload: &[u8],
     out: &mut Vec<Record>,
 ) -> Result<(), TraceError> {
-    out.clear();
-    out.resize(count, Record::default());
+    let start = out.len();
+    out.resize(start + count, Record::default());
+    let out = &mut out[start..];
     let mut pos = 0usize;
     decode_column_f64(payload, &mut pos, out, |r, v| r.current = v)?;
     if kind == RecordKind::Full {
@@ -451,8 +459,9 @@ impl<W: Write> TraceWriter<W> {
 /// The header is parsed and verified on construction; records are then
 /// pulled one chunk at a time with [`TraceReader::next_chunk`] into a
 /// caller-supplied buffer (zero allocation beyond buffer growth to the
-/// largest chunk). Every accepted data chunk increments the global
-/// [`READ_CHUNKS_COUNTER`].
+/// largest chunk). [`read_all`] uses the same step without the clear,
+/// appending every chunk in place to one output vector. Every accepted
+/// data chunk increments the global [`READ_CHUNKS_COUNTER`].
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     source: R,
@@ -460,7 +469,6 @@ pub struct TraceReader<R: Read> {
     payload: Vec<u8>,
     total_seen: u64,
     done: bool,
-    read_chunks: Arc<Counter>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -514,7 +522,6 @@ impl<R: Read> TraceReader<R> {
             payload: Vec::new(),
             total_seen: 0,
             done: false,
-            read_chunks: MetricsRegistry::global().counter(READ_CHUNKS_COUNTER),
         })
     }
 
@@ -545,6 +552,14 @@ impl<R: Read> TraceReader<R> {
     /// should stop).
     pub fn next_chunk(&mut self, out: &mut Vec<Record>) -> Result<bool, TraceError> {
         out.clear();
+        self.append_chunk(out)
+    }
+
+    /// [`TraceReader::next_chunk`] without the clear: the next data
+    /// chunk's records are decoded onto the end of `out`, so
+    /// [`read_all`] fills its result in place with no staging buffer.
+    fn append_chunk(&mut self, out: &mut Vec<Record>) -> Result<bool, TraceError> {
+        static READ_CHUNKS: OnceLock<Arc<Counter>> = OnceLock::new();
         if self.done {
             return Ok(false);
         }
@@ -627,12 +642,15 @@ impl<R: Read> TraceReader<R> {
         }
         decode_chunk(self.meta.kind, count as usize, &self.payload, out)?;
         self.total_seen += u64::from(count);
-        self.read_chunks.incr();
+        READ_CHUNKS
+            .get_or_init(|| MetricsRegistry::global().counter(READ_CHUNKS_COUNTER))
+            .incr();
         Ok(true)
     }
 }
 
-/// Read an entire stream into memory.
+/// Read an entire stream into memory, decoding each chunk directly
+/// into the returned vector.
 ///
 /// # Errors
 ///
@@ -640,11 +658,8 @@ impl<R: Read> TraceReader<R> {
 pub fn read_all<R: Read>(source: R) -> Result<(TraceMeta, Vec<Record>), TraceError> {
     let mut reader = TraceReader::new(source)?;
     let mut records = Vec::new();
-    let mut chunk = Vec::new();
-    while reader.next_chunk(&mut chunk)? {
-        records.extend_from_slice(&chunk);
-    }
-    Ok((reader.meta.clone(), records))
+    while reader.append_chunk(&mut records)? {}
+    Ok((reader.meta, records))
 }
 
 /// Read a `.dtrc` file from disk (buffered).
@@ -916,6 +931,47 @@ mod tests {
         let bytes = write_to_vec(&meta, &records, 4096);
         let raw = records.len() * RecordKind::Full.logical_width();
         assert!(bytes.len() < raw, "compressed {} >= raw {raw}", bytes.len());
+    }
+
+    #[test]
+    fn read_all_equals_concatenated_next_chunk_output() {
+        let meta = TraceMeta::new(RecordKind::Full, "append");
+        // 16,411 records: no chunk size below divides it, so every
+        // chunking ends on a short chunk.
+        let records: Vec<Record> = (0..16_411).map(full_record).collect();
+        for chunk in [1usize, 7, 1000, DEFAULT_CHUNK_RECORDS] {
+            let bytes = write_to_vec(&meta, &records, chunk);
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            let mut streamed = Vec::new();
+            let mut buf = vec![Record::current_only(-1.0); 3];
+            while reader.next_chunk(&mut buf).unwrap() {
+                assert!(buf.len() <= chunk, "next_chunk kept stale records");
+                streamed.extend_from_slice(&buf);
+            }
+            let (_, all) = read_all(&bytes[..]).unwrap();
+            assert_eq!(all.len(), records.len(), "chunk size {chunk}");
+            assert_eq!(streamed.len(), all.len(), "chunk size {chunk}");
+            assert!(all.iter().zip(&streamed).all(|(a, b)| a.bits_eq(b)));
+            assert!(all.iter().zip(&records).all(|(a, b)| a.bits_eq(b)));
+        }
+    }
+
+    #[test]
+    fn corrupt_last_data_chunk_fails_read_all_without_a_prefix() {
+        let meta = TraceMeta::new(RecordKind::Full, "tail");
+        let records: Vec<Record> = (0..100).map(full_record).collect();
+        let mut bytes = write_to_vec(&meta, &records, 40);
+        // Chunks of 40, 40 and 20 records; the end chunk is the last
+        // 20 bytes and the last data chunk's CRC the 4 before them.
+        // Flip a byte just inside the last data chunk's payload.
+        let pos = bytes.len() - 20 - 4 - 1;
+        bytes[pos] ^= 0x10;
+        assert!(matches!(
+            read_all(&bytes[..]),
+            Err(TraceError::CrcMismatch {
+                location: "data chunk"
+            })
+        ));
     }
 
     #[test]
