@@ -18,8 +18,11 @@
 //!    error of the wavelet-compressed monitor per retained tap, family
 //!    × boundary mode, plus the empirical worst voltage error of the
 //!    13-term monitor on the resonant stressor (periodic designs).
+//! 4. **Energy capture.** Share of the reference impulse response's
+//!    energy in its 13 largest coefficients, Haar (8 levels) against
+//!    db2 (6 levels): the compaction behind the paper's Haar choice.
 
-use didt_bench::{benchmark_trace, standard_system, Experiment, TextTable};
+use didt_bench::{benchmark_trace, impulse_energy_capture, standard_system, Experiment, TextTable};
 use didt_core::characterize::{ScaleGainModel, VarianceModel};
 use didt_core::monitor::{CycleSense, FamilyMonitorDesign, VoltageMonitor};
 use didt_dsp::{BoundaryMode, WaveletFamily};
@@ -165,6 +168,23 @@ fn main() {
             }
             t.row_owned(row);
         }
+    }
+    print!("{}", t.render());
+
+    // -- 4. Impulse-response energy in the top 13 coefficients. -------
+    println!("\n-- impulse-response energy captured by the top {MONITOR_TERMS} coefficients --\n");
+    let mut t = TextTable::new(&["family", "levels", "captured"]);
+    for (family, levels) in [(WaveletFamily::Haar, 8), (WaveletFamily::Db2, 6)] {
+        let captured = impulse_energy_capture(family, levels, MONITOR_TERMS);
+        t.row_owned(vec![
+            family.name().to_string(),
+            levels.to_string(),
+            format!("{captured:.4}"),
+        ]);
+        exp.golden(
+            &format!("energy_capture_top{MONITOR_TERMS}.{}", family.name()),
+            captured,
+        );
     }
     print!("{}", t.render());
 

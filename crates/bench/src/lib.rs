@@ -1,7 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! Shared experiment harness for the figure/table regeneration binaries
-//! and Criterion benches.
+//! Shared experiment harness for the figure/table regeneration binaries.
 //!
 //! Each binary in `src/bin/` regenerates the data behind one figure or
 //! table of the paper; this library holds the shared plumbing: standard
@@ -14,12 +13,14 @@ pub mod runner;
 pub mod steal;
 pub mod table;
 
-pub use experiments::{benchmark_trace, standard_system, TRACE_CYCLES, TRACE_WARMUP};
+pub use experiments::{
+    benchmark_trace, impulse_energy_capture, standard_system, TRACE_CYCLES, TRACE_WARMUP,
+};
 pub use observe::Experiment;
 pub use runner::{
-    capture_records, default_threads, pct_millis, point_seed, with_worker_scratch, workload_seed,
-    CacheStats, ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, MemoStats,
-    PointResult, RunParams, Sweep, SweepContext, SweepPoint, WorkerScratch,
+    capture_records, default_threads, pct_millis, point_seed, workload_seed, CacheStats,
+    ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, MemoStats, PointResult,
+    RunParams, Sweep, SweepContext, SweepPoint,
 };
 pub use steal::{CostClass, SchedReport, SplitMix64, StealDeques};
 pub use table::TextTable;

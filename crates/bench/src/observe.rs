@@ -180,8 +180,7 @@ impl Experiment {
 
 /// Render a collector's per-name aggregates as a JSON object
 /// (`name -> {count, total_ms, max_ms}`), sorted by span name.
-#[must_use]
-pub fn span_stats_json(collector: &MemoryCollector) -> Json {
+fn span_stats_json(collector: &MemoryCollector) -> Json {
     Json::Obj(
         collector
             .stats()

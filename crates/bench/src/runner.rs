@@ -34,7 +34,7 @@ use crate::steal::{CostClass, SchedReport, SplitMix64, StealDeques};
 use didt_core::characterize::ScaleGainModel;
 use didt_core::control::{
     ClosedLoop, ClosedLoopConfig, ClosedLoopResult, DidtController, NoControl, PipelineDamping,
-    ThresholdController,
+    SimScratch, ThresholdController,
 };
 use didt_core::monitor::{
     AnalogSensor, BiquadMonitor, FamilyMonitorDesign, FullConvolutionMonitor, WaveletMonitorDesign,
@@ -152,7 +152,7 @@ pub fn point_seed(point: &SweepPoint) -> u64 {
 /// Lock shards per [`MemoCache`]. Power of two so shard selection is a
 /// mask; 16 comfortably exceeds any worker count this engine sees, so
 /// two threads touching *different* keys almost never share a lock.
-pub const MEMO_SHARDS: usize = 16;
+const MEMO_SHARDS: usize = 16;
 
 /// FNV-1a [`std::hash::Hasher`] — deterministic (unlike the std
 /// `RandomState` default), so a key lands on the same shard in every
@@ -171,7 +171,7 @@ impl std::hash::Hasher for FnvHasher {
 
 /// A concurrent compute-once cache, sharded by key hash.
 ///
-/// The first caller of [`MemoCache::try_get_or_compute`] for a key runs
+/// The first caller of [`MemoCache::get_or_compute`] for a key runs
 /// the closure; concurrent callers for the same key wait on the same
 /// slot and share the resulting [`Arc`] — a value is computed **exactly
 /// once per key** per process, no matter the interleaving. A hit runs
@@ -183,7 +183,7 @@ impl std::hash::Hasher for FnvHasher {
 /// (a hostile caller cannot grow the map with bad keys), and the next
 /// caller for that key computes afresh.
 ///
-/// The key map is split across [`MEMO_SHARDS`] independent mutexes
+/// The key map is split across 16 independent mutexes
 /// (selected by FNV-1a key hash), and a shard lock is held only while
 /// locating the slot — never while computing — so distinct keys compute
 /// in parallel and slot lookups for different shards never serialize at
@@ -329,7 +329,7 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
     /// # Errors
     ///
     /// Returns `compute`'s error when this call ran it and it failed.
-    pub fn try_get_or_compute<E>(
+    fn try_get_or_compute<E>(
         &self,
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
@@ -434,8 +434,7 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
     /// fill has finished. Entries with a compute still in flight are
     /// skipped rather than waited on, so this never blocks on a fill —
     /// the exporter side of the cache-warming protocol.
-    #[must_use]
-    pub fn completed_entries(&self) -> Vec<(K, Arc<V>)> {
+    fn completed_entries(&self) -> Vec<(K, Arc<V>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let slots = shard.lock().expect("memo cache poisoned");
@@ -465,32 +464,21 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
 // Per-worker scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable per-worker-thread simulation scratch arena.
-///
-/// Each worker thread of a sweep (and each `didt-serve` request worker)
-/// owns one of these through [`with_worker_scratch`]: the closed-loop
-/// processor, warmup trace buffer and wavelet-estimate buffers are
-/// allocated on the thread's first point and rewound in place for every
-/// point after that. Purely an allocation optimization — results are
-/// bit-identical with or without reuse (see
-/// [`didt_core::control::SimScratch`]).
-#[derive(Debug, Default)]
-pub struct WorkerScratch {
-    /// Closed-loop scratch: the processor and warmup trace buffer.
-    pub sim: didt_core::control::SimScratch,
-    /// DWT scratch for per-window variance estimates.
-    pub estimate: didt_core::characterize::EstimateScratch,
-}
-
 thread_local! {
-    static WORKER_SCRATCH: std::cell::RefCell<WorkerScratch> =
-        std::cell::RefCell::new(WorkerScratch::default());
+    /// Each sweep (and `didt-serve` request) worker thread's closed-loop
+    /// scratch: the processor and warmup trace buffer are allocated on
+    /// the thread's first point and rewound in place for every point
+    /// after that. Purely an allocation optimization — results are
+    /// bit-identical with or without reuse (see
+    /// [`didt_core::control::SimScratch`]).
+    static WORKER_SCRATCH: std::cell::RefCell<SimScratch> =
+        std::cell::RefCell::new(SimScratch::new());
 }
 
-/// Run `f` with the calling thread's [`WorkerScratch`]. Nested calls
-/// would panic on the `RefCell` — keep the closure leaf-level (one
-/// simulation, not a whole sweep point).
-pub fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
+/// Run `f` with the calling thread's scratch. Nested calls would panic
+/// on the `RefCell` — keep the closure leaf-level (one simulation, not a
+/// whole sweep point).
+fn with_worker_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
     WORKER_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
@@ -1224,7 +1212,7 @@ impl SweepContext {
     /// # Errors
     ///
     /// Propagates PDN and design errors.
-    pub fn family_monitor_design(
+    fn family_monitor_design(
         &self,
         pct: f64,
         window: usize,
@@ -1408,7 +1396,7 @@ impl SweepContext {
             let _span = didt_telemetry::span("cache.fill.baselines");
             let harness = ClosedLoop::new(*self.system.processor(), *pdn, cfg);
             with_worker_scratch(|scratch| {
-                harness.run_with_deadline_scratch(&mut NoControl, None, &mut scratch.sim)
+                harness.run_with_deadline_scratch(&mut NoControl, None, scratch)
             })
         });
         match result.as_ref() {
@@ -1546,7 +1534,7 @@ impl SweepContext {
             let mut ctl = self.controller(point)?;
             let harness = ClosedLoop::new(*self.system.processor(), *pdn, cfg);
             with_worker_scratch(|scratch| {
-                harness.run_with_deadline_scratch(ctl.as_mut(), deadline, &mut scratch.sim)
+                harness.run_with_deadline_scratch(ctl.as_mut(), deadline, scratch)
             })?
         };
         Ok(PointResult {

@@ -52,36 +52,6 @@ impl TextTable {
         self.rows.is_empty()
     }
 
-    /// Render as RFC-4180-style CSV (header row first), for piping
-    /// experiment output into plotting tools.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use didt_bench::TextTable;
-    ///
-    /// let mut t = TextTable::new(&["bench", "ipc"]);
-    /// t.row(&["gzip", "1.49"]);
-    /// assert_eq!(t.render_csv(), "bench,ipc\ngzip,1.49\n");
-    /// ```
-    #[must_use]
-    pub fn render_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains([',', '"', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        for row in std::iter::once(&self.header).chain(self.rows.iter()) {
-            let line: Vec<String> = row.iter().map(|c| escape(c.trim())).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render with aligned columns and a separator under the header.
     #[must_use]
     pub fn render(&self) -> String {
@@ -146,18 +116,6 @@ mod tests {
         t.row(&["1", "2", "3", "4"]);
         let s = t.render();
         assert!(s.lines().count() == 4);
-    }
-
-    #[test]
-    fn csv_escapes_and_trims() {
-        let mut t = TextTable::new(&["a", "b"]);
-        t.row(&["  x  ", "with,comma"]);
-        t.row(&["quote\"y", "plain"]);
-        let csv = t.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "x,\"with,comma\"");
-        assert_eq!(lines[2], "\"quote\"\"y\",plain");
     }
 
     #[test]

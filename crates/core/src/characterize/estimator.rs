@@ -9,6 +9,8 @@
 use crate::characterize::{VarianceModel, WindowModel};
 use crate::DidtError;
 use didt_pdn::SecondOrderPdn;
+use didt_telemetry::{Gauge, MetricsRegistry};
+use std::sync::{Arc, OnceLock};
 
 /// Estimated-vs-observed emergency fractions for one benchmark trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,8 +126,9 @@ impl<M: WindowModel> EmergencyEstimator<M> {
             windows,
             mean_voltage,
         };
-        didt_telemetry::MetricsRegistry::global()
-            .gauge("estimator.abs_error")
+        static ABS_ERROR: OnceLock<Arc<Gauge>> = OnceLock::new();
+        ABS_ERROR
+            .get_or_init(|| MetricsRegistry::global().gauge("estimator.abs_error"))
             .set(estimate.abs_error());
         Ok(estimate)
     }

@@ -131,8 +131,7 @@ impl GaussianityStudy {
     /// bins (dof 5) for windows of 64+ cycles — one procedure across the
     /// paper's three window sizes — dropping to 4 bins for 32-cycle
     /// windows where 8 bins would leave expected counts of only 4.
-    #[must_use]
-    pub fn bins_for(window: usize) -> usize {
+    fn bins_for(window: usize) -> usize {
         if window >= 64 {
             8
         } else {

@@ -199,10 +199,11 @@ impl ClosedLoop {
     /// Returns [`DidtError::InvalidConfig`] when the run fails to make
     /// forward progress (a pathological controller that stalls forever).
     pub fn run(&self, controller: &mut dyn DidtController) -> Result<ClosedLoopResult, DidtError> {
-        self.run_with_deadline(controller, None)
+        self.run_with_deadline_scratch(controller, None, &mut SimScratch::new())
     }
 
-    /// [`Self::run`] with a cooperative wall-clock deadline.
+    /// [`Self::run`] with a cooperative wall-clock deadline, reusing a
+    /// caller-held [`SimScratch`].
     ///
     /// The simulation checks the clock every
     /// [`DEADLINE_CHECK_INTERVAL`] cycles (warmup included) and aborts
@@ -214,28 +215,16 @@ impl ClosedLoop {
     /// without poisoning shared caches: the partial run is dropped
     /// whole.
     ///
+    /// The processor and warmup buffer inside `scratch` are rewound, not
+    /// rebuilt, so a worker looping over sweep points (or service
+    /// requests) allocates the simulator once. Bit-identical to a fresh
+    /// scratch.
+    ///
     /// # Errors
     ///
     /// [`DidtError::DeadlineExceeded`] past the deadline, plus every
-    /// error of [`Self::run`].
-    pub fn run_with_deadline(
-        &self,
-        controller: &mut dyn DidtController,
-        deadline: Option<std::time::Instant>,
-    ) -> Result<ClosedLoopResult, DidtError> {
-        self.run_with_deadline_scratch(controller, deadline, &mut SimScratch::new())
-    }
-
-    /// [`Self::run_with_deadline`] reusing a caller-held [`SimScratch`]
-    /// — the per-worker fast path. The processor and warmup buffer
-    /// inside `scratch` are rewound, not rebuilt, so a worker looping
-    /// over sweep points (or service requests) allocates the simulator
-    /// once. Bit-identical to the scratch-free entry points.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Self::run_with_deadline`]. The scratch stays
-    /// valid (and reusable) after an error.
+    /// error of [`Self::run`]. The scratch stays valid (and reusable)
+    /// after an error.
     pub fn run_with_deadline_scratch(
         &self,
         controller: &mut dyn DidtController,
@@ -628,7 +617,7 @@ fn replay_cycles_counter() -> &'static std::sync::Arc<didt_telemetry::Counter> {
 }
 
 /// Cycles simulated between wall-clock reads in
-/// [`ClosedLoop::run_with_deadline`]. At the simulator's throughput
+/// [`ClosedLoop::run_with_deadline_scratch`]. At the simulator's throughput
 /// (millions of cycles per second) this bounds deadline overshoot to
 /// well under a millisecond while keeping the common case — thousands
 /// of cycles with no clock syscall — free.
@@ -806,13 +795,15 @@ mod tests {
         let pdn = sys.pdn_at(150.0).unwrap();
         let harness = ClosedLoop::new(*sys.processor(), pdn, small_cfg(Benchmark::Swim));
         let plain = harness.run(&mut NoControl).unwrap();
-        let with_none = harness.run_with_deadline(&mut NoControl, None).unwrap();
+        let with_none = harness
+            .run_with_deadline_scratch(&mut NoControl, None, &mut SimScratch::new())
+            .unwrap();
         assert_eq!(plain, with_none);
         // A generous deadline also changes nothing: the checks only
         // read the clock, never the simulation state.
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let with_far = harness
-            .run_with_deadline(&mut NoControl, Some(far))
+            .run_with_deadline_scratch(&mut NoControl, Some(far), &mut SimScratch::new())
             .unwrap();
         assert_eq!(plain, with_far);
     }
@@ -828,7 +819,8 @@ mod tests {
         };
         let harness = ClosedLoop::new(*sys.processor(), pdn, cfg);
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        match harness.run_with_deadline(&mut NoControl, Some(past)) {
+        match harness.run_with_deadline_scratch(&mut NoControl, Some(past), &mut SimScratch::new())
+        {
             Err(DidtError::DeadlineExceeded { after_cycles }) => {
                 // The abort fires at the first check interval.
                 assert!(after_cycles <= u64::from(DEADLINE_CHECK_INTERVAL) + 1);

@@ -67,18 +67,6 @@ impl<M: VoltageMonitor> ThresholdController<M> {
     pub fn monitor(&self) -> &M {
         &self.monitor
     }
-
-    /// Low control point (volts).
-    #[must_use]
-    pub fn v_low(&self) -> f64 {
-        self.v_low
-    }
-
-    /// High control point (volts).
-    #[must_use]
-    pub fn v_high(&self) -> f64 {
-        self.v_high
-    }
 }
 
 impl<M: VoltageMonitor> DidtController for ThresholdController<M> {

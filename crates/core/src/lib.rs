@@ -61,6 +61,4 @@ mod error;
 mod system;
 
 pub use error::DidtError;
-pub use system::{
-    DidtSystem, PDN_Q, PDN_RESONANCE_HZ, STRESSOR_I_HIGH, STRESSOR_I_LOW, VOLTAGE_TOLERANCE,
-};
+pub use system::DidtSystem;

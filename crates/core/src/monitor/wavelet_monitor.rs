@@ -217,8 +217,7 @@ pub struct WaveletMonitor {
 
 impl WaveletMonitor {
     /// The freshest internal estimate (before the output delay pipeline).
-    #[must_use]
-    pub fn raw_estimate(&self) -> f64 {
+    fn raw_estimate(&self) -> f64 {
         let droop: f64 = self
             .terms
             .iter()

@@ -6,22 +6,22 @@ use didt_uarch::ProcessorConfig;
 
 /// Resonant frequency of the reference PDN (middle of the paper's
 /// 50–200 MHz danger band).
-pub const PDN_RESONANCE_HZ: f64 = 100.0e6;
+const PDN_RESONANCE_HZ: f64 = 100.0e6;
 
 /// Quality factor of the reference PDN. Production networks are heavily
 /// damped by decap ESR; peak impedance ≈ Q² · R_dc ≈ 5 × R_dc.
-pub const PDN_Q: f64 = 2.2;
+const PDN_Q: f64 = 2.2;
 
 /// Voltage tolerance: ±5 % of Vdd (paper §3).
-pub const VOLTAGE_TOLERANCE: f64 = 0.05;
+const VOLTAGE_TOLERANCE: f64 = 0.05;
 
 /// Idle current of the Table 1 machine (amperes at 1 V): base
 /// clock-tree/leakage power of the Wattch model.
-pub const STRESSOR_I_LOW: f64 = 12.0;
+const STRESSOR_I_LOW: f64 = 12.0;
 
 /// Sustained full-throttle current of the Table 1 machine (amperes at
 /// 1 V): 4-wide issue with expensive ops and memory traffic.
-pub const STRESSOR_I_HIGH: f64 = 55.0;
+const STRESSOR_I_HIGH: f64 = 55.0;
 
 /// The full experimental system: processor configuration plus a PDN
 /// calibrated so that the worst-case stressor exactly grazes the ±5 %

@@ -72,10 +72,10 @@ pub use error::DspError;
 pub use packet::{wavelet_packet, WaveletPacket};
 pub use scalogram::Scalogram;
 pub use streaming::{StreamCoefficient, StreamingHaar};
-pub use subband::{approximation_signal, detail_signal, subband_decompose};
+pub use subband::subband_decompose;
 pub use transform::{
     dwt, dwt_boundary, dwt_boundary_into, dwt_into, idwt, max_dwt_levels, BoundaryMode, DwtScratch,
-    WaveletDecomposition, LEVELS_CLAMPED_COUNTER,
+    WaveletDecomposition,
 };
-pub use variance::{scale_variance, scale_variances, wavelet_variance, ScaleVariance};
+pub use variance::{scale_variance, scale_variances, ScaleVariance};
 pub use wavelet::WaveletFamily;

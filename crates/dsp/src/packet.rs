@@ -205,53 +205,6 @@ impl WaveletPacket {
         n & (self.num_bands() - 1)
     }
 
-    /// Natural index of the band whose frequency rank is `rank`
-    /// (inverse of [`WaveletPacket::frequency_rank`]).
-    #[must_use]
-    pub fn natural_index_of_rank(&self, rank: usize) -> usize {
-        // Binary-to-Gray encode.
-        (rank ^ (rank >> 1)) & (self.num_bands() - 1)
-    }
-
-    /// Reconstruct keeping only the bands whose *frequency rank* is
-    /// selected by `keep` — a uniform-band filter. `keep` is indexed by
-    /// frequency rank (0 = DC band) and must have `num_bands` entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::BadLength`] when `keep.len() != num_bands`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use didt_dsp::packet::wavelet_packet;
-    /// use didt_dsp::WaveletFamily;
-    ///
-    /// # fn main() -> Result<(), didt_dsp::DspError> {
-    /// let s: Vec<f64> = (0..64).map(|i| i as f64).collect();
-    /// let wp = wavelet_packet(&s, WaveletFamily::Haar, 2)?;
-    /// // Keep only the DC band: a staircase of block averages remains.
-    /// let lowpassed = wp.filtered(&[true, false, false, false])?;
-    /// assert_eq!(lowpassed.len(), 64);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn filtered(&self, keep: &[bool]) -> Result<Vec<f64>, DspError> {
-        if keep.len() != self.num_bands() {
-            return Err(DspError::BadLength {
-                len: keep.len(),
-                requirement: "keep mask must have one entry per band",
-            });
-        }
-        let mut copy = self.clone();
-        for natural in 0..copy.num_bands() {
-            if !keep[self.frequency_rank(natural)] {
-                copy.bands[natural].fill(0.0);
-            }
-        }
-        Ok(copy.inverse())
-    }
-
     /// Reconstruct the original signal (exact up to round-off).
     #[must_use]
     pub fn inverse(&self) -> Vec<f64> {
@@ -357,52 +310,9 @@ mod tests {
             let r = wp.frequency_rank(b);
             assert!(!seen[r], "rank {r} repeated");
             seen[r] = true;
-            assert_eq!(wp.natural_index_of_rank(r), b);
+            // Binary-to-Gray encode inverts the rank.
+            assert_eq!((r ^ (r >> 1)) & 15, b);
         }
-    }
-
-    #[test]
-    fn filtered_with_all_bands_is_identity() {
-        let s = test_signal(64);
-        let wp = wavelet_packet(&s, WaveletFamily::Haar, 3).unwrap();
-        let r = wp.filtered(&[true; 8]).unwrap();
-        for (a, b) in s.iter().zip(&r) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn filtered_keep_none_is_zero() {
-        let wp = wavelet_packet(&test_signal(64), WaveletFamily::Haar, 3).unwrap();
-        let r = wp.filtered(&[false; 8]).unwrap();
-        assert!(r.iter().all(|x| x.abs() < 1e-12));
-    }
-
-    #[test]
-    fn filtered_removes_a_tone() {
-        // Tone in frequency band 6 of 8: keeping everything except that
-        // band removes most of the signal energy.
-        let n = 256;
-        let f = 6.5 / 16.0;
-        let s: Vec<f64> = (0..n)
-            .map(|t| (2.0 * std::f64::consts::PI * f * t as f64).sin())
-            .collect();
-        let wp = wavelet_packet(&s, WaveletFamily::Db2, 3).unwrap();
-        let mut keep = [true; 8];
-        keep[6] = false;
-        // Neighbouring bands leak a little (finite filters), drop them too.
-        keep[5] = false;
-        keep[7] = false;
-        let r = wp.filtered(&keep).unwrap();
-        let e_in: f64 = s.iter().map(|x| x * x).sum();
-        let e_out: f64 = r.iter().map(|x| x * x).sum();
-        assert!(e_out < 0.25 * e_in, "residual energy {}", e_out / e_in);
-    }
-
-    #[test]
-    fn filtered_rejects_bad_mask() {
-        let wp = wavelet_packet(&test_signal(64), WaveletFamily::Haar, 3).unwrap();
-        assert!(wp.filtered(&[true; 4]).is_err());
     }
 
     #[test]

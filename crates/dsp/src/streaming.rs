@@ -146,7 +146,7 @@ impl StreamingHaar {
 
     /// Like [`StreamingHaar::push`], additionally returning the deepest-
     /// level approximation coefficient when one completes.
-    pub fn push_with_approx(&mut self, x: f64) -> (Vec<StreamCoefficient>, Option<f64>) {
+    fn push_with_approx(&mut self, x: f64) -> (Vec<StreamCoefficient>, Option<f64>) {
         // Re-implement rather than call push(): we need the carry of the
         // deepest completed level.
         self.samples += 1;

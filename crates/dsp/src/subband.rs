@@ -20,24 +20,7 @@ use crate::DspError;
 /// # Errors
 ///
 /// Returns [`DspError::BadLevel`] for an out-of-range level.
-///
-/// # Examples
-///
-/// ```
-/// use didt_dsp::{dwt, detail_signal, WaveletFamily};
-///
-/// # fn main() -> Result<(), didt_dsp::DspError> {
-/// let s = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-/// let d = dwt(&s, WaveletFamily::Haar, 2)?;
-/// // All content of the alternating signal lives in the finest subband.
-/// let fine = detail_signal(&d, 1)?;
-/// for (a, b) in fine.iter().zip(&s) {
-///     assert!((a - b).abs() < 1e-12);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-pub fn detail_signal(decomp: &WaveletDecomposition, level: usize) -> Result<Vec<f64>, DspError> {
+fn detail_signal(decomp: &WaveletDecomposition, level: usize) -> Result<Vec<f64>, DspError> {
     // Validate level first.
     decomp.detail(level)?;
     let mut only = decomp.clone();
@@ -56,7 +39,7 @@ pub fn detail_signal(decomp: &WaveletDecomposition, level: usize) -> Result<Vec<
 /// # Errors
 ///
 /// Propagates [`idwt`]'s errors (none for well-formed decompositions).
-pub fn approximation_signal(decomp: &WaveletDecomposition) -> Result<Vec<f64>, DspError> {
+fn approximation_signal(decomp: &WaveletDecomposition) -> Result<Vec<f64>, DspError> {
     let mut only = decomp.clone();
     for l in 1..=decomp.levels() {
         only.detail_mut(l)?.fill(0.0);
@@ -155,6 +138,16 @@ mod tests {
         let d = dwt(&[7.0; 32], WaveletFamily::Haar, 4).unwrap();
         let a = approximation_signal(&d).unwrap();
         assert!(a.iter().all(|x| (x - 7.0).abs() < 1e-10));
+    }
+
+    #[test]
+    fn alternating_signal_lives_in_finest_subband() {
+        let s = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
+        let d = dwt(&s, WaveletFamily::Haar, 2).unwrap();
+        let fine = detail_signal(&d, 1).unwrap();
+        for (a, b) in fine.iter().zip(&s) {
+            assert!((a - b).abs() < 1e-12);
+        }
     }
 
     #[test]

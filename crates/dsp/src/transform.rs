@@ -188,12 +188,6 @@ impl WaveletDecomposition {
         }
     }
 
-    /// The boundary extension this decomposition was computed with.
-    #[must_use]
-    pub fn boundary_mode(&self) -> BoundaryMode {
-        self.mode
-    }
-
     /// Number of detail levels.
     #[must_use]
     pub fn levels(&self) -> usize {
@@ -280,33 +274,11 @@ impl WaveletDecomposition {
         ea + ed
     }
 
-    /// Energy in the detail coefficients of one level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::BadLevel`] for an out-of-range level.
-    pub fn detail_energy(&self, level: usize) -> Result<f64, DspError> {
-        Ok(self.detail(level)?.iter().map(|x| x * x).sum())
-    }
-
     /// Total number of coefficients. Equals the signal length under
     /// [`BoundaryMode::Periodic`]; the expansive modes emit more.
     #[must_use]
     pub fn coefficient_count(&self) -> usize {
         self.approx.len() + self.details.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Count of coefficients whose magnitude is below `threshold` — a
-    /// direct measure of the sparsity the paper highlights ("the majority
-    /// of the terms in the coefficient matrices are either zero or nearly
-    /// zero", §2.1).
-    #[must_use]
-    pub fn near_zero_count(&self, threshold: f64) -> usize {
-        self.approx
-            .iter()
-            .chain(self.details.iter().flat_map(|r| r.iter()))
-            .filter(|x| x.abs() < threshold)
-            .count()
     }
 }
 
@@ -417,7 +389,7 @@ pub fn dwt_into(
 
 /// Telemetry counter bumped whenever [`dwt_boundary_into`] clamps a
 /// too-deep level request to the signal's dyadic depth.
-pub const LEVELS_CLAMPED_COUNTER: &str = "dsp.dwt.levels_clamped";
+const LEVELS_CLAMPED_COUNTER: &str = "dsp.dwt.levels_clamped";
 
 /// Maximum meaningful pyramid depth for a signal of `len` samples:
 /// `floor(log2(len))`, the dyadic convention of the paper's design-tool
@@ -489,7 +461,7 @@ pub fn dwt_boundary(
 ///
 /// Unlike the legacy [`dwt_into`], a request for more levels than
 /// `floor(log2(n))` is **clamped** (to at least 1) rather than rejected,
-/// and the clamp is recorded on the [`LEVELS_CLAMPED_COUNTER`] telemetry
+/// and the clamp is recorded on the `dsp.dwt.levels_clamped` telemetry
 /// counter — deep requests on short signals are a config smell worth
 /// observing, not a crash. The expansive modes accept any non-empty
 /// length; `Periodic` keeps the legacy divisibility and filter-length
@@ -777,11 +749,15 @@ mod tests {
         }
     }
 
+    fn energy(row: &[f64]) -> f64 {
+        row.iter().map(|x| x * x).sum()
+    }
+
     #[test]
     fn constant_signal_all_energy_in_approx() {
         let d = dwt(&[2.0; 32], WaveletFamily::Haar, 5).unwrap();
         for level in 1..=5 {
-            assert!(d.detail_energy(level).unwrap() < 1e-20);
+            assert!(energy(d.detail(level).unwrap()) < 1e-20);
         }
         // Full decomposition: one approx coefficient = mean * sqrt(N).
         assert_eq!(d.approximation().len(), 1);
@@ -795,8 +771,8 @@ mod tests {
             .collect();
         let d = dwt(&s, WaveletFamily::Haar, 3).unwrap();
         let total: f64 = s.iter().map(|x| x * x).sum();
-        assert!((d.detail_energy(1).unwrap() - total).abs() < 1e-10);
-        assert!(d.detail_energy(2).unwrap() < 1e-20);
+        assert!((energy(d.detail(1).unwrap()) - total).abs() < 1e-10);
+        assert!(energy(d.detail(2).unwrap()) < 1e-20);
         assert!(d.approximation().iter().all(|x| x.abs() < 1e-12));
     }
 
@@ -815,8 +791,16 @@ mod tests {
         let mut s = vec![1.0; 32];
         s[16..].fill(5.0);
         let d = dwt(&s, WaveletFamily::Haar, 5).unwrap();
-        // Only the boundary produces nonzero details; most coefficients tiny.
-        assert!(d.near_zero_count(1e-9) >= 26);
+        // Only the boundary produces nonzero details; most coefficients
+        // are tiny ("the majority of the terms in the coefficient matrices
+        // are either zero or nearly zero", §2.1).
+        let near_zero = d
+            .approximation()
+            .iter()
+            .chain(d.detail_rows().flatten())
+            .filter(|x| x.abs() < 1e-9)
+            .count();
+        assert!(near_zero >= 26);
     }
 
     #[test]

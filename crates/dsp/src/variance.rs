@@ -27,15 +27,6 @@ pub struct ScaleVariance {
     pub adjacent_correlation: f64,
 }
 
-/// Per-scale variance of a single detail level.
-///
-/// # Errors
-///
-/// Returns [`DspError::BadLevel`] for an out-of-range level.
-pub fn wavelet_variance(decomp: &WaveletDecomposition, level: usize) -> Result<f64, DspError> {
-    Ok(decomp.detail_energy(level)? / decomp.signal_len() as f64)
-}
-
 /// Variance decomposition across all detail scales.
 ///
 /// The sum of the returned variances equals the *population variance* of
@@ -174,17 +165,6 @@ mod tests {
             "corr = {}",
             scales[0].adjacent_correlation
         );
-    }
-
-    #[test]
-    fn wavelet_variance_matches_scale_variances() {
-        let s: Vec<f64> = (0..64).map(|i| ((i * 31) % 17) as f64).collect();
-        let d = dwt(&s, WaveletFamily::Haar, 4).unwrap();
-        let scales = scale_variances(&d).unwrap();
-        for sv in &scales {
-            let v = wavelet_variance(&d, sv.level).unwrap();
-            assert!((v - sv.variance).abs() < 1e-12);
-        }
     }
 
     #[test]

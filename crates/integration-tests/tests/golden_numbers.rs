@@ -10,8 +10,8 @@
 //! deliberate, reviewed decision.
 
 use didt_bench::{
-    benchmark_trace, standard_system, ControllerSpec, ExperimentRunner, RunParams, Sweep,
-    SweepContext,
+    benchmark_trace, impulse_energy_capture, standard_system, ControllerSpec, ExperimentRunner,
+    RunParams, Sweep, SweepContext,
 };
 use didt_core::characterize::{EmergencyEstimator, ScaleGainModel, VarianceModel};
 use didt_core::monitor::FamilyMonitorDesign;
@@ -148,6 +148,25 @@ fn ext_wavelet_family_goldens() {
         assert!(
             (got - want).abs() < TOL,
             "{}: kernel error {got:.6} != golden {want:.6}",
+            family.name()
+        );
+    }
+
+    // Impulse-response energy in the top 13 coefficients, the manifest's
+    // `energy_capture_top13.{haar,db2}` (0.9549 and 0.9795 at 4 places).
+    let energy_golden = [
+        (WaveletFamily::Haar, 8, 0.954891),
+        (WaveletFamily::Db2, 6, 0.979490),
+    ];
+    for (family, levels, want) in energy_golden {
+        let got = impulse_energy_capture(family, levels, 13);
+        eprintln!(
+            "ext_wavelet_family energy golden {}: {got:.6}",
+            family.name()
+        );
+        assert!(
+            (got - want).abs() < TOL,
+            "{}: top-13 energy capture {got:.6} != golden {want:.6}",
             family.name()
         );
     }

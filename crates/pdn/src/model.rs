@@ -175,16 +175,6 @@ impl SecondOrderPdn {
         (num / den).norm()
     }
 
-    /// Impedance magnitudes over a set of frequencies — the data behind
-    /// the paper's Figure 5 frequency-response curve.
-    #[must_use]
-    pub fn impedance_sweep(&self, freqs_hz: &[f64]) -> Vec<(f64, f64)> {
-        freqs_hz
-            .iter()
-            .map(|&f| (f, self.impedance_at(f)))
-            .collect()
-    }
-
     /// A copy of this network with its impedance scaled uniformly by
     /// `factor` at every frequency (`R·k`, `L·k`, `C/k`) — the paper's
     /// "X % target impedance" notion: `scaled(1.5)` is the 150 % network.

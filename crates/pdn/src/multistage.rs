@@ -60,18 +60,6 @@ impl TwoStagePdn {
         Ok(TwoStagePdn { die, board })
     }
 
-    /// The mid-frequency (die/package) section.
-    #[must_use]
-    pub fn die_section(&self) -> &SecondOrderPdn {
-        &self.die
-    }
-
-    /// The low-frequency (board) section.
-    #[must_use]
-    pub fn board_section(&self) -> &SecondOrderPdn {
-        &self.board
-    }
-
     /// Nominal supply voltage.
     #[must_use]
     pub fn vdd(&self) -> f64 {

@@ -65,8 +65,7 @@ impl ClientConfig {
     /// The deterministic delay before retry attempt `attempt`
     /// (0-based), honoring the server's `retry_after_ms` hint as a
     /// floor and `backoff_cap_ms` as a ceiling.
-    #[must_use]
-    pub fn backoff_ms(&self, attempt: u32, server_hint_ms: u64) -> u64 {
+    fn backoff_ms(&self, attempt: u32, server_hint_ms: u64) -> u64 {
         let exp = self
             .backoff_base_ms
             .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
@@ -144,15 +143,6 @@ impl Client {
     ///
     /// Propagates connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect with an explicit retry/backoff config.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failure.
-    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
@@ -160,7 +150,7 @@ impl Client {
             writer,
             reader: FrameReader::new(stream),
             next_id: 1,
-            config,
+            config: ClientConfig::default(),
             retries: 0,
         })
     }
@@ -187,8 +177,8 @@ impl Client {
     /// # Errors
     ///
     /// Transport, framing, and response-shape errors; `Rejected` and
-    /// `Error` responses are returned as `Ok` — use [`Client::expect_ok`]
-    /// or the typed helpers to turn them into [`ClientError`]s.
+    /// `Error` responses are returned as `Ok` — use the typed helpers
+    /// to turn them into [`ClientError`]s.
     pub fn call(
         &mut self,
         body: RequestBody,
@@ -243,7 +233,7 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Rejected`] and [`ClientError::Server`].
-    pub fn expect_ok(response: Response) -> Result<Json, ClientError> {
+    fn expect_ok(response: Response) -> Result<Json, ClientError> {
         match response.payload {
             ResponsePayload::Ok { result, .. } => Ok(result),
             ResponsePayload::Rejected { retry_after_ms, .. } => {

@@ -39,10 +39,10 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use didt_telemetry::{Json, MetricsRegistry};
+use didt_telemetry::{Counter, Json, MetricsRegistry};
 
 use super::ring::HashRing;
 use super::snapshot::warm_worker;
@@ -327,6 +327,8 @@ fn handle_request(shared: &Shared, request: &Request) -> Response {
 
 /// Route a shard-keyed request, failing over past dead workers.
 fn forward_sharded(shared: &Shared, request: &Request, key: u64) -> Response {
+    static REJECTED: OnceLock<Arc<Counter>> = OnceLock::new();
+    static REROUTED: OnceLock<Arc<Counter>> = OnceLock::new();
     let metrics = MetricsRegistry::global();
     let mut attempted = vec![false; shared.slots.len()];
     let mut hops = 0u64;
@@ -348,7 +350,9 @@ fn forward_sharded(shared: &Shared, request: &Request, key: u64) -> Response {
             // keeps the shard's cache affinity; spilling to another
             // worker would trade a short wait for a cold calibration.
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            metrics.counter("serve.router.rejected").incr();
+            REJECTED
+                .get_or_init(|| metrics.counter("serve.router.rejected"))
+                .incr();
             return Response::rejected(
                 request.id,
                 shared.config.retry_after_ms,
@@ -358,10 +362,12 @@ fn forward_sharded(shared: &Shared, request: &Request, key: u64) -> Response {
         match forward_once(shared, w, request) {
             Ok(response) => {
                 shared.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                metrics.counter("serve.router.forwarded").incr();
+                forwarded_counter().incr();
                 if hops > 0 {
                     shared.stats.rerouted.fetch_add(hops, Ordering::Relaxed);
-                    metrics.counter("serve.router.rerouted").add(hops);
+                    REROUTED
+                        .get_or_init(|| metrics.counter("serve.router.rerouted"))
+                        .add(hops);
                 }
                 if matches!(request.body, RequestBody::SessionOpen(_)) {
                     return adopt_session(shared, request.id, w, response);
@@ -378,6 +384,12 @@ fn forward_sharded(shared: &Shared, request: &Request, key: u64) -> Response {
             }
         }
     }
+}
+
+/// The `serve.router.forwarded` counter, shared by both forward paths.
+fn forwarded_counter() -> &'static Arc<Counter> {
+    static FORWARDED: OnceLock<Arc<Counter>> = OnceLock::new();
+    FORWARDED.get_or_init(|| MetricsRegistry::global().counter("serve.router.forwarded"))
 }
 
 /// Pin a session follow-up to the worker that owns the session.
@@ -414,9 +426,7 @@ fn forward_session_follow_up(shared: &Shared, request: &Request, session: u64) -
     match forward_once(shared, worker, &rewritten) {
         Ok(response) => {
             shared.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-            MetricsRegistry::global()
-                .counter("serve.router.forwarded")
-                .incr();
+            forwarded_counter().incr();
             if matches!(request.body, RequestBody::SessionClose { .. }) {
                 shared
                     .sessions
@@ -463,9 +473,10 @@ fn adopt_session(shared: &Shared, id: u64, worker: usize, response: Response) ->
         .lock()
         .expect("sessions poisoned")
         .insert(router_session, SessionRoute { worker, remote });
+    static OPENED: OnceLock<Arc<Counter>> = OnceLock::new();
     shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-    MetricsRegistry::global()
-        .counter("serve.router.sessions.opened")
+    OPENED
+        .get_or_init(|| MetricsRegistry::global().counter("serve.router.sessions.opened"))
         .incr();
     rewrite_result_session(
         Response {
@@ -655,19 +666,15 @@ fn checkin(slot: &WorkerSlot, conn: WorkerConn) {
     }
 }
 
-/// Mark worker `w` unhealthy: bump the route-table version, drop its
-/// pooled connections, and orphan every session it owned (follow-ups
-/// answer `unavailable` / `session_not_found` instead of hanging).
+/// Mark worker `w` unhealthy: bump the route-table version and drop
+/// its pooled connections. Its session routes stay, so a follow-up finds
+/// its owner down and answers `unavailable` (dropping the route) no
+/// matter which thread noticed the death first.
 fn mark_down(shared: &Shared, w: usize) {
     if shared.slots[w].healthy.swap(false, Ordering::SeqCst) {
         shared.stats.route_version.fetch_add(1, Ordering::Relaxed);
     }
     shared.slots[w].pool.lock().expect("pool poisoned").clear();
-    shared
-        .sessions
-        .lock()
-        .expect("sessions poisoned")
-        .retain(|_, route| route.worker != w);
 }
 
 // ---------------------------------------------------------------------------
@@ -736,10 +743,17 @@ fn prober_loop(shared: &Shared) {
     }
 }
 
-/// Re-enable a worker that came (back) up: warm its caches from a
-/// healthy peer first, so its first routed request per warmed shard is
-/// a memo-cache hit, then flip it healthy and bump the route version.
+/// Re-enable a worker that came (back) up: drop the session routes
+/// still pointing at it (a restarted worker has lost their state), warm
+/// its caches from a healthy peer, so its first routed request per
+/// warmed shard is a memo-cache hit, then flip it healthy and bump the
+/// route version.
 fn bring_up(shared: &Shared, w: usize) {
+    shared
+        .sessions
+        .lock()
+        .expect("sessions poisoned")
+        .retain(|_, route| route.worker != w);
     if shared.config.warm_on_rejoin {
         let peer = shared
             .slots
@@ -751,9 +765,12 @@ fn bring_up(shared: &Shared, w: usize) {
             // A failed warm only costs the joiner cold-cache misses;
             // it still takes traffic.
             if let Ok(installed) = warm_worker(&peer, &shared.slots[w].addr, SNAPSHOT_MAX_ENTRIES) {
+                static WARMED: OnceLock<Arc<Counter>> = OnceLock::new();
                 shared.stats.warmed.fetch_add(1, Ordering::Relaxed);
-                MetricsRegistry::global()
-                    .counter("serve.router.warmed_entries")
+                WARMED
+                    .get_or_init(|| {
+                        MetricsRegistry::global().counter("serve.router.warmed_entries")
+                    })
                     .add(installed);
             }
         }
@@ -861,6 +878,62 @@ mod tests {
         assert_eq!(report.rerouted, 0);
         let _ = w1.shutdown();
         let _ = w2.shutdown();
+    }
+
+    /// Open a session through a one-worker router with probing parked.
+    fn router_with_open_session() -> (Server, Router, Client, u64) {
+        let worker = start_worker();
+        let mut config = RouterConfig::new("127.0.0.1:0", vec![worker.local_addr().to_string()]);
+        config.probe_interval_ms = 60_000;
+        config.warm_on_rejoin = false;
+        let router = Router::start(config).expect("start router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let session = client
+            .session_open(SessionSpec {
+                window: 64,
+                gauss_windows: 40,
+                ..SessionSpec::default()
+            })
+            .unwrap();
+        (worker, router, client, session)
+    }
+
+    #[test]
+    fn follow_up_after_mark_down_is_unavailable() {
+        let (worker, router, mut client, session) = router_with_open_session();
+        // The worker is dead before the router notices, so the prober
+        // can only agree with the mark-down, never undo it.
+        let _ = worker.shutdown();
+        mark_down(&router.shared, 0);
+        match client.session_push(session, vec![1.0]) {
+            Err(crate::client::ClientError::Server { code, .. }) => {
+                assert_eq!(code, ErrorCode::Unavailable);
+            }
+            other => panic!("expected unavailable, got {other:?}"),
+        }
+        // The follow-up dropped the route.
+        match client.session_push(session, vec![1.0]) {
+            Err(crate::client::ClientError::Server { code, .. }) => {
+                assert_eq!(code, ErrorCode::SessionNotFound);
+            }
+            other => panic!("expected session_not_found, got {other:?}"),
+        }
+        let _ = router.shutdown();
+    }
+
+    #[test]
+    fn bring_up_drops_routes_to_the_rejoined_worker() {
+        let (worker, router, mut client, session) = router_with_open_session();
+        mark_down(&router.shared, 0);
+        bring_up(&router.shared, 0);
+        match client.session_push(session, vec![1.0]) {
+            Err(crate::client::ClientError::Server { code, .. }) => {
+                assert_eq!(code, ErrorCode::SessionNotFound);
+            }
+            other => panic!("expected session_not_found, got {other:?}"),
+        }
+        let _ = router.shutdown();
+        let _ = worker.shutdown();
     }
 
     #[test]

@@ -57,10 +57,10 @@ pub mod service;
 pub use client::{Client, ClientConfig, ClientError};
 pub use cluster::{warm_worker, HashRing, Router, RouterConfig};
 pub use protocol::{
-    calibration_shard_key, snapshot_entry_from_json, snapshot_entry_to_json, write_frame,
-    CharacterizeSpec, ClosedLoopSpec, DesignSpec, ErrorCode, FrameError, FrameReader, Request,
-    RequestBody, Response, ResponsePayload, SessionSpec, TraceSource, MAX_FRAME_LEN,
-    PROTOCOL_VERSION, SNAPSHOT_MAX_ENTRIES,
+    snapshot_entry_from_json, snapshot_entry_to_json, write_frame, CharacterizeSpec,
+    ClosedLoopSpec, DesignSpec, ErrorCode, FrameError, FrameReader, Request, RequestBody, Response,
+    ResponsePayload, SessionSpec, TraceSource, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    SNAPSHOT_MAX_ENTRIES,
 };
 pub use server::{ServeConfig, Server, ShutdownReport};
-pub use service::{Service, ServiceStats, MAX_OPEN_SESSIONS, MAX_SESSION_SAMPLES};
+pub use service::{Service, ServiceStats};

@@ -468,8 +468,7 @@ impl RequestBody {
 /// the service's only calibration identity. Every request with the same
 /// (family, boundary, window, PDN bits) hashes to the same shard, so one
 /// shard's memo caches stay hot and disjoint.
-#[must_use]
-pub fn calibration_shard_key(family: &str, boundary: &str, window: usize, pdn_bits: u64) -> u64 {
+fn calibration_shard_key(family: &str, boundary: &str, window: usize, pdn_bits: u64) -> u64 {
     let mut h = shard_fnv(FNV_SHARD_OFFSET, family.as_bytes());
     h = shard_fnv(h, &[0]);
     h = shard_fnv(h, boundary.as_bytes());

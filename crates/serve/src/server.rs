@@ -319,6 +319,9 @@ fn admit(shared: &Shared, request: Request, writer: &ConnWriter) -> std::io::Res
 /// under `catch_unwind`, response write.
 fn process_job(shared: &Shared, job: Job) {
     static QUEUE_WAIT: OnceLock<Arc<Histogram>> = OnceLock::new();
+    static DEADLINE_EXCEEDED: OnceLock<Arc<Counter>> = OnceLock::new();
+    static WORKER_PANICS: OnceLock<Arc<Counter>> = OnceLock::new();
+    static ERRORS: OnceLock<Arc<Counter>> = OnceLock::new();
     let stats = shared.service.stats();
     let metrics = MetricsRegistry::global();
     let now = Instant::now();
@@ -328,7 +331,9 @@ fn process_job(shared: &Shared, job: Job) {
     let id = job.request.id;
     let response = if job.deadline.is_some_and(|d| now >= d) {
         stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        metrics.counter("serve.deadline_exceeded").incr();
+        DEADLINE_EXCEEDED
+            .get_or_init(|| metrics.counter("serve.deadline_exceeded"))
+            .incr();
         Response::error(
             id,
             ErrorCode::DeadlineExceeded,
@@ -342,14 +347,18 @@ fn process_job(shared: &Shared, job: Job) {
             Ok(response) => response,
             Err(_) => {
                 stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                metrics.counter("serve.worker_panics").incr();
+                WORKER_PANICS
+                    .get_or_init(|| metrics.counter("serve.worker_panics"))
+                    .incr();
                 Response::error(id, ErrorCode::Internal, "request handler panicked")
             }
         }
     };
     stats.served.fetch_add(1, Ordering::Relaxed);
     if matches!(response.payload, ResponsePayload::Error { .. }) {
-        metrics.counter("serve.errors").incr();
+        ERRORS
+            .get_or_init(|| metrics.counter("serve.errors"))
+            .incr();
     }
     // A peer that vanished mid-request is its own problem; the
     // worker moves on.

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use didt_bench::{GainSnapshotEntry, SweepContext, SweepPoint};
@@ -25,7 +25,7 @@ use didt_core::monitor::TermKind;
 use didt_core::DidtError;
 use didt_dsp::streaming::StreamingHaar;
 use didt_dsp::{dwt_boundary, scale_variance, BoundaryMode, WaveletFamily};
-use didt_telemetry::{seed_to_hex, Json, MetricsRegistry};
+use didt_telemetry::{seed_to_hex, Counter, Histogram, Json, MetricsRegistry};
 use didt_uarch::Benchmark;
 
 use crate::protocol::{
@@ -34,11 +34,11 @@ use crate::protocol::{
 };
 
 /// Cap on concurrently open streaming sessions per service instance.
-pub const MAX_OPEN_SESSIONS: usize = 256;
+const MAX_OPEN_SESSIONS: usize = 256;
 
 /// Cap on total samples accumulated by one streaming session — matches
 /// the synthetic trace-length cap of the one-shot `Characterize` path.
-pub const MAX_SESSION_SAMPLES: usize = 4_000_000;
+const MAX_SESSION_SAMPLES: usize = 4_000_000;
 
 /// Seed for server-side gain calibrations. Fixed so identical
 /// `Characterize` specs give identical answers across connections,
@@ -146,6 +146,29 @@ fn check_deadline(deadline: Option<Instant>) -> Result<(), (ErrorCode, String)> 
     }
 }
 
+/// The `serve.requests.{kind}` counter for `body`'s kind: one handle
+/// per kind, resolved (and its name formatted) on the kind's first
+/// request.
+fn request_counter(body: &RequestBody) -> &'static Arc<Counter> {
+    static COUNTERS: [OnceLock<Arc<Counter>>; 11] = [const { OnceLock::new() }; 11];
+    let slot = match body {
+        RequestBody::Ping => 0,
+        RequestBody::Stats => 1,
+        RequestBody::Characterize(_) => 2,
+        RequestBody::ClosedLoop(_) => 3,
+        RequestBody::Design(_) => 4,
+        RequestBody::SessionOpen(_) => 5,
+        RequestBody::SessionPush { .. } => 6,
+        RequestBody::SessionVerdict { .. } => 7,
+        RequestBody::SessionClose { .. } => 8,
+        RequestBody::SnapshotExport { .. } => 9,
+        RequestBody::SnapshotImport { .. } => 10,
+    };
+    COUNTERS[slot].get_or_init(|| {
+        MetricsRegistry::global().counter(&format!("serve.requests.{}", body.kind()))
+    })
+}
+
 impl Service {
     /// A service over the standard Table 1 system.
     ///
@@ -189,9 +212,11 @@ impl Service {
     /// defense.
     #[must_use]
     pub fn handle(&self, request: &Request, deadline: Option<Instant>) -> Response {
+        static HANDLE_NS: OnceLock<Arc<Histogram>> = OnceLock::new();
+        static DEADLINE_EXCEEDED: OnceLock<Arc<Counter>> = OnceLock::new();
         let kind = request.body.kind();
         let metrics = MetricsRegistry::global();
-        metrics.counter(&format!("serve.requests.{kind}")).incr();
+        request_counter(&request.body).incr();
         let _span = match &request.body {
             RequestBody::Ping => didt_telemetry::span("serve.handle.ping"),
             RequestBody::Stats => didt_telemetry::span("serve.handle.stats"),
@@ -223,15 +248,17 @@ impl Service {
             RequestBody::SnapshotExport { max_entries } => self.snapshot_export(*max_entries),
             RequestBody::SnapshotImport { entries } => self.snapshot_import(entries),
         };
-        metrics
-            .histogram("serve.handle_ns")
+        HANDLE_NS
+            .get_or_init(|| metrics.histogram("serve.handle_ns"))
             .record_duration(t0.elapsed());
         match result {
             Ok(json) => Response::ok(request.id, kind, json),
             Err((code, message)) => {
                 if code == ErrorCode::DeadlineExceeded {
                     self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    metrics.counter("serve.deadline_exceeded").incr();
+                    DEADLINE_EXCEEDED
+                        .get_or_init(|| metrics.counter("serve.deadline_exceeded"))
+                        .incr();
                 }
                 Response::error(request.id, code, message)
             }
@@ -381,8 +408,11 @@ impl Service {
                     .iter()
                     .map(|r| r.current)
                     .collect();
-                MetricsRegistry::global()
-                    .counter(didt_trace::REPLAY_CYCLES_COUNTER)
+                static REPLAY_CYCLES: OnceLock<Arc<Counter>> = OnceLock::new();
+                REPLAY_CYCLES
+                    .get_or_init(|| {
+                        MetricsRegistry::global().counter(didt_trace::REPLAY_CYCLES_COUNTER)
+                    })
                     .add(samples.len() as u64);
                 Ok(Arc::new(samples))
             }
@@ -583,9 +613,10 @@ impl Service {
                 verdicts: 0,
             },
         );
+        static OPENED: OnceLock<Arc<Counter>> = OnceLock::new();
         self.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        MetricsRegistry::global()
-            .counter("serve.sessions.opened")
+        OPENED
+            .get_or_init(|| MetricsRegistry::global().counter("serve.sessions.opened"))
             .incr();
         Ok(Json::obj(vec![
             ("session", Json::num(id as f64)),
@@ -677,9 +708,10 @@ impl Service {
             .expect("session table poisoned")
             .remove(&session)
             .ok_or_else(|| no_session(session))?;
+        static CLOSED: OnceLock<Arc<Counter>> = OnceLock::new();
         self.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
-        MetricsRegistry::global()
-            .counter("serve.sessions.closed")
+        CLOSED
+            .get_or_init(|| MetricsRegistry::global().counter("serve.sessions.closed"))
             .incr();
         Ok(Json::obj(vec![
             ("session", Json::num(session as f64)),
@@ -707,8 +739,9 @@ impl Service {
                 installed += 1;
             }
         }
-        MetricsRegistry::global()
-            .counter("serve.snapshot.imported")
+        static IMPORTED: OnceLock<Arc<Counter>> = OnceLock::new();
+        IMPORTED
+            .get_or_init(|| MetricsRegistry::global().counter("serve.snapshot.imported"))
             .add(installed as u64);
         Ok(Json::obj(vec![
             ("received", Json::num(entries.len() as f64)),

@@ -178,7 +178,7 @@ pub struct ChiSquaredGof {
 impl ChiSquaredGof {
     /// Minimum variance for a window to be testable; below this the window
     /// is reported [`GofOutcome::Degenerate`].
-    pub const DEGENERATE_VARIANCE: f64 = 1e-12;
+    const DEGENERATE_VARIANCE: f64 = 1e-12;
 
     /// Create a test using `bins` equiprobable bins.
     ///

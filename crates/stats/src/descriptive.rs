@@ -1,11 +1,9 @@
-//! Descriptive statistics: means, variances, extrema and error metrics.
+//! Descriptive statistics: means, variances and extrema.
 //!
 //! The dI/dt methodology leans on *variance* as its central quantity: the
 //! paper estimates voltage variance from per-scale wavelet (current)
 //! variance. These helpers operate on `&[f64]` slices so they compose with
 //! both raw traces and wavelet coefficient rows.
-
-use crate::StatsError;
 
 /// Arithmetic mean of a sample.
 ///
@@ -46,23 +44,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
 }
 
-/// Unbiased sample variance (divides by `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] when fewer than two points are
-/// supplied.
-pub fn sample_variance(data: &[f64]) -> Result<f64, StatsError> {
-    if data.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            needed: 2,
-            got: data.len(),
-        });
-    }
-    let m = mean(data);
-    Ok(data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 ///
 /// # Examples
@@ -92,44 +73,6 @@ pub fn max(data: &[f64]) -> f64 {
         .copied()
         .filter(|x| !x.is_nan())
         .fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Root-mean-square error between an estimate series and a reference.
-///
-/// The paper reports its headline offline-estimation accuracy as an RMS
-/// error of 0.94 % across benchmarks (Figure 9); this is the metric used
-/// to compute that number.
-///
-/// # Errors
-///
-/// Returns [`StatsError::LengthMismatch`] when the slices differ in length
-/// and [`StatsError::InsufficientData`] when they are empty.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), didt_stats::StatsError> {
-/// let e = didt_stats::rms_error(&[1.0, 2.0], &[1.0, 4.0])?;
-/// assert!((e - 2.0f64.sqrt()).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn rms_error(estimate: &[f64], reference: &[f64]) -> Result<f64, StatsError> {
-    if estimate.len() != reference.len() {
-        return Err(StatsError::LengthMismatch {
-            left: estimate.len(),
-            right: reference.len(),
-        });
-    }
-    if estimate.is_empty() {
-        return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-    }
-    let sum_sq: f64 = estimate
-        .iter()
-        .zip(reference)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum();
-    Ok((sum_sq / estimate.len() as f64).sqrt())
 }
 
 /// One-pass summary of a trace: count, mean, variance and extrema.
@@ -163,103 +106,31 @@ impl Summary {
     /// Summarize a slice in a single pass (Welford's algorithm).
     #[must_use]
     pub fn from_slice(data: &[f64]) -> Self {
-        let mut s = StreamingSummary::new();
-        for &x in data {
-            s.push(x);
+        if data.is_empty() {
+            return Summary::default();
         }
-        s.finish()
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, &x) in data.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
+            min = min.min(x);
+            max = max.max(x);
+        }
+        Summary {
+            count: data.len(),
+            mean,
+            variance: m2 / data.len() as f64,
+            min,
+            max,
+        }
     }
 
     /// Population standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
         self.variance.sqrt()
-    }
-}
-
-/// Incremental summary accumulator (Welford), usable on streaming traces
-/// too long to buffer.
-///
-/// # Examples
-///
-/// ```
-/// use didt_stats::descriptive::StreamingSummary;
-///
-/// let mut acc = StreamingSummary::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     acc.push(x);
-/// }
-/// let s = acc.finish();
-/// assert_eq!(s.mean, 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StreamingSummary {
-    count: usize,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingSummary {
-    /// Create an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        StreamingSummary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feed one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Current running mean.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Current population variance.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Consume the accumulator, producing a [`Summary`].
-    #[must_use]
-    pub fn finish(self) -> Summary {
-        Summary {
-            count: self.count,
-            mean: self.mean,
-            variance: if self.count == 0 {
-                0.0
-            } else {
-                self.m2 / self.count as f64
-            },
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: if self.count == 0 { 0.0 } else { self.max },
-        }
     }
 }
 
@@ -284,19 +155,9 @@ mod tests {
 
     #[test]
     fn population_vs_sample_variance() {
-        let data = [1.0, 2.0, 3.0, 4.0];
-        let pop = variance(&data);
-        let samp = sample_variance(&data).unwrap();
+        // Divides by n (1.25), not by n - 1 (5/3).
+        let pop = variance(&[1.0, 2.0, 3.0, 4.0]);
         assert!((pop - 1.25).abs() < 1e-12);
-        assert!((samp - 5.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_needs_two_points() {
-        assert!(matches!(
-            sample_variance(&[1.0]),
-            Err(StatsError::InsufficientData { needed: 2, got: 1 })
-        ));
     }
 
     #[test]
@@ -304,25 +165,6 @@ mod tests {
         let data = [1.0, f64::NAN, -2.0, 7.0];
         assert_eq!(min(&data), -2.0);
         assert_eq!(max(&data), 7.0);
-    }
-
-    #[test]
-    fn rms_error_zero_for_identical() {
-        let a = [1.0, 2.0, 3.0];
-        assert_eq!(rms_error(&a, &a).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn rms_error_rejects_mismatch() {
-        assert!(matches!(
-            rms_error(&[1.0], &[1.0, 2.0]),
-            Err(StatsError::LengthMismatch { left: 1, right: 2 })
-        ));
-    }
-
-    #[test]
-    fn rms_error_rejects_empty() {
-        assert!(rms_error(&[], &[]).is_err());
     }
 
     #[test]
@@ -340,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_summary_is_sane() {
-        let s = StreamingSummary::new().finish();
+        let s = Summary::from_slice(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.variance, 0.0);

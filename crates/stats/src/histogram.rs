@@ -111,12 +111,6 @@ impl Histogram {
         self.total
     }
 
-    /// Samples that fell below the range (plus NaNs).
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Samples that fell at or above the top of the range.
     #[must_use]
     pub fn overflow(&self) -> u64 {
@@ -214,7 +208,7 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
         h.record(-5.0);
         h.record(2.0);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[3], 1);

@@ -30,7 +30,7 @@ pub struct LillieforsTest;
 
 impl LillieforsTest {
     /// Minimum sample size for the asymptotic critical values.
-    pub const MIN_SAMPLES: usize = 8;
+    const MIN_SAMPLES: usize = 8;
 
     /// Asymptotic Lilliefors critical constant `c(α)` such that
     /// `D_crit = c / (√n − 0.01 + 0.85/√n)` (Abdi & Molin's
@@ -54,8 +54,8 @@ impl LillieforsTest {
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::InsufficientData`] for samples below
-    /// [`Self::MIN_SAMPLES`] and [`StatsError::InvalidParameter`] for an
+    /// Returns [`StatsError::InsufficientData`] for fewer than 8 samples
+    /// and [`StatsError::InvalidParameter`] for an
     /// untabulated significance level.
     pub fn test_normality(&self, data: &[f64], significance: f64) -> Result<GofReport, StatsError> {
         let c = Self::critical_constant(significance).ok_or(StatsError::InvalidParameter {

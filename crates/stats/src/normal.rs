@@ -125,8 +125,7 @@ impl Normal {
     }
 
     /// Probability density at `x`.
-    #[must_use]
-    pub fn pdf(&self, x: f64) -> f64 {
+    fn pdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / self.std_dev;
         (-0.5 * z * z).exp() / (self.std_dev * (2.0 * std::f64::consts::PI).sqrt())
     }

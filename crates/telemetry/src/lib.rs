@@ -24,7 +24,7 @@
 //! - [`Json`] ([`json`] module): the minimal JSON tree + parser +
 //!   deterministic pretty-printer backing manifests and metric
 //!   snapshots. Vendored in the same offline spirit as
-//!   `vendor/{rand,proptest,criterion}` — the workspace has no
+//!   `vendor/{rand,proptest}` — the workspace has no
 //!   registry access, so `serde` is not an option.
 //!
 //! Like the simulation crates, this one depends only on `std`.
@@ -46,9 +46,7 @@ pub use manifest::{
     intern_scheduler_counter, manifest_dir, seed_from_hex, seed_to_hex, CacheClassRecord, GridAxis,
     PointRecord, RunManifest, SchedCounterRecord, SubRun, SCHEMA_VERSION,
 };
-pub use metrics::{
-    bucket_index, bucket_lower_bound, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
-};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use span::{
     install_collector, span, CollectorGuard, MemoryCollector, Span, SpanCollector, SpanRecord,
     SpanStat,

@@ -66,7 +66,7 @@ impl Gauge {
 
 /// Number of histogram buckets: one zero bucket plus one per power of
 /// two up to `u64::MAX`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A fixed-bucket base-2 log-scale histogram (see module docs).
 #[derive(Debug)]
@@ -88,8 +88,7 @@ impl Default for Histogram {
 
 /// The bucket index for a value: 0 for 0, else `64 - leading_zeros`
 /// (so bucket `i ≥ 1` covers `[2^(i-1), 2^i)`).
-#[must_use]
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -100,8 +99,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// Inclusive lower bound of bucket `index`. Indices past the last
 /// bucket saturate to `u64::MAX`, so `bucket_lower_bound(i + 1)` is a
 /// safe exclusive upper bound for any bucket, including the top one.
-#[must_use]
-pub fn bucket_lower_bound(index: usize) -> u64 {
+fn bucket_lower_bound(index: usize) -> u64 {
     match index {
         0 => 0,
         i if i >= HISTOGRAM_BUCKETS => u64::MAX,
@@ -168,33 +166,8 @@ impl Histogram {
         bucket_lower_bound(HISTOGRAM_BUCKETS - 1) as f64
     }
 
-    /// Exact bounds of the bucket containing the `q`-th recorded value:
-    /// `(inclusive lower, exclusive upper)`. The true quantile is
-    /// guaranteed to lie in this half-open interval — the precise
-    /// statement behind [`Histogram::quantile`]'s factor-of-√2 accuracy
-    /// claim, and the form the quantile tests pin exactly. `(0, 0)`
-    /// when empty.
-    #[must_use]
-    pub fn quantile_bounds(&self, q: f64) -> (u64, u64) {
-        let count = self.count();
-        if count == 0 {
-            return (0, 0);
-        }
-        let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return (bucket_lower_bound(i), bucket_lower_bound(i + 1));
-            }
-        }
-        let last = HISTOGRAM_BUCKETS - 1;
-        (bucket_lower_bound(last), u64::MAX)
-    }
-
     /// Non-empty buckets as `(inclusive lower bound, count)` pairs.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -377,14 +350,10 @@ mod tests {
         }
         // True p50 = 500 lives in [256, 512); cumulative count through
         // that bucket is 511 >= rank 500.
-        assert_eq!(h.quantile_bounds(0.5), (256, 512));
-        assert!((256..512).contains(&500u64));
         assert_eq!(h.quantile(0.5), (256.0f64 * 512.0).sqrt());
         // p95 (true value 950) and p99 (true value 990) both live in
         // [512, 1024).
-        assert_eq!(h.quantile_bounds(0.95), (512, 1024));
-        assert_eq!(h.quantile_bounds(0.99), (512, 1024));
-        assert!((512..1024).contains(&990u64));
+        assert_eq!(h.quantile(0.95), (512.0f64 * 1024.0).sqrt());
         assert_eq!(h.quantile(0.99), (512.0f64 * 1024.0).sqrt());
         // The geometric midpoint of a power-of-two bucket is within a
         // factor of sqrt(2) of any value in it — check against the true
@@ -407,18 +376,14 @@ mod tests {
             h.record(1_000_000);
         }
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile_bounds(q), (524_288, 1_048_576), "q={q}");
-            assert_eq!(h.quantile(q), (524_288.0f64 * 1_048_576.0).sqrt());
+            assert_eq!(h.quantile(q), (524_288.0f64 * 1_048_576.0).sqrt(), "q={q}");
         }
-        let (lo, hi) = h.quantile_bounds(0.5);
-        assert!((lo..hi).contains(&1_000_000u64));
     }
 
     #[test]
     fn quantiles_in_top_bucket_do_not_overflow() {
         let h = Histogram::default();
         h.record(u64::MAX);
-        assert_eq!(h.quantile_bounds(1.0), (1 << 63, u64::MAX));
         let p = h.quantile(1.0);
         assert!(p.is_finite() && p >= (1u64 << 63) as f64);
     }
@@ -429,7 +394,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.quantile_bounds(0.5), (0, 0));
         assert!(h.nonzero_buckets().is_empty());
     }
 

@@ -36,15 +36,15 @@ use crate::crc::Crc32;
 use crate::record::{Record, RecordKind};
 
 /// File magic: ASCII `DTRC`.
-pub const MAGIC: [u8; 4] = *b"DTRC";
+const MAGIC: [u8; 4] = *b"DTRC";
 /// Format version implemented by this module. Version bumps are
 /// breaking: readers reject every other value.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 /// Hard cap on records per data chunk (`TRACE_FORMAT.md` §4); bounds
 /// reader allocation before any payload byte is read.
-pub const MAX_CHUNK_RECORDS: u32 = 1_048_576;
+const MAX_CHUNK_RECORDS: u32 = 1_048_576;
 /// Default records per chunk for writers that don't choose one.
-pub const DEFAULT_CHUNK_RECORDS: usize = 16_384;
+const DEFAULT_CHUNK_RECORDS: usize = 16_384;
 /// Global counter incremented once per accepted data chunk.
 pub const READ_CHUNKS_COUNTER: &str = "trace.read_chunks";
 /// Global counter incremented once per recorded cycle fed back into an
@@ -92,7 +92,7 @@ pub enum TraceError {
     Io(io::Error),
     /// The first four bytes are not `DTRC`.
     BadMagic,
-    /// A version other than [`VERSION`].
+    /// A version other than 1, the one this module implements.
     UnsupportedVersion(u16),
     /// A record-kind id this implementation does not know.
     UnsupportedRecordKind(u16),
@@ -105,7 +105,7 @@ pub enum TraceError {
     },
     /// The stream ended before a complete end chunk was read.
     Truncated,
-    /// A chunk announced more records than [`MAX_CHUNK_RECORDS`] or a
+    /// A chunk announced more records than the 2^20 cap or a
     /// payload longer than the §4 bound permits.
     ChunkTooLarge {
         /// Announced record count.
@@ -320,7 +320,7 @@ impl<W: Write> TraceWriter<W> {
     /// # Errors
     ///
     /// [`TraceError::Unwritable`] when the name exceeds 255 bytes or
-    /// `chunk_records` is outside `1..=`[`MAX_CHUNK_RECORDS`]; I/O
+    /// `chunk_records` is outside `1..=2^20`; I/O
     /// errors writing the header.
     pub fn with_chunk_records(
         mut sink: W,
@@ -392,12 +392,6 @@ impl<W: Write> TraceWriter<W> {
             self.push(r)?;
         }
         Ok(())
-    }
-
-    /// Records pushed so far.
-    #[must_use]
-    pub fn records_written(&self) -> u64 {
-        self.total
     }
 
     fn flush_chunk(&mut self) -> Result<(), TraceError> {
@@ -529,12 +523,6 @@ impl<R: Read> TraceReader<R> {
     #[must_use]
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// Records decoded so far.
-    #[must_use]
-    pub fn records_read(&self) -> u64 {
-        self.total_seen
     }
 
     /// Decode the next data chunk into `out` (cleared first).

@@ -64,11 +64,7 @@ pub mod record;
 pub use crc::{crc32, Crc32};
 pub use format::{
     read_all, read_path, write_path, TraceError, TraceMeta, TraceReader, TraceWriter,
-    DEFAULT_CHUNK_RECORDS, MAGIC, MAX_CHUNK_RECORDS, READ_CHUNKS_COUNTER, REPLAY_CYCLES_COUNTER,
-    VERSION,
+    READ_CHUNKS_COUNTER, REPLAY_CYCLES_COUNTER,
 };
-pub use phase::{
-    cluster_records, cluster_signatures, interval_signatures, PhaseClustering, PhaseConfig,
-    PhaseError, Representative,
-};
+pub use phase::{cluster_records, PhaseClustering, PhaseConfig, PhaseError, Representative};
 pub use record::{Record, RecordKind};

@@ -127,13 +127,6 @@ impl PhaseClustering {
     pub fn weighted_estimate(&self, mut f: impl FnMut(&Representative) -> f64) -> f64 {
         self.representatives.iter().map(|r| r.weight * f(r)).sum()
     }
-
-    /// Cycles a consumer simulates when it evaluates every
-    /// representative slice once (without any per-slice warm-in).
-    #[must_use]
-    pub fn representative_cycles(&self) -> usize {
-        self.representatives.len() * self.interval
-    }
 }
 
 /// The splitmix64 step: a tiny, well-mixed deterministic stream for the
@@ -167,10 +160,7 @@ fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// [`PhaseError::InvalidConfig`] for a zero or non-`2^levels`-divisible
 /// interval; [`PhaseError::TooFewIntervals`] when the trace is shorter
 /// than one interval.
-pub fn interval_signatures(
-    records: &[Record],
-    cfg: &PhaseConfig,
-) -> Result<Vec<Vec<f64>>, PhaseError> {
+fn interval_signatures(records: &[Record], cfg: &PhaseConfig) -> Result<Vec<Vec<f64>>, PhaseError> {
     if cfg.interval == 0 {
         return Err(PhaseError::InvalidConfig("interval must be positive"));
     }
@@ -336,7 +326,7 @@ fn kmeans(sigs: &[Vec<f64>], k: usize, seed: u64, max_iters: usize) -> (Vec<usiz
 ///
 /// [`PhaseError::InvalidConfig`] for zero clusters,
 /// [`PhaseError::TooFewIntervals`] for an empty signature list.
-pub fn cluster_signatures(
+fn cluster_signatures(
     signatures: &[Vec<f64>],
     cfg: &PhaseConfig,
 ) -> Result<PhaseClustering, PhaseError> {
@@ -392,8 +382,8 @@ pub fn cluster_signatures(
     })
 }
 
-/// Cluster a record stream: [`interval_signatures`] then
-/// [`cluster_signatures`].
+/// Cluster a record stream: `interval_signatures` then
+/// `cluster_signatures`.
 ///
 /// # Errors
 ///
@@ -477,7 +467,7 @@ mod tests {
         let c = cluster_records(&records, &cfg(128, 4)).unwrap();
         let total: f64 = c.representatives.iter().map(|r| r.weight).sum();
         assert!((total - 1.0).abs() < 1e-12);
-        assert!(c.representative_cycles() <= 4 * 128);
+        assert!(c.representatives.len() * c.interval <= 4 * 128);
     }
 
     #[test]

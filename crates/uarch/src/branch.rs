@@ -55,8 +55,6 @@ pub struct BranchPredictor {
     /// Hoisted `btb_tags.len() / btb_ways`, so the hot BTB paths do no
     /// per-call division.
     btb_sets: usize,
-    ras: Vec<u64>,
-    ras_capacity: usize,
     lookups: u64,
     mispredicts: u64,
 }
@@ -92,8 +90,6 @@ impl BranchPredictor {
             btb_tags: vec![u64::MAX; cfg.btb_entries],
             btb_ways: cfg.btb_ways,
             btb_sets: cfg.btb_entries / cfg.btb_ways,
-            ras: Vec::with_capacity(cfg.ras_entries),
-            ras_capacity: cfg.ras_entries,
             lookups: 0,
             mispredicts: 0,
         }
@@ -204,33 +200,14 @@ impl BranchPredictor {
         }
     }
 
-    /// Push a return address onto the RAS (on simulated calls).
-    pub fn ras_push(&mut self, addr: u64) {
-        if self.ras.len() == self.ras_capacity {
-            self.ras.remove(0);
-        }
-        self.ras.push(addr);
-    }
-
-    /// Pop a return address (on simulated returns).
-    pub fn ras_pop(&mut self) -> Option<u64> {
-        self.ras.pop()
-    }
-
-    /// Branches observed.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
     /// Mispredicted branches.
     #[must_use]
     pub fn mispredicts(&self) -> u64 {
         self.mispredicts
     }
 
-    /// Rewind every table, the history register, the BTB, the RAS and
-    /// the statistics to the as-built state — bit-identical to a fresh
+    /// Rewind every table, the history register, the BTB and the
+    /// statistics to the as-built state — bit-identical to a fresh
     /// `BranchPredictor::new` with the same configuration, reusing the
     /// table allocations (the processor-recycle path depends on this).
     pub fn reset(&mut self) {
@@ -239,7 +216,6 @@ impl BranchPredictor {
         self.chooser.fill(Counter2(1));
         self.history = 0;
         self.btb_tags.fill(u64::MAX);
-        self.ras.clear();
         self.lookups = 0;
         self.mispredicts = 0;
     }
@@ -382,7 +358,7 @@ mod tests {
             split.update(pc, taken, b);
             assert_eq!(a, b, "iteration {i}");
         }
-        assert_eq!(fused.lookups(), split.lookups());
+        assert_eq!(fused.lookups, split.lookups);
         assert_eq!(fused.mispredicts(), split.mispredicts());
     }
 
@@ -395,7 +371,6 @@ mod tests {
             let _ = p;
             bp.btb_insert(pc);
         }
-        bp.ras_push(42);
         bp.reset();
         let mut fresh = predictor();
         for i in 0..500u64 {
@@ -406,21 +381,5 @@ mod tests {
             );
             assert_eq!(bp.btb_lookup(pc), fresh.btb_lookup(pc));
         }
-        assert_eq!(bp.ras_pop(), None);
-    }
-
-    #[test]
-    fn ras_lifo_and_overflow() {
-        let mut bp = predictor();
-        for i in 0..40u64 {
-            bp.ras_push(i);
-        }
-        // Capacity 32: oldest 8 were dropped.
-        assert_eq!(bp.ras_pop(), Some(39));
-        let mut last = 39;
-        while let Some(v) = bp.ras_pop() {
-            last = v;
-        }
-        assert_eq!(last, 8);
     }
 }

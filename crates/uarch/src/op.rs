@@ -46,13 +46,6 @@ impl OpClass {
     pub fn is_memory(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
-
-    /// `true` when the op occupies its functional unit for the full
-    /// latency (unpipelined divides).
-    #[must_use]
-    pub fn is_unpipelined(self) -> bool {
-        matches!(self, OpClass::IntDiv | OpClass::FpDiv)
-    }
 }
 
 /// One synthetic instruction, as emitted by a workload generator.
@@ -111,13 +104,6 @@ mod tests {
         assert!(OpClass::Load.is_memory());
         assert!(OpClass::Store.is_memory());
         assert!(!OpClass::Branch.is_memory());
-    }
-
-    #[test]
-    fn unpipelined_divides() {
-        assert!(OpClass::IntDiv.is_unpipelined());
-        assert!(OpClass::FpDiv.is_unpipelined());
-        assert!(!OpClass::IntMult.is_unpipelined());
     }
 
     #[test]

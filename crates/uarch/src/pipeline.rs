@@ -391,13 +391,6 @@ impl<W: Iterator<Item = MicroOp>> Processor<W> {
         self.cycle
     }
 
-    /// `true` while the front end is blocked (mispredict recovery or
-    /// I-cache refill) — a diagnostic hook for tests and tools.
-    #[must_use]
-    pub fn fetch_blocked(&self) -> bool {
-        self.cycle < self.fetch_resume_at
-    }
-
     /// Occupied instruction-window entries — diagnostic hook.
     #[must_use]
     pub fn window_occupancy(&self) -> usize {
@@ -872,36 +865,6 @@ impl<W: Iterator<Item = MicroOp>> Processor<W> {
 impl MicroOp {
     fn is_nop_pc(&self) -> bool {
         self.op == OpClass::Nop
-    }
-}
-
-impl<W: Iterator<Item = MicroOp>> Processor<W> {
-    /// Diagnostic: fetch is blocked specifically on an unresolved branch.
-    #[must_use]
-    #[doc(hidden)]
-    pub fn fetch_block_is_unresolved_branch(&self) -> bool {
-        self.fetch_resume_at == u64::MAX
-    }
-}
-
-impl<W: Iterator<Item = MicroOp>> Processor<W> {
-    /// Diagnostic: ROB head snapshot `(op, state_code, wait_cycles)` where
-    /// state_code is 0=waiting, 1=executing, 2=done.
-    #[must_use]
-    #[doc(hidden)]
-    pub fn head_snapshot(&self) -> Option<(OpClass, u8, u64)> {
-        if self.rob.len == 0 {
-            return None;
-        }
-        let h = self.rob.head;
-        let state = self.rob.state[h];
-        let done_at = self.rob.done_at[h];
-        let wait = if state == ST_EXECUTING && done_at != u64::MAX {
-            done_at.saturating_sub(self.cycle)
-        } else {
-            0
-        };
-        Some((self.rob.op[h], state, wait))
     }
 }
 

@@ -166,13 +166,6 @@ impl PowerModel {
             + self.window_entry * f64::from(a.window_occupancy)
             + self.lsq_entry * f64::from(a.lsq_occupancy)
     }
-
-    /// Per-cycle current draw in amperes at the given supply voltage
-    /// (`I = P / Vdd`, the paper's conversion).
-    #[must_use]
-    pub fn cycle_current(&self, a: &CycleActivity, vdd: f64) -> f64 {
-        self.cycle_power(a) / vdd
-    }
 }
 
 impl Default for PowerModel {
@@ -224,17 +217,6 @@ mod tests {
         };
         let p = m.cycle_power(&a);
         assert!((10.0..20.0).contains(&p), "stall power {p}");
-    }
-
-    #[test]
-    fn current_is_power_over_vdd() {
-        let m = PowerModel::table1();
-        let a = CycleActivity {
-            fetched: 2,
-            ..CycleActivity::default()
-        };
-        assert_eq!(m.cycle_current(&a, 1.0), m.cycle_power(&a));
-        assert!((m.cycle_current(&a, 2.0) - m.cycle_power(&a) / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -29,16 +29,6 @@ impl EventTrace {
     pub fn l2_misses_in(&self, start: usize, len: usize) -> u64 {
         self.l2_misses[start + len] - self.l2_misses[start]
     }
-
-    /// Branch mispredicts that occurred within `[start, start + len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range exceeds the trace.
-    #[must_use]
-    pub fn mispredicts_in(&self, start: usize, len: usize) -> u64 {
-        self.mispredicts[start + len] - self.mispredicts[start]
-    }
 }
 
 /// Like [`capture_trace`], additionally recording cumulative per-cycle
