@@ -242,22 +242,6 @@ impl<K, V> Default for MemoCache<K, V> {
     }
 }
 
-/// Shard-summed [`MemoCache`] statistics, gathered without ever waiting
-/// on an in-flight compute (fills run outside the shard locks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Distinct keys resident, summed over shards.
-    pub keys: usize,
-    /// Compute closures actually run.
-    pub computations: usize,
-    /// Calls that returned a value.
-    pub requests: usize,
-    /// Requests served from cache (`requests - computations`).
-    pub hits: usize,
-    /// Slot lookups that found their shard lock held by another thread.
-    pub contended: usize,
-}
-
 impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
     /// An empty cache.
     #[must_use]
@@ -445,18 +429,6 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
             }
         }
         out
-    }
-
-    /// All counters in one shard-summed snapshot; see [`MemoStats`].
-    #[must_use]
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            keys: self.len(),
-            computations: self.computations(),
-            requests: self.requests(),
-            hits: self.hits(),
-            contended: self.contended(),
-        }
     }
 }
 
@@ -1753,13 +1725,11 @@ mod tests {
             let again = cache.get_or_compute(k, || unreachable!("must be cached"));
             assert_eq!(*again, k * 2);
         }
-        let stats = cache.stats();
-        assert_eq!(stats.keys, 64);
-        assert_eq!(stats.computations, 64);
-        assert_eq!(stats.requests, 128);
-        assert_eq!(stats.hits, 64);
-        assert_eq!(stats.contended, 0, "single thread cannot contend");
         assert_eq!(cache.len(), 64);
+        assert_eq!(cache.computations(), 64);
+        assert_eq!(cache.requests(), 128);
+        assert_eq!(cache.hits(), 64);
+        assert_eq!(cache.contended(), 0, "single thread cannot contend");
     }
 
     #[test]
@@ -1848,8 +1818,11 @@ mod tests {
     fn warm_hits_count_requests_but_never_compute() {
         let ctx = SweepContext::standard().unwrap();
         let first = ctx.gain_model(150.0, 256, 11).unwrap();
-        let stats = ctx.gains.stats();
-        assert_eq!((stats.computations, stats.requests, stats.hits), (1, 1, 0));
+        let gains = &ctx.gains;
+        assert_eq!(
+            (gains.computations(), gains.requests(), gains.hits()),
+            (1, 1, 0)
+        );
         for i in 1..=4 {
             let again = ctx.gain_model(150.0, 256, 11).unwrap();
             assert!(Arc::ptr_eq(&first, &again));

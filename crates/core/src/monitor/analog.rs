@@ -6,8 +6,7 @@
 //! digital die is the practical objection the paper raises (Table 2:
 //! "requires analog circuit").
 
-use crate::monitor::{CycleSense, VoltageMonitor};
-use std::collections::VecDeque;
+use crate::monitor::{CycleSense, DelayLine, VoltageMonitor};
 
 /// Ideal (zero-error) voltage sensor with a configurable sensing delay.
 ///
@@ -25,8 +24,7 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalogSensor {
-    delay: usize,
-    pipeline: VecDeque<f64>,
+    delay: DelayLine,
 }
 
 impl AnalogSensor {
@@ -35,19 +33,14 @@ impl AnalogSensor {
     #[must_use]
     pub fn new(vdd: f64, delay: usize) -> Self {
         AnalogSensor {
-            delay,
-            pipeline: VecDeque::from(vec![vdd; delay]),
+            delay: DelayLine::new(vdd, delay),
         }
     }
 }
 
 impl VoltageMonitor for AnalogSensor {
     fn observe(&mut self, sense: CycleSense) -> f64 {
-        if self.delay == 0 {
-            return sense.voltage;
-        }
-        self.pipeline.push_back(sense.voltage);
-        self.pipeline.pop_front().unwrap_or(sense.voltage)
+        self.delay.pass(sense.voltage)
     }
 
     fn name(&self) -> &'static str {
@@ -59,7 +52,7 @@ impl VoltageMonitor for AnalogSensor {
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.delay.len()
     }
 }
 

@@ -17,9 +17,8 @@
 //! long closed-loop runs and as an oracle in tests: with zero delay its
 //! output is bit-identical to [`didt_pdn::VoltageSimulator`].
 
-use crate::monitor::{CycleSense, VoltageMonitor};
+use crate::monitor::{CycleSense, DelayLine, VoltageMonitor};
 use didt_pdn::{Biquad, SecondOrderPdn};
-use std::collections::VecDeque;
 
 /// Recursive (IIR) droop monitor; see the module docs.
 ///
@@ -46,8 +45,7 @@ use std::collections::VecDeque;
 pub struct BiquadMonitor {
     filter: Biquad,
     vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<f64>,
+    delay: DelayLine,
 }
 
 impl BiquadMonitor {
@@ -59,8 +57,7 @@ impl BiquadMonitor {
         BiquadMonitor {
             filter: pdn.droop_filter(),
             vdd: pdn.vdd(),
-            delay,
-            pipeline: VecDeque::from(vec![pdn.vdd(); delay]),
+            delay: DelayLine::new(pdn.vdd(), delay),
         }
     }
 }
@@ -70,11 +67,7 @@ impl VoltageMonitor for BiquadMonitor {
         // Same ops in the same order as VoltageSimulator::step, so the
         // delay-0 estimate is bitwise equal to the true voltage.
         let est = self.vdd - self.filter.step(sense.current);
-        if self.delay == 0 {
-            return est;
-        }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
+        self.delay.pass(est)
     }
 
     fn name(&self) -> &'static str {
@@ -87,7 +80,7 @@ impl VoltageMonitor for BiquadMonitor {
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.delay.len()
     }
 }
 

@@ -18,11 +18,10 @@
 //! online" constraint documented in `didt_dsp::streaming`).
 
 use crate::monitor::shift_register::HistoryRing;
-use crate::monitor::{CycleSense, VoltageMonitor};
+use crate::monitor::{CycleSense, DelayLine, VoltageMonitor};
 use crate::DidtError;
 use didt_dsp::{dwt_boundary, idwt, BoundaryMode, WaveletDecomposition, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
-use std::collections::VecDeque;
 
 /// One coefficient of the impulse response's family-basis expansion.
 /// `row < levels` indexes a detail row (0 = finest); `row == levels`
@@ -232,8 +231,7 @@ impl FamilyMonitorDesign {
             kernel,
             terms: k.min(self.order.len()),
             vdd: self.vdd,
-            delay,
-            pipeline: VecDeque::from(vec![self.vdd; delay]),
+            delay: DelayLine::new(self.vdd, delay),
         })
     }
 }
@@ -248,20 +246,14 @@ pub struct FamilyMonitor {
     kernel: Vec<f64>,
     terms: usize,
     vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<f64>,
+    delay: DelayLine,
 }
 
 impl VoltageMonitor for FamilyMonitor {
     fn observe(&mut self, sense: CycleSense) -> f64 {
         self.ring.push(sense.current);
         let droop = self.ring.dot(&self.kernel);
-        let est = self.vdd - droop;
-        if self.delay == 0 {
-            return est;
-        }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
+        self.delay.pass(self.vdd - droop)
     }
 
     fn name(&self) -> &'static str {
@@ -273,7 +265,7 @@ impl VoltageMonitor for FamilyMonitor {
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.delay.len()
     }
 }
 

@@ -8,9 +8,8 @@
 //! impractical; the default models this with a 3-cycle latency.
 
 use crate::monitor::shift_register::HistoryRing;
-use crate::monitor::{CycleSense, VoltageMonitor};
+use crate::monitor::{CycleSense, DelayLine, VoltageMonitor};
 use didt_pdn::SecondOrderPdn;
-use std::collections::VecDeque;
 
 /// Full-convolution voltage monitor.
 ///
@@ -40,8 +39,7 @@ pub struct FullConvolutionMonitor {
     ring: HistoryRing,
     impulse: Vec<f64>,
     vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<f64>,
+    delay: DelayLine,
 }
 
 impl FullConvolutionMonitor {
@@ -53,8 +51,7 @@ impl FullConvolutionMonitor {
             ring: HistoryRing::new(taps.max(1)),
             impulse: pdn.impulse_response(taps.max(1)),
             vdd: pdn.vdd(),
-            delay,
-            pipeline: VecDeque::from(vec![pdn.vdd(); delay]),
+            delay: DelayLine::new(pdn.vdd(), delay),
         }
     }
 
@@ -70,17 +67,12 @@ impl FullConvolutionMonitor {
 impl VoltageMonitor for FullConvolutionMonitor {
     fn observe(&mut self, sense: CycleSense) -> f64 {
         self.ring.push(sense.current);
-        // Contiguous two-segment dot product over the ring halves;
+        // One forward dot product over the mirrored ring's lag slice;
         // bit-identical to a per-tap `ring.lag(m)` walk (the golden
         // tab02 numbers flow through this line) but without the modulo
         // and bounds check per tap.
         let droop = self.ring.dot(&self.impulse);
-        let est = self.vdd - droop;
-        if self.delay == 0 {
-            return est;
-        }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
+        self.delay.pass(self.vdd - droop)
     }
 
     fn name(&self) -> &'static str {
@@ -92,13 +84,14 @@ impl VoltageMonitor for FullConvolutionMonitor {
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.delay.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn pdn() -> SecondOrderPdn {
         SecondOrderPdn::from_resonance(100e6, 2.2, 4e-4, 1.0, 3e9).unwrap()

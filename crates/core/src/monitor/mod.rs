@@ -67,6 +67,43 @@ pub trait VoltageMonitor {
     fn delay(&self) -> usize;
 }
 
+/// A monitor's fixed output latency: `pass(x)` returns the value handed
+/// in `delay` cycles earlier, prefilled with a constant (the nominal
+/// supply) until the first real value emerges. Delay 0 passes `x`
+/// straight through.
+#[derive(Debug, Clone, PartialEq)]
+struct DelayLine {
+    slots: Vec<f64>,
+    /// Slot holding the oldest value, overwritten by the next `pass`.
+    cursor: usize,
+}
+
+impl DelayLine {
+    fn new(fill: f64, delay: usize) -> Self {
+        DelayLine {
+            slots: vec![fill; delay],
+            cursor: 0,
+        }
+    }
+
+    /// The latency in cycles.
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn pass(&mut self, x: f64) -> f64 {
+        let Some(slot) = self.slots.get_mut(self.cursor) else {
+            return x;
+        };
+        let out = std::mem::replace(slot, x);
+        self.cursor += 1;
+        if self.cursor == self.slots.len() {
+            self.cursor = 0;
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,6 +111,16 @@ mod tests {
     #[test]
     fn trait_is_object_safe() {
         fn _takes(_: &dyn VoltageMonitor) {}
+    }
+
+    #[test]
+    fn delay_line_returns_the_value_from_delay_cycles_ago() {
+        let mut line = DelayLine::new(1.0, 3);
+        assert_eq!(line.len(), 3);
+        let outs: Vec<f64> = (0..8).map(|n| line.pass(f64::from(n))).collect();
+        assert_eq!(outs, [1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
+        let mut through = DelayLine::new(1.0, 0);
+        assert_eq!((through.len(), through.pass(0.25)), (0, 0.25));
     }
 
     #[test]

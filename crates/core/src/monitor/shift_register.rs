@@ -97,14 +97,32 @@ impl SlidingTerm {
         self.raw * self.norm
     }
 
+    /// The normalisation `1/√span` that scales the raw pulse sum into
+    /// the coefficient.
+    pub(crate) fn norm(&self) -> f64 {
+        self.norm
+    }
+
+    /// The three lags a one-cycle slide reads: the sample entering the
+    /// window, the one crossing from the + to the − pulse (read by
+    /// detail terms only), and the one leaving it.
+    pub(crate) fn taps(&self) -> [usize; 3] {
+        [
+            self.offset,
+            self.offset + self.span / 2,
+            self.offset + self.span,
+        ]
+    }
+
     /// Slide the window one cycle: must be called exactly once per ring
     /// push, *after* the push.
     pub fn update(&mut self, ring: &HistoryRing) {
-        let newest_in = ring.lag(self.offset);
-        let oldest_out = ring.lag(self.offset + self.span);
+        let [newest, crossing, oldest] = self.taps();
+        let newest_in = ring.lag(newest);
+        let oldest_out = ring.lag(oldest);
         match self.kind {
             TermKind::Detail => {
-                let crossing = ring.lag(self.offset + self.span / 2);
+                let crossing = ring.lag(crossing);
                 // Enters +pulse, moves + → − (double weight), leaves −.
                 self.raw += newest_in - 2.0 * crossing + oldest_out;
             }
@@ -141,10 +159,18 @@ impl SlidingTerm {
 ///
 /// `lag(0)` is the newest sample; lags beyond the history seen so far
 /// read as zero (the quiescent pre-history).
+///
+/// The ring is *mirrored*: it keeps `cap` lags (a power of two) in
+/// `2·cap` slots, and every push writes its sample twice, at `pos` and
+/// at `pos + cap`, moving `pos` one slot *down*. Lags `0..cap` are then
+/// always the single forward slice `buf[pos..pos + cap]`
+/// ([`HistoryRing::lags`]), so readers index it directly instead of
+/// wrapping and masking per read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryRing {
     buf: Vec<f64>,
-    head: usize,
+    /// Slot of the newest sample, in `0..cap`.
+    pos: usize,
 }
 
 impl HistoryRing {
@@ -157,16 +183,26 @@ impl HistoryRing {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        let cap = (capacity + 1).next_power_of_two();
         HistoryRing {
-            buf: vec![0.0; (capacity + 1).next_power_of_two()],
-            head: 0,
+            buf: vec![0.0; 2 * cap],
+            pos: 0,
         }
     }
 
     /// Push the newest sample.
     pub fn push(&mut self, x: f64) {
-        self.head = (self.head + 1) & (self.buf.len() - 1);
-        self.buf[self.head] = x;
+        let cap = self.capacity();
+        self.pos = (self.pos + cap - 1) & (cap - 1);
+        self.buf[self.pos] = x;
+        self.buf[self.pos + cap] = x;
+    }
+
+    /// The whole history newest-first: element `m` is [`lag(m)`](Self::lag),
+    /// for every lag below the capacity.
+    #[must_use]
+    pub fn lags(&self) -> &[f64] {
+        &self.buf[self.pos..self.pos + self.capacity()]
     }
 
     /// Read the sample `lag` cycles ago (0 = newest).
@@ -176,22 +212,21 @@ impl HistoryRing {
     /// Panics if `lag` is not below the ring capacity.
     #[must_use]
     pub fn lag(&self, lag: usize) -> f64 {
-        assert!(lag < self.buf.len(), "lag {lag} exceeds ring capacity");
-        self.buf[(self.head.wrapping_sub(lag)) & (self.buf.len() - 1)]
+        assert!(lag < self.capacity(), "lag {lag} exceeds ring capacity");
+        self.buf[self.pos + lag]
     }
 
     /// Ring capacity (maximum addressable lag + 1).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.buf.len() / 2
     }
 
     /// Dot product of the weight vector `h` with the lag history:
     /// `Σ_m h[m] · lag(m)`, bit-identical to the naive per-lag loop
-    /// (same accumulator, same m order) but without the per-tap modulo
-    /// arithmetic and bounds assert: the lag walk is two contiguous
-    /// reversed slices of the ring (newest back to slot 0, then the
-    /// wrapped tail down from the top of the buffer).
+    /// (one accumulator from `0.0`, `m` increasing) but as one forward
+    /// zip over the mirrored ring's lag slice, with no per-tap wrap or
+    /// bounds assert.
     ///
     /// # Panics
     ///
@@ -199,20 +234,9 @@ impl HistoryRing {
     #[must_use]
     pub fn dot(&self, h: &[f64]) -> f64 {
         let k = h.len();
-        assert!(k <= self.buf.len(), "{k} taps exceed ring capacity");
-        // lag(m) = buf[(head - m) mod len]: lags 0..=head live in
-        // buf[..=head] (reversed), deeper lags wrap to the top of the
-        // buffer, still walking downward.
-        let split = k.min(self.head + 1);
+        assert!(k <= self.capacity(), "{k} taps exceed ring capacity");
         let mut acc = 0.0;
-        for (&w, &x) in h[..split].iter().zip(self.buf[..=self.head].iter().rev()) {
-            acc += w * x;
-        }
-        let rem = k - split;
-        for (&w, &x) in h[split..]
-            .iter()
-            .zip(self.buf[self.buf.len() - rem..].iter().rev())
-        {
+        for (&w, &x) in h.iter().zip(&self.buf[self.pos..self.pos + k]) {
             acc += w * x;
         }
         acc
@@ -304,6 +328,26 @@ mod tests {
         let ring = HistoryRing::new(8);
         assert_eq!(ring.lag(0), 0.0);
         assert_eq!(ring.lag(7), 0.0);
+    }
+
+    #[test]
+    fn lags_slice_is_the_lag_walk_across_wraps() {
+        let mut ring = HistoryRing::new(5); // capacity 8
+        assert_eq!(ring.capacity(), 8);
+        for n in 0..21 {
+            ring.push(f64::from(n));
+            let lags = ring.lags();
+            assert_eq!(lags.len(), 8);
+            for (m, &x) in lags.iter().enumerate() {
+                assert_eq!(x, ring.lag(m), "push {n}, lag {m}");
+                let expected = if m <= n as usize {
+                    f64::from(n) - m as f64
+                } else {
+                    0.0
+                };
+                assert_eq!(x, expected, "push {n}, lag {m}");
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! (paper Figure 13: K ≈ 9–20 for 20 mV error).
 
 use crate::monitor::shift_register::{HistoryRing, SlidingTerm, TermKind};
-use crate::monitor::{CycleSense, VoltageMonitor};
+use crate::monitor::{CycleSense, DelayLine, VoltageMonitor};
 use crate::DidtError;
 use didt_dsp::{dwt, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
-use std::collections::VecDeque;
 
 /// One wavelet-convolution weight: the contribution constant of a single
 /// Haar term to the droop estimate.
@@ -166,22 +165,42 @@ impl WaveletMonitorDesign {
                 reason: "at least one wavelet term is required",
             });
         }
-        let k = k.min(self.weights.len());
-        let terms = self.weights[..k]
-            .iter()
-            .map(|w| (SlidingTerm::new(w.kind, w.level, w.index), w.weight))
-            .collect();
+        let kept = &self.weights[..k.min(self.weights.len())];
+        let mut details = Vec::new();
+        let mut approximations = Vec::new();
+        let mut norm = Vec::with_capacity(kept.len());
+        for (slot, w) in kept.iter().enumerate() {
+            let term = SlidingTerm::new(w.kind, w.level, w.index);
+            let [newest, crossing, oldest] = term.taps();
+            match w.kind {
+                TermKind::Detail => details.push([newest, crossing, oldest, slot]),
+                TermKind::Approximation => approximations.push([newest, oldest, slot]),
+            }
+            norm.push(term.norm());
+        }
         Ok(WaveletMonitor {
             ring: HistoryRing::new(self.window),
-            terms,
+            details,
+            approximations,
+            raw: vec![0.0; kept.len()],
+            norm,
+            weight: kept.iter().map(|w| w.weight).collect(),
             vdd: self.vdd,
-            delay,
-            pipeline: VecDeque::from(vec![self.vdd; delay]),
+            delay: DelayLine::new(self.vdd, delay),
         })
     }
 }
 
 /// The run-time wavelet-convolution voltage monitor.
+///
+/// Each kept term is one [`SlidingTerm`](super::SlidingTerm), laid out
+/// as arrays: per-kind lists of precomputed lag offsets index the
+/// history ring's newest-first lag slice, and the terms' running pulse
+/// sums, norms and weights sit in three parallel vectors in the design's
+/// |w| order. A cycle's arithmetic is exactly the per-term fold's: each
+/// detail sum gains `newest − 2·crossing + oldest`, each approximation
+/// sum `newest − oldest`, and the droop is `Σ (raw·norm)·weight` in |w|
+/// order.
 ///
 /// # Examples
 ///
@@ -209,36 +228,37 @@ impl WaveletMonitorDesign {
 #[derive(Debug, Clone)]
 pub struct WaveletMonitor {
     ring: HistoryRing,
-    terms: Vec<(SlidingTerm, f64)>,
+    /// Per detail term: its `newest`, `crossing` and `oldest` lags, then its slot.
+    details: Vec<[usize; 4]>,
+    /// Per approximation term: its `newest` and `oldest` lags, then its slot.
+    approximations: Vec<[usize; 3]>,
+    /// Unnormalised pulse sum per slot.
+    raw: Vec<f64>,
+    norm: Vec<f64>,
+    weight: Vec<f64>,
     vdd: f64,
-    delay: usize,
-    pipeline: VecDeque<f64>,
-}
-
-impl WaveletMonitor {
-    /// The freshest internal estimate (before the output delay pipeline).
-    fn raw_estimate(&self) -> f64 {
-        let droop: f64 = self
-            .terms
-            .iter()
-            .map(|(term, weight)| term.value() * weight)
-            .sum();
-        self.vdd - droop
-    }
+    delay: DelayLine,
 }
 
 impl VoltageMonitor for WaveletMonitor {
     fn observe(&mut self, sense: CycleSense) -> f64 {
         self.ring.push(sense.current);
-        for (term, _) in &mut self.terms {
-            term.update(&self.ring);
+        let lags = self.ring.lags();
+        for &[newest, crossing, oldest, slot] in &self.details {
+            // Enters +pulse, moves + → − (double weight), leaves −.
+            self.raw[slot] += lags[newest] - 2.0 * lags[crossing] + lags[oldest];
         }
-        let est = self.raw_estimate();
-        if self.delay == 0 {
-            return est;
+        for &[newest, oldest, slot] in &self.approximations {
+            self.raw[slot] += lags[newest] - lags[oldest];
         }
-        self.pipeline.push_back(est);
-        self.pipeline.pop_front().unwrap_or(est)
+        let droop: f64 = self
+            .raw
+            .iter()
+            .zip(&self.norm)
+            .zip(&self.weight)
+            .map(|((raw, norm), weight)| raw * norm * weight)
+            .sum();
+        self.delay.pass(self.vdd - droop)
     }
 
     fn name(&self) -> &'static str {
@@ -246,11 +266,11 @@ impl VoltageMonitor for WaveletMonitor {
     }
 
     fn term_count(&self) -> usize {
-        self.terms.len()
+        self.raw.len()
     }
 
     fn delay(&self) -> usize {
-        self.delay
+        self.delay.len()
     }
 }
 

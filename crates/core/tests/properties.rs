@@ -1,5 +1,7 @@
 //! Property-based tests of the dI/dt core: the hardware shift-register
 //! terms must track the exact dot products under arbitrary inputs, the
+//! array-laid-out wavelet monitor and the mirrored history ring must
+//! reproduce their one-term and naive references bit for bit, the
 //! full-term wavelet monitor must equal windowed convolution, and the
 //! estimators must be well-behaved probabilities.
 
@@ -10,6 +12,7 @@ use didt_core::monitor::{
 };
 use didt_pdn::SecondOrderPdn;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn pdn() -> SecondOrderPdn {
     SecondOrderPdn::from_resonance(100e6, 2.2, 4e-4, 1.0, 3e9).expect("pdn")
@@ -34,6 +37,70 @@ proptest! {
         }
         let exact = term.recompute(&ring);
         prop_assert!((term.value() - exact).abs() < 1e-8, "{} vs {exact}", term.value());
+    }
+
+    #[test]
+    fn wavelet_monitor_equals_sliding_term_fold_bitwise(
+        currents in prop::collection::vec(0.0..80.0f64, 600..1200),
+        k in 1usize..=256,
+        delay in 0usize..=3,
+    ) {
+        let p = pdn();
+        let design = WaveletMonitorDesign::new(&p, 256).expect("design");
+        let mut monitor = design.build(k, delay).expect("monitor");
+        // The reference: the design's top-k terms, each its own
+        // SlidingTerm over its own ring, folded in |w| order.
+        let kept = &design.weights()[..k];
+        let mut terms: Vec<SlidingTerm> = kept
+            .iter()
+            .map(|w| SlidingTerm::new(w.kind, w.level, w.index))
+            .collect();
+        let mut ring = HistoryRing::new(design.window());
+        let mut pipeline = VecDeque::from(vec![p.vdd(); delay]);
+        for (n, &i) in currents.iter().enumerate() {
+            ring.push(i);
+            for term in &mut terms {
+                term.update(&ring);
+            }
+            let droop: f64 = terms
+                .iter()
+                .zip(kept)
+                .map(|(term, w)| term.value() * w.weight)
+                .sum();
+            pipeline.push_back(p.vdd() - droop);
+            let expected = pipeline.pop_front().expect("one value in flight");
+            let got = monitor.observe(CycleSense { current: i, voltage: 1.0 });
+            prop_assert!(got.to_bits() == expected.to_bits(), "cycle {n}: {got} vs {expected}");
+        }
+    }
+
+    #[test]
+    fn history_ring_matches_naive_history_and_lag_walk(
+        capacity in 1usize..300,
+        samples in prop::collection::vec(-50.0..50.0f64, 0..3000),
+        weights in prop::collection::vec(-1.0..1.0f64, 512),
+        tap_fraction in 0.0..=1.0f64,
+    ) {
+        let mut ring = HistoryRing::new(capacity);
+        for &x in &samples {
+            ring.push(x);
+        }
+        let cap = ring.capacity();
+        prop_assert_eq!(cap, (capacity + 1).next_power_of_two());
+        prop_assert_eq!(ring.lags().len(), cap);
+        // Newest first; lags before the first push read as zero.
+        for m in 0..cap {
+            let expected = if m < samples.len() { samples[samples.len() - 1 - m] } else { 0.0 };
+            prop_assert!(ring.lag(m).to_bits() == expected.to_bits(), "lag {m}");
+            prop_assert!(ring.lags()[m].to_bits() == expected.to_bits(), "lags()[{m}]");
+        }
+        let taps = ((cap as f64 * tap_fraction) as usize).min(cap);
+        let h = &weights[..taps];
+        let naive = h
+            .iter()
+            .enumerate()
+            .fold(0.0, |acc, (m, &w)| acc + w * ring.lag(m));
+        prop_assert!(ring.dot(h).to_bits() == naive.to_bits(), "{taps} taps");
     }
 
     #[test]

@@ -104,16 +104,13 @@ fn memo_cache_computes_exactly_once_under_concurrency() {
         2,
         "a key's value was computed more than once"
     );
-    // Shard-summed stats stay coherent under the same interleaving:
+    // Shard-summed counters stay coherent under the same interleaving:
     // every one of the 12*40 requests is accounted for, hits are the
     // non-computing remainder, and contention (however much the host
     // produced) never inflates the compute count.
-    let stats = cache.stats();
-    assert_eq!(stats.keys, 2);
-    assert_eq!(stats.computations, 2);
-    assert_eq!(stats.requests, 12 * 40);
-    assert_eq!(stats.hits, 12 * 40 - 2);
-    assert!(stats.contended <= stats.requests);
+    assert_eq!(cache.requests(), 12 * 40);
+    assert_eq!(cache.hits(), 12 * 40 - 2);
+    assert!(cache.contended() <= cache.requests());
 }
 
 /// Compute-once must also hold when many *distinct* keys land across
@@ -139,13 +136,13 @@ fn memo_cache_computes_exactly_once_across_shards() {
             });
         }
     });
-    let stats = cache.stats();
-    assert_eq!(stats.keys, KEYS as usize);
+    assert_eq!(cache.len(), KEYS as usize);
     assert_eq!(
-        stats.computations, KEYS as usize,
+        cache.computations(),
+        KEYS as usize,
         "a key's value was computed more than once"
     );
-    assert_eq!(stats.requests, 8 * 4 * KEYS as usize);
+    assert_eq!(cache.requests(), 8 * 4 * KEYS as usize);
 }
 
 #[test]

@@ -15,8 +15,6 @@ pub struct EventTrace {
     /// Cumulative L2 misses *before* each cycle; the misses inside a
     /// window `[a, b)` are `l2_misses[b] - l2_misses[a]`.
     pub l2_misses: Vec<u64>,
-    /// Cumulative branch mispredicts before each cycle.
-    pub mispredicts: Vec<u64>,
 }
 
 impl EventTrace {
@@ -48,16 +46,12 @@ pub fn capture_trace_with_events(
     }
     let mut samples = Vec::with_capacity(cycles);
     let mut l2 = Vec::with_capacity(cycles + 1);
-    let mut misp = Vec::with_capacity(cycles + 1);
     let l2_base = cpu.stats().l2_misses;
-    let misp_base = cpu.stats().branch_mispredicts;
     for _ in 0..cycles {
         l2.push(cpu.stats().l2_misses - l2_base);
-        misp.push(cpu.stats().branch_mispredicts - misp_base);
         samples.push(cpu.step(ControlAction::Normal).current);
     }
     l2.push(cpu.stats().l2_misses - l2_base);
-    misp.push(cpu.stats().branch_mispredicts - misp_base);
     EventTrace {
         trace: CurrentTrace {
             benchmark: benchmark.name(),
@@ -65,7 +59,6 @@ pub fn capture_trace_with_events(
             stats: cpu.stats(),
         },
         l2_misses: l2,
-        mispredicts: misp,
     }
 }
 
@@ -179,7 +172,6 @@ mod tests {
             capture_trace_with_events(Benchmark::Mcf, &ProcessorConfig::table1(), 1, 20_000, 4096);
         assert_eq!(t.l2_misses.len(), 4097);
         assert!(t.l2_misses.windows(2).all(|w| w[0] <= w[1]));
-        assert!(t.mispredicts.windows(2).all(|w| w[0] <= w[1]));
         // mcf must miss L2 during the window.
         assert!(t.l2_misses_in(0, 4096) > 10);
         // Window accounting adds up.
