@@ -6,7 +6,7 @@
 //! execution cycles spent below the control point, compared against the
 //! fraction observed in a direct PDN simulation of the same trace.
 
-use crate::characterize::{VarianceModel, WindowModel};
+use crate::characterize::{EstimateScratch, VarianceModel, WindowModel};
 use crate::DidtError;
 use didt_pdn::SecondOrderPdn;
 use didt_telemetry::{Gauge, MetricsRegistry};
@@ -64,14 +64,15 @@ impl<M: WindowModel> EmergencyEstimator<M> {
 
     /// Estimate the fraction of cycles below the threshold from window
     /// statistics alone (no voltage simulation): tile the trace into
-    /// complete windows, estimate them with
-    /// [`WindowModel::estimate_windows`], and reduce in window order.
-    /// Returns `(fraction below threshold, windows, mean voltage)`.
+    /// complete windows, estimate each with
+    /// [`WindowModel::estimate_scratch`] over one shared scratch, and
+    /// sum in window order. Returns `(fraction below threshold, windows,
+    /// mean voltage)`.
     ///
     /// # Errors
     ///
     /// Returns [`DidtError::TraceTooShort`] when the trace holds no
-    /// complete window.
+    /// complete window; propagates the model's errors.
     pub fn estimate_trace(&self, trace: &[f64]) -> Result<(f64, usize, f64), DidtError> {
         let _span = didt_telemetry::span("core.estimator.estimate_trace");
         let w = self.model.window();
@@ -81,15 +82,15 @@ impl<M: WindowModel> EmergencyEstimator<M> {
                 got: trace.len(),
             });
         }
-        let windows: Vec<&[f64]> = trace.chunks_exact(w).collect();
-        let estimates = self.model.estimate_windows(&windows)?;
+        let mut scratch = EstimateScratch::new();
         let mut prob_sum = 0.0;
         let mut vmean_sum = 0.0;
-        for est in &estimates {
+        for window in trace.chunks_exact(w) {
+            let est = self.model.estimate_scratch(window, &mut scratch)?;
             prob_sum += est.probability_below(self.threshold);
             vmean_sum += est.v_mean;
         }
-        let count = estimates.len();
+        let count = trace.len() / w;
         Ok((prob_sum / count as f64, count, vmean_sum / count as f64))
     }
 

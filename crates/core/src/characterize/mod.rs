@@ -8,7 +8,6 @@
 //! variance, and read emergency probabilities off a Gaussian model
 //! ([`VarianceModel`], [`EmergencyEstimator`] — Figures 8, 9).
 
-mod batch;
 mod calibration;
 mod estimator;
 mod gaussian;

@@ -35,8 +35,10 @@ pub trait WindowModel {
     fn estimate(&self, window: &[f64]) -> Result<WindowEstimate, DidtError>;
 
     /// [`WindowModel::estimate`] with caller-provided scratch buffers,
-    /// so window loops stay allocation-free. Models without reusable
-    /// buffers ignore the scratch; the default just forwards.
+    /// so a window loop reuses one set of transform buffers:
+    /// [`super::EmergencyEstimator::estimate_trace`] calls it once per
+    /// window with one shared scratch. Models without reusable buffers
+    /// ignore the scratch; the default just forwards.
     ///
     /// # Errors
     ///
@@ -47,23 +49,6 @@ pub trait WindowModel {
         _scratch: &mut EstimateScratch,
     ) -> Result<WindowEstimate, DidtError> {
         self.estimate(window)
-    }
-
-    /// Estimate a run of windows; result `i` is the estimate of
-    /// `windows[i]`. The default calls [`WindowModel::estimate_scratch`]
-    /// once per window with one shared scratch; a model with a
-    /// lane-parallel kernel overrides it and must stay bit-identical to
-    /// that loop.
-    ///
-    /// # Errors
-    ///
-    /// The first error [`WindowModel::estimate_scratch`] returns.
-    fn estimate_windows(&self, windows: &[&[f64]]) -> Result<Vec<WindowEstimate>, DidtError> {
-        let mut scratch = EstimateScratch::new();
-        windows
-            .iter()
-            .map(|window| self.estimate_scratch(window, &mut scratch))
-            .collect()
     }
 }
 
@@ -82,10 +67,6 @@ impl WindowModel for VarianceModel {
         scratch: &mut EstimateScratch,
     ) -> Result<WindowEstimate, DidtError> {
         self.estimate_with(window, scratch)
-    }
-
-    fn estimate_windows(&self, windows: &[&[f64]]) -> Result<Vec<WindowEstimate>, DidtError> {
-        super::batch::estimate_windows(self, windows)
     }
 }
 

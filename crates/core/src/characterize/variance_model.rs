@@ -166,12 +166,6 @@ impl VarianceModel {
         &self.gains
     }
 
-    /// Levels participating in the estimate.
-    #[must_use]
-    pub fn active_levels(&self) -> &[usize] {
-        &self.active_levels
-    }
-
     /// Estimate voltage mean and variance for one current window (length
     /// must equal the calibration window).
     ///

@@ -183,7 +183,7 @@ impl HistoryRing {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        let cap = (capacity + 1).next_power_of_two();
+        let cap = capacity.next_power_of_two();
         HistoryRing {
             buf: vec![0.0; 2 * cap],
             pos: 0,
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn dot_is_bitwise_identical_to_lag_walk() {
-        let mut ring = HistoryRing::new(100); // buf.len() = 128
+        let mut ring = HistoryRing::new(100); // capacity 128, buf.len() = 256
         let h: Vec<f64> = (0..100)
             .map(|m| (m as f64 * 0.31).cos() / (m as f64 + 1.0))
             .collect();

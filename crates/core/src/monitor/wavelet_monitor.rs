@@ -179,7 +179,8 @@ impl WaveletMonitorDesign {
             norm.push(term.norm());
         }
         Ok(WaveletMonitor {
-            ring: HistoryRing::new(self.window),
+            // The coarsest term's oldest tap is lag `window`.
+            ring: HistoryRing::new(self.window + 1),
             details,
             approximations,
             raw: vec![0.0; kept.len()],

@@ -55,7 +55,7 @@ proptest! {
             .iter()
             .map(|w| SlidingTerm::new(w.kind, w.level, w.index))
             .collect();
-        let mut ring = HistoryRing::new(design.window());
+        let mut ring = HistoryRing::new(design.window() + 1);
         let mut pipeline = VecDeque::from(vec![p.vdd(); delay]);
         for (n, &i) in currents.iter().enumerate() {
             ring.push(i);
@@ -86,7 +86,7 @@ proptest! {
             ring.push(x);
         }
         let cap = ring.capacity();
-        prop_assert_eq!(cap, (capacity + 1).next_power_of_two());
+        prop_assert_eq!(cap, capacity.next_power_of_two());
         prop_assert_eq!(ring.lags().len(), cap);
         // Newest first; lags before the first push read as zero.
         for m in 0..cap {

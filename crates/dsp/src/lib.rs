@@ -27,9 +27,6 @@
 //!   kernels [`fir_filter`] and [`convolve_full`].
 //! * [`Complex`] — the minimal complex number behind the PDN's analytic
 //!   impedance curves (paper Figure 5).
-//! * [`batch`] — lockstep multi-trace variants of the hot kernels over
-//!   struct-of-arrays [`TraceBatch`] lanes, every lane bit-identical to
-//!   the scalar path.
 //!
 //! # Examples
 //!
@@ -49,7 +46,6 @@
 //! # }
 //! ```
 
-pub mod batch;
 pub mod convolution;
 pub mod packet;
 pub mod scalogram;
@@ -62,10 +58,6 @@ pub mod wavelet;
 mod complex;
 mod error;
 
-pub use batch::{
-    dwt_into_batch, lag1_correlation_batch, mean_batch, variance_batch, BatchDecomposition,
-    BatchDwtScratch, TraceBatch,
-};
 pub use complex::Complex;
 pub use convolution::{convolve_full, fir_filter};
 pub use error::DspError;

@@ -320,7 +320,7 @@ pub fn dwt(
 
 /// Reusable working storage for [`dwt_into`].
 ///
-/// The batch [`dwt`] allocates one `Vec` per pyramid level per call;
+/// The allocating [`dwt`] builds one `Vec` per pyramid level per call;
 /// sweep loops that decompose hundreds of thousands of fixed-size
 /// windows (the §4.1 characterization pipeline) instead keep one
 /// `DwtScratch` plus one output [`WaveletDecomposition`] and reuse both,
@@ -406,8 +406,7 @@ pub fn max_dwt_levels(len: usize) -> usize {
 
 /// Clamp a level request to the dyadic depth of a `len`-sample signal
 /// (at least 1), counting each clamp on [`LEVELS_CLAMPED_COUNTER`] —
-/// the one clamp rule of [`dwt_boundary_into`] and
-/// [`crate::dwt_into_batch`].
+/// the clamp rule of [`dwt_boundary_into`].
 pub(crate) fn clamp_levels(len: usize, levels: usize) -> usize {
     static CLAMPED: OnceLock<Arc<Counter>> = OnceLock::new();
     let depth_cap = max_dwt_levels(len).max(1);
@@ -421,7 +420,7 @@ pub(crate) fn clamp_levels(len: usize, levels: usize) -> usize {
     }
 }
 
-/// Compute a DWT under an explicit [`BoundaryMode`] — the batch
+/// Compute a DWT under an explicit [`BoundaryMode`] — the allocating
 /// counterpart of [`dwt_boundary_into`].
 ///
 /// # Errors
@@ -505,6 +504,11 @@ pub fn dwt_boundary_into(
 /// `lo[k] = Σ h[m]·x[(2k+m) % n]`, `hi[k] = Σ g[m]·x[(2k+m) % n]` for
 /// `k < lo.len()`. Taps accumulate in ascending `m`; that order is
 /// bit-load-bearing for every pin downstream.
+///
+/// Coefficients whose taps all fall inside `x` (`2k + taps <= n`, the
+/// first `inner` of them) read the slice `x[2k..2k + taps]` directly;
+/// only the last few, whose filter wraps past the end, pay the modulo.
+/// Both loops perform the same multiplies and adds in the same order.
 pub(crate) fn periodic_analysis_step(
     x: &[f64],
     h: &[f64],
@@ -513,7 +517,25 @@ pub(crate) fn periodic_analysis_step(
     hi: &mut [f64],
 ) {
     let n = x.len();
-    for (k, (lo_k, hi_k)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+    let taps = h.len();
+    let inner = if n >= taps {
+        ((n - taps) / 2 + 1).min(lo.len())
+    } else {
+        0
+    };
+    let (lo_inner, lo_wrap) = lo.split_at_mut(inner);
+    let (hi_inner, hi_wrap) = hi.split_at_mut(inner);
+    for (k, (lo_k, hi_k)) in lo_inner.iter_mut().zip(hi_inner.iter_mut()).enumerate() {
+        let mut sl = 0.0;
+        let mut sh = 0.0;
+        for ((&hm, &gm), &xm) in h.iter().zip(g).zip(&x[2 * k..2 * k + taps]) {
+            sl += hm * xm;
+            sh += gm * xm;
+        }
+        *lo_k = sl;
+        *hi_k = sh;
+    }
+    for (k, (lo_k, hi_k)) in (inner..).zip(lo_wrap.iter_mut().zip(hi_wrap.iter_mut())) {
         let mut sl = 0.0;
         let mut sh = 0.0;
         for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
@@ -873,8 +895,8 @@ mod tests {
                     .map(|k| ((k * 13 + i * 7) % 17) as f64 - 8.0)
                     .collect();
                 dwt_into(&s, w, levels, &mut scratch, &mut out).unwrap();
-                let batch = dwt(&s, w, levels).unwrap();
-                assert_eq!(out, batch, "{} levels {levels}", w.name());
+                let fresh = dwt(&s, w, levels).unwrap();
+                assert_eq!(out, fresh, "{} levels {levels}", w.name());
             }
         }
         // Reused output remains invertible.

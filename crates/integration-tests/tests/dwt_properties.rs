@@ -3,12 +3,13 @@
 //! legal), for both the Haar and db2 bases; orthonormal energy
 //! conservation (Parseval); the per-scale variance decomposition of
 //! `didt_dsp::variance` summing back to the signal's population
-//! variance at full depth; and the filter-generic family engine
-//! (db2–db8, expansive boundary modes) reconstructing on arbitrary
-//! lengths.
+//! variance at full depth; the filter-generic family engine (db2–db8,
+//! expansive boundary modes) reconstructing on arbitrary lengths; and
+//! the periodic split of the pyramid and the packet tree, bit for bit
+//! against the textbook modulo walk.
 
 use didt_dsp::{
-    dwt, dwt_boundary, dwt_into, idwt, scale_variances, BoundaryMode, DwtScratch,
+    dwt, dwt_boundary, dwt_into, idwt, scale_variances, wavelet_packet, BoundaryMode, DwtScratch,
     WaveletDecomposition, WaveletFamily,
 };
 use proptest::prelude::*;
@@ -25,6 +26,27 @@ fn reconstruction_error(signal: &[f64], wavelet: WaveletFamily, levels: usize) -
 
 fn energy(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum()
+}
+
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// One periodic analysis split as the textbook modulo walk:
+/// `lo[k] = Σ h[m]·x[(2k+m) % n]`, `hi[k] = Σ g[m]·x[(2k+m) % n]`,
+/// taps accumulated in ascending `m` from `0.0`.
+fn modulo_walk_split(x: &[f64], family: WaveletFamily) -> (Vec<f64>, Vec<f64>) {
+    let n = x.len();
+    (0..n / 2)
+        .map(|k| {
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for (m, (&hm, &gm)) in family.lowpass().iter().zip(family.highpass()).enumerate() {
+                lo += hm * x[(2 * k + m) % n];
+                hi += gm * x[(2 * k + m) % n];
+            }
+            (lo, hi)
+        })
+        .unzip()
 }
 
 proptest! {
@@ -150,7 +172,7 @@ proptest! {
         );
     }
 
-    /// The in-place scratch path agrees with the batch transform even
+    /// The in-place scratch path agrees with the allocating [`dwt`] even
     /// when one scratch/output pair is reused across differently shaped
     /// decompositions.
     #[test]
@@ -167,6 +189,57 @@ proptest! {
         for wavelet in [WaveletFamily::Haar, WaveletFamily::Db2] {
             dwt_into(signal, wavelet, levels, &mut scratch, &mut out).unwrap();
             prop_assert_eq!(&out, &dwt(signal, wavelet, levels).unwrap());
+        }
+    }
+
+    /// Every detail row and the approximation of a periodic pyramid,
+    /// and every band of a packet tree, equal the modulo walk by
+    /// `to_bits`, for every family. The coarsest split keeps at least
+    /// one filter length of samples, so the walk wraps at every level
+    /// of every multi-tap family.
+    #[test]
+    fn periodic_split_matches_modulo_walk(
+        fam_idx in 0usize..8,
+        extra in 0usize..=8,
+        levels in 1usize..=5,
+        depth in 1usize..=3,
+        raw in prop::collection::vec(-100.0f64..100.0, 512..=512),
+    ) {
+        let family = WaveletFamily::ALL[fam_idx];
+        let m = family.filter_len() / 2 + extra;
+        let signal = &raw[..m << levels];
+        let d = dwt_boundary(signal, family, levels, BoundaryMode::Periodic).unwrap();
+        let mut approx = signal.to_vec();
+        for level in 1..=levels {
+            let (lo, hi) = modulo_walk_split(&approx, family);
+            prop_assert!(
+                bits_eq(d.detail(level).unwrap(), &hi),
+                "{} len {} detail {}", family.name(), signal.len(), level
+            );
+            approx = lo;
+        }
+        prop_assert!(
+            bits_eq(d.approximation(), &approx),
+            "{} len {} approximation", family.name(), signal.len()
+        );
+
+        let depth = depth.min(levels);
+        let wp = wavelet_packet(signal, family, depth).unwrap();
+        let mut bands = vec![signal.to_vec()];
+        for _ in 0..depth {
+            bands = bands
+                .iter()
+                .flat_map(|band| {
+                    let (lo, hi) = modulo_walk_split(band, family);
+                    [lo, hi]
+                })
+                .collect();
+        }
+        for (i, want) in bands.iter().enumerate() {
+            prop_assert!(
+                bits_eq(wp.band(i), want),
+                "{} len {} packet depth {} band {}", family.name(), signal.len(), depth, i
+            );
         }
     }
 }
