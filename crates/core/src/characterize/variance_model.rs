@@ -14,10 +14,8 @@
 
 use crate::characterize::ScaleGainModel;
 use crate::DidtError;
-use didt_dsp::{
-    dwt_boundary_into, scale_variances, BoundaryMode, DwtScratch, WaveletDecomposition,
-};
-use didt_stats::{mean, Normal};
+use didt_dsp::{dwt_boundary_into, scale_variance, BoundaryMode, DwtScratch, WaveletDecomposition};
+use didt_stats::{mean, variance_about, Normal};
 
 /// Reusable buffers for [`VarianceModel::estimate_with`].
 ///
@@ -205,17 +203,18 @@ impl VarianceModel {
             &mut scratch.dwt,
             &mut scratch.decomp,
         )?;
-        let scales = scale_variances(&scratch.decomp)?;
+        let decomp = &scratch.decomp;
         let mut v_variance = 0.0;
-        for sv in &scales {
-            if !self.active_levels.contains(&sv.level) {
+        for level in 1..=decomp.levels() {
+            if !self.active_levels.contains(&level) {
                 continue;
             }
-            let gain = self.gains.gain(sv.level, sv.adjacent_correlation)?;
+            let sv = scale_variance(level, decomp.detail(level)?, decomp.signal_len());
+            let gain = self.gains.gain(level, sv.adjacent_correlation)?;
             v_variance += gain * sv.variance;
         }
         let i_mean = mean(window);
-        let i_variance = didt_stats::variance(window);
+        let i_variance = variance_about(window, i_mean);
         Ok(WindowEstimate {
             v_mean: self.gains.vdd() - i_mean * self.gains.resistance(),
             v_variance,

@@ -1,17 +1,18 @@
 //! The sharded router over real worker processes' TCP protocol:
 //! deterministic shard placement, hot disjoint caches, failover on a
-//! worker that disconnects mid-request, and session affinity dying
-//! with its owner.
+//! worker that disconnects mid-request, session affinity dying with
+//! its owner, and request samples framed the way each peer reads them
+//! (block frames to v3, JSON arrays to v2).
 
-use std::net::TcpListener;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use didt_serve::{
-    write_frame, CharacterizeSpec, Client, ClientError, ErrorCode, FrameReader, HashRing, Request,
-    RequestBody, Response, Router, RouterConfig, ServeConfig, Server, Service, SessionSpec,
-    TraceSource, MAX_FRAME_LEN,
+    decode_request, write_frame, CharacterizeSpec, Client, ClientError, ErrorCode, FrameReader,
+    HashRing, Request, RequestBody, Response, ResponsePayload, Router, RouterConfig, ServeConfig,
+    Server, Service, SessionSpec, TraceSource, MAX_FRAME_LEN,
 };
 use didt_telemetry::Json;
 
@@ -127,15 +128,22 @@ fn sharding_is_stable_and_keeps_worker_caches_disjoint() {
     }
 }
 
-/// A fake worker that answers health probes, then hangs up on the
-/// first real request *after reading its frame* — a mid-request
-/// disconnect from the router's point of view.
-fn treacherous_worker() -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+/// Request kinds a peer read, each with whether it came as a block
+/// frame.
+type Seen = Arc<Mutex<Vec<(&'static str, bool)>>>;
+
+/// A fake protocol-v2 worker that answers health probes, then hangs up
+/// on the first real request *after reading its frame* — a mid-request
+/// disconnect from the router's point of view. It records the kind and
+/// framing of each request it hangs up on.
+fn treacherous_worker() -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>, Seen) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     listener.set_nonblocking(true).expect("nonblocking");
     let addr = listener.local_addr().expect("addr").to_string();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    let seen = Seen::default();
+    let record = Arc::clone(&seen);
     let handle = std::thread::spawn(move || {
         // Poll for connections so the thread can exit with the test
         // instead of parking in accept() on a socket nobody will dial.
@@ -158,10 +166,11 @@ fn treacherous_worker() -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>
             let give_up = Instant::now() + Duration::from_secs(30);
             loop {
                 let mut abort = || Instant::now() >= give_up;
-                let Ok(json) = reader.read_frame(MAX_FRAME_LEN, &mut abort) else {
+                let Ok(payload) = reader.read_payload(MAX_FRAME_LEN, &mut abort) else {
                     break;
                 };
-                let Ok(request) = Request::from_json(&json) else {
+                let block = payload.first() == Some(&0);
+                let Ok(request) = decode_request(payload) else {
                     break;
                 };
                 if matches!(request.body, RequestBody::Ping) {
@@ -175,18 +184,20 @@ fn treacherous_worker() -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>
                     }
                 } else {
                     // Read the frame, then vanish mid-request.
+                    let kind = request.body.kind();
+                    record.lock().expect("seen poisoned").push((kind, block));
                     break;
                 }
             }
         }
     });
-    (addr, stop, handle)
+    (addr, stop, handle, seen)
 }
 
 #[test]
 fn worker_disconnect_mid_request_reroutes_without_loss() {
     let real = start_worker();
-    let (fake_addr, fake_stop, fake_handle) = treacherous_worker();
+    let (fake_addr, fake_stop, fake_handle, fake_seen) = treacherous_worker();
     let addrs = vec![real.local_addr().to_string(), fake_addr];
     let router = quiet_router(addrs);
     assert_eq!(router.healthy_workers(), 2, "fake worker must pass probes");
@@ -227,6 +238,124 @@ fn worker_disconnect_mid_request_reroutes_without_loss() {
     assert_eq!(real.shutdown().worker_panics, 0);
     fake_stop.store(true, Ordering::Relaxed);
     fake_handle.join().expect("fake worker thread");
+    // The v2 worker was sent JSON arrays, never a block frame.
+    let seen = fake_seen.lock().expect("seen poisoned");
+    assert!(
+        !seen.is_empty()
+            && seen
+                .iter()
+                .all(|&(kind, block)| kind == "characterize" && !block)
+    );
+}
+
+#[test]
+fn client_sends_json_arrays_to_a_v2_peer() {
+    let (addr, stop, handle, seen) = treacherous_worker();
+    let mut client = Client::connect(addr.as_str()).expect("connect");
+    // The client pings first, reads version 2, and sends JSON; the fake
+    // then hangs up, so the call itself fails.
+    assert!(client.characterize(key_spec(16, 100.0), None).is_err());
+    stop.store(true, Ordering::Relaxed);
+    handle.join().expect("fake worker thread");
+    assert_eq!(
+        *seen.lock().expect("seen poisoned"),
+        [("characterize", false)]
+    );
+}
+
+/// A TCP tap in front of a real worker: forwards every frame both ways
+/// and records each request's kind and framing. With `as_v2`, it
+/// rewrites `Ping` answers to report protocol version 2, so senders
+/// treat the worker as a v2 peer.
+struct Tap {
+    addr: String,
+    seen: Seen,
+    stop: Arc<AtomicBool>,
+    accept: std::thread::JoinHandle<()>,
+}
+
+impl Tap {
+    fn start(upstream: SocketAddr, as_v2: bool) -> Tap {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let seen = Seen::default();
+        let (stop_flag, record) = (Arc::clone(&stop), Arc::clone(&seen));
+        let accept = std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            while !stop_flag.load(Ordering::Relaxed) {
+                match listener.accept() {
+                    Ok((down, _)) => {
+                        let record = Arc::clone(&record);
+                        conns.push(std::thread::spawn(move || {
+                            tap_conn(&down, upstream, as_v2, &record);
+                        }));
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(_) => break,
+                }
+            }
+            for conn in conns {
+                conn.join().expect("tap connection");
+            }
+        });
+        Tap {
+            addr,
+            seen,
+            stop,
+            accept,
+        }
+    }
+
+    /// Stop accepting, wait for every tapped connection to close, and
+    /// return what the requests looked like.
+    fn finish(self) -> Vec<(&'static str, bool)> {
+        self.stop.store(true, Ordering::Relaxed);
+        self.accept.join().expect("tap accept");
+        self.seen.lock().expect("seen poisoned").clone()
+    }
+}
+
+fn tap_conn(down: &TcpStream, upstream: SocketAddr, as_v2: bool, seen: &Mutex<Vec<(&str, bool)>>) {
+    let never = &mut || false;
+    down.set_nonblocking(false).expect("blocking");
+    let up = TcpStream::connect(upstream).expect("connect upstream");
+    std::thread::scope(|scope| {
+        // Replies flow back until the worker side closes.
+        scope.spawn(|| {
+            let mut replies = FrameReader::new(up.try_clone().expect("clone"));
+            let mut down = down.try_clone().expect("clone");
+            while let Ok(json) = replies.read_frame(MAX_FRAME_LEN, &mut || false) {
+                let reply = Response::from_json(&json).expect("response");
+                let json = match reply.payload {
+                    ResponsePayload::Ok { kind, .. } if as_v2 && kind == "ping" => {
+                        let version = Json::obj(vec![("version", Json::num(2.0))]);
+                        Response::ok(reply.id, "ping", version).to_json()
+                    }
+                    _ => json,
+                };
+                if write_frame(&mut down, &json).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut requests = FrameReader::new(down.try_clone().expect("clone"));
+        let mut up_w = up.try_clone().expect("clone");
+        while let Ok(payload) = requests.read_payload(MAX_FRAME_LEN, never) {
+            let kind = decode_request(payload).expect("request").body.kind();
+            seen.lock()
+                .expect("seen poisoned")
+                .push((kind, payload[0] == 0));
+            let frame = [&(payload.len() as u32).to_be_bytes()[..], payload].concat();
+            if std::io::Write::write_all(&mut up_w, &frame).is_err() {
+                break;
+            }
+        }
+        let _ = up.shutdown(Shutdown::Both);
+    });
 }
 
 #[test]
@@ -269,4 +398,54 @@ fn sessions_die_with_their_owner_not_the_connection() {
 
     drop(client);
     let _ = router.shutdown();
+}
+
+/// A sender frames samples by what the peer's `Ping` reports: blocks
+/// to a v3 worker, JSON arrays to a v2 one, whether the sender is a
+/// client or the router forwarding for one. Requests without samples
+/// are always JSON.
+#[test]
+fn samples_go_as_blocks_to_v3_peers_and_as_json_to_v2_peers() {
+    let worker = start_worker();
+    for (routed, as_v2) in [(false, false), (false, true), (true, false), (true, true)] {
+        let tap = Tap::start(worker.local_addr(), as_v2);
+        let router = routed.then(|| quiet_router(vec![tap.addr.clone()]));
+        let addr = router
+            .as_ref()
+            .map_or(tap.addr.clone(), |r| r.local_addr().to_string());
+        let mut client = Client::connect(addr.as_str()).expect("connect");
+        client
+            .characterize(key_spec(16, 100.0), None)
+            .expect("characterize");
+        let session = client
+            .session_open(SessionSpec {
+                window: 16,
+                gauss_windows: 20,
+                ..SessionSpec::default()
+            })
+            .expect("open");
+        client
+            .session_push(session, key_trace(16, 100.0))
+            .expect("push");
+        client.session_close(session).expect("close");
+        drop(client);
+        if let Some(router) = router {
+            let _ = router.shutdown();
+        }
+        let seen = tap.finish();
+        let case = format!("routed {routed}, v2 {as_v2}: {seen:?}");
+        let carrying: Vec<bool> = seen
+            .iter()
+            .filter(|(kind, _)| matches!(*kind, "characterize" | "session_push"))
+            .map(|&(_, block)| block)
+            .collect();
+        assert_eq!(carrying, [!as_v2, !as_v2], "{case}");
+        assert!(
+            seen.iter()
+                .filter(|(kind, _)| !matches!(*kind, "characterize" | "session_push"))
+                .all(|&(_, block)| !block),
+            "{case}"
+        );
+    }
+    assert_eq!(worker.shutdown().worker_panics, 0);
 }

@@ -5,6 +5,11 @@
 //! order even though the server's worker pool completes pipelined
 //! requests in any order.
 //!
+//! A client sends request samples as block frames (see
+//! [`crate::protocol`]) when the peer reads them: before its first
+//! request that carries samples it pings the peer once and keeps the
+//! answer. A v2 peer gets JSON arrays.
+//!
 //! Overload handling is opt-in: with a [`ClientConfig`] retry budget,
 //! `Rejected{retry_after_ms}` answers are absorbed by a deterministic
 //! capped-exponential backoff (no jitter — replayable schedules) before
@@ -19,9 +24,9 @@ use didt_bench::GainSnapshotEntry;
 use didt_telemetry::Json;
 
 use crate::protocol::{
-    snapshot_entry_from_json, write_frame, CharacterizeSpec, ClosedLoopSpec, DesignSpec, ErrorCode,
-    FrameError, FrameReader, Request, RequestBody, Response, ResponsePayload, SessionSpec,
-    MAX_FRAME_LEN,
+    snapshot_entry_from_json, write_request, CharacterizeSpec, ClosedLoopSpec, DesignSpec,
+    ErrorCode, FrameError, FrameReader, RequestBody, Response, ResponsePayload, SessionSpec,
+    BLOCK_FRAME_VERSION, MAX_FRAME_LEN,
 };
 
 /// Client-side retry policy for `Rejected` (overload) responses.
@@ -134,6 +139,10 @@ pub struct Client {
     next_id: u64,
     config: ClientConfig,
     retries: u64,
+    /// The peer's protocol version, once a `Ping` has reported it.
+    peer_version: Option<u64>,
+    /// Frame scratch reused by every block frame this client writes.
+    scratch: Vec<u8>,
 }
 
 impl Client {
@@ -152,6 +161,8 @@ impl Client {
             next_id: 1,
             config: ClientConfig::default(),
             retries: 0,
+            peer_version: None,
+            scratch: Vec::new(),
         })
     }
 
@@ -207,14 +218,17 @@ impl Client {
         body: &RequestBody,
         deadline_ms: Option<u64>,
     ) -> Result<Response, ClientError> {
+        let blocks = body.samples().is_some() && self.peer_reads_blocks()?;
         let id = self.next_id;
         self.next_id += 1;
-        let request = Request {
+        write_request(
+            &mut self.writer,
+            &mut self.scratch,
             id,
             deadline_ms,
-            body: body.clone(),
-        };
-        write_frame(&mut self.writer, &request.to_json())?;
+            body,
+            blocks,
+        )?;
         let mut never = || false;
         let json = self.reader.read_frame(MAX_FRAME_LEN, &mut never)?;
         let response = Response::from_json(&json).map_err(ClientError::Protocol)?;
@@ -224,7 +238,20 @@ impl Client {
                 response.id
             )));
         }
+        if let (RequestBody::Ping, ResponsePayload::Ok { result, .. }) = (body, &response.payload) {
+            self.peer_version = result.get("version").and_then(Json::as_u64);
+        }
         Ok(response)
+    }
+
+    /// Whether the peer reads block frames, pinging it the first time.
+    /// A ping that is rejected or fails settles nothing, and the request
+    /// goes as JSON, which every version reads.
+    fn peer_reads_blocks(&mut self) -> Result<bool, ClientError> {
+        if self.peer_version.is_none() {
+            self.call_once(&RequestBody::Ping, None)?;
+        }
+        Ok(self.peer_version.is_some_and(|v| v >= BLOCK_FRAME_VERSION))
     }
 
     /// Unwrap an `Ok` response's result, mapping `Rejected`/`Error`

@@ -31,6 +31,10 @@
 //!   worker (`serve.router.rerouted` counts the hops). Per-worker
 //!   in-flight is capped; a saturated worker answers a structured
 //!   `Rejected` with a retry hint instead of spilling to a cold shard.
+//! * **Samples travel in the form each worker reads.** Each health
+//!   probe records the worker's protocol version; requests that carry
+//!   samples go to a v3 worker as block frames and to a v2 worker as
+//!   JSON, whatever form the client used.
 //! * **Joining workers are warmed first.** The health prober notices a
 //!   down→up transition, copies hot gain calibrations from a healthy
 //!   peer ([`super::warm_worker`]), and only then re-enables the
@@ -48,8 +52,8 @@ use super::ring::HashRing;
 use super::snapshot::warm_worker;
 use crate::front::{send_response, ConnWriter, Front, Handler, READ_POLL};
 use crate::protocol::{
-    write_frame, ErrorCode, FrameError, FrameReader, Request, RequestBody, Response,
-    ResponsePayload, MAX_FRAME_LEN, PROTOCOL_VERSION, SNAPSHOT_MAX_ENTRIES,
+    write_request, ErrorCode, FrameError, FrameReader, Request, RequestBody, Response,
+    ResponsePayload, BLOCK_FRAME_VERSION, MAX_FRAME_LEN, PROTOCOL_VERSION, SNAPSHOT_MAX_ENTRIES,
 };
 
 /// Router configuration.
@@ -110,12 +114,17 @@ const PROBE_TIMEOUT: Duration = Duration::from_millis(1_000);
 struct WorkerConn {
     writer: TcpStream,
     reader: FrameReader<TcpStream>,
+    /// Frame scratch for block frames written on this connection.
+    scratch: Vec<u8>,
 }
 
 /// Router-side view of one worker.
 struct WorkerSlot {
     addr: String,
     healthy: AtomicBool,
+    /// The worker's last probe reported a version that reads block
+    /// frames.
+    reads_blocks: AtomicBool,
     in_flight: AtomicU64,
     pool: Mutex<Vec<WorkerConn>>,
 }
@@ -153,7 +162,7 @@ impl Handler for Shared {
     }
 
     fn handle(&self, request: Request, writer: &ConnWriter) -> std::io::Result<()> {
-        send_response(writer, &handle_request(self, &request))
+        send_response(writer, &handle_request(self, request))
     }
 }
 
@@ -205,6 +214,7 @@ impl Router {
             .map(|addr| WorkerSlot {
                 addr: addr.clone(),
                 healthy: AtomicBool::new(false),
+                reads_blocks: AtomicBool::new(false),
                 in_flight: AtomicU64::new(0),
                 pool: Mutex::new(Vec::new()),
             })
@@ -288,7 +298,7 @@ impl Router {
 // Request routing
 // ---------------------------------------------------------------------------
 
-fn handle_request(shared: &Shared, request: &Request) -> Response {
+fn handle_request(shared: &Shared, request: Request) -> Response {
     match &request.body {
         RequestBody::Ping => Response::ok(
             request.id,
@@ -311,7 +321,7 @@ fn handle_request(shared: &Shared, request: &Request) -> Response {
             if let Some(session) = request.body.session_id() {
                 forward_session_follow_up(shared, request, session)
             } else if let Some(key) = request.shard_key() {
-                forward_sharded(shared, request, key)
+                forward_sharded(shared, &request, key)
             } else {
                 // Every kind is either local, session-affine, or
                 // shard-keyed; a new kind falling through is a bug.
@@ -393,7 +403,7 @@ fn forwarded_counter() -> &'static Arc<Counter> {
 }
 
 /// Pin a session follow-up to the worker that owns the session.
-fn forward_session_follow_up(shared: &Shared, request: &Request, session: u64) -> Response {
+fn forward_session_follow_up(shared: &Shared, mut request: Request, session: u64) -> Response {
     let route = {
         let sessions = shared.sessions.lock().expect("sessions poisoned");
         sessions.get(&session).map(|r| (r.worker, r.remote))
@@ -418,12 +428,8 @@ fn forward_session_follow_up(shared: &Shared, request: &Request, session: u64) -
             format!("session {session} was lost: its worker is down"),
         );
     }
-    let rewritten = Request {
-        id: request.id,
-        deadline_ms: request.deadline_ms,
-        body: rewrite_session_id(&request.body, remote),
-    };
-    match forward_once(shared, worker, &rewritten) {
+    rewrite_session_id(&mut request.body, remote);
+    match forward_once(shared, worker, &request) {
         Ok(response) => {
             shared.stats.forwarded.fetch_add(1, Ordering::Relaxed);
             forwarded_counter().incr();
@@ -487,17 +493,13 @@ fn adopt_session(shared: &Shared, id: u64, worker: usize, response: Response) ->
     )
 }
 
-/// A session-affine request body with the worker-local session id
-/// substituted in.
-fn rewrite_session_id(body: &RequestBody, remote: u64) -> RequestBody {
-    match body {
-        RequestBody::SessionPush { samples, .. } => RequestBody::SessionPush {
-            session: remote,
-            samples: samples.clone(),
-        },
-        RequestBody::SessionVerdict { .. } => RequestBody::SessionVerdict { session: remote },
-        RequestBody::SessionClose { .. } => RequestBody::SessionClose { session: remote },
-        other => other.clone(),
+/// Substitute the worker-local session id into a session-affine body.
+fn rewrite_session_id(body: &mut RequestBody, remote: u64) {
+    if let RequestBody::SessionPush { session, .. }
+    | RequestBody::SessionVerdict { session }
+    | RequestBody::SessionClose { session } = body
+    {
+        *session = remote;
     }
 }
 
@@ -613,7 +615,15 @@ fn forward_once(shared: &Shared, w: usize, request: &Request) -> Result<Response
     slot.in_flight.fetch_add(1, Ordering::SeqCst);
     let _guard = InFlight(&slot.in_flight);
     let mut conn = checkout(slot).map_err(|_| ForwardFail::Conn)?;
-    if write_frame(&mut conn.writer, &request.to_json()).is_err() {
+    let written = write_request(
+        &mut conn.writer,
+        &mut conn.scratch,
+        request.id,
+        request.deadline_ms,
+        &request.body,
+        slot.reads_blocks.load(Ordering::SeqCst),
+    );
+    if written.is_err() {
         return Err(ForwardFail::Conn);
     }
     let deadline = Instant::now() + Duration::from_millis(shared.config.forward_timeout_ms);
@@ -656,6 +666,7 @@ fn checkout(slot: &WorkerSlot) -> std::io::Result<WorkerConn> {
     Ok(WorkerConn {
         writer,
         reader: FrameReader::new(stream),
+        scratch: Vec::new(),
     })
 }
 
@@ -681,19 +692,25 @@ fn mark_down(shared: &Shared, w: usize) {
 // Health probing / cache warming
 // ---------------------------------------------------------------------------
 
-/// One ping round trip to worker `w`. Uses the connection pool, so a
-/// successful probe leaves a warm connection behind.
+/// One ping round trip to worker `w`, recording whether its version
+/// reads block frames. Uses the connection pool, so a successful probe
+/// leaves a warm connection behind.
 fn probe_worker(shared: &Shared, w: usize) -> bool {
-    let request = Request {
-        id: 0,
-        deadline_ms: Some(PROBE_TIMEOUT.as_millis() as u64),
-        body: RequestBody::Ping,
-    };
     let slot = &shared.slots[w];
     let Ok(mut conn) = checkout(slot) else {
         return false;
     };
-    if write_frame(&mut conn.writer, &request.to_json()).is_err() {
+    let deadline_ms = Some(PROBE_TIMEOUT.as_millis() as u64);
+    let ping = &RequestBody::Ping;
+    let sent = write_request(
+        &mut conn.writer,
+        &mut conn.scratch,
+        0,
+        deadline_ms,
+        ping,
+        false,
+    );
+    if sent.is_err() {
         return false;
     }
     let deadline = Instant::now() + PROBE_TIMEOUT;
@@ -704,17 +721,18 @@ fn probe_worker(shared: &Shared, w: usize) -> bool {
     else {
         return false;
     };
-    let ok = matches!(
-        Response::from_json(&json),
-        Ok(Response {
-            id: 0,
-            payload: ResponsePayload::Ok { .. },
-        })
-    );
-    if ok {
-        checkin(slot, conn);
-    }
-    ok
+    let Ok(Response {
+        id: 0,
+        payload: ResponsePayload::Ok { result, .. },
+    }) = Response::from_json(&json)
+    else {
+        return false;
+    };
+    let version = result.get("version").and_then(Json::as_u64).unwrap_or(0);
+    slot.reads_blocks
+        .store(version >= BLOCK_FRAME_VERSION, Ordering::SeqCst);
+    checkin(slot, conn);
+    true
 }
 
 fn prober_loop(shared: &Shared) {

@@ -6,8 +6,9 @@
 //! The front answers undecodable traffic itself and decides when a
 //! connection closes:
 //!
-//! * malformed JSON or a bad request shape in an intact frame →
-//!   `bad_request`, the connection survives;
+//! * a malformed payload (bad JSON, a broken block frame) or a bad
+//!   request shape in an intact frame → `bad_request`, the connection
+//!   survives;
 //! * an oversized length prefix → `bad_request`, then close (the unread
 //!   payload cannot be resynchronized);
 //! * mid-frame EOF, a closed peer, or a failed write → close quietly;
@@ -23,9 +24,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use didt_telemetry::Json;
-
-use crate::protocol::{write_frame, ErrorCode, FrameError, FrameReader, Request, Response};
+use crate::protocol::{
+    decode_request, write_frame, ErrorCode, FrameError, FrameReader, Request, Response,
+};
 
 /// How often blocked reads wake up to poll the shutdown flag.
 pub(crate) const READ_POLL: Duration = Duration::from_millis(25);
@@ -143,8 +144,8 @@ fn connection_loop<H: Handler>(handler: &H, stream: TcpStream, max_frame_len: us
     let shutdown = handler.shutdown_flag();
     let mut should_abort = || shutdown.load(Ordering::SeqCst);
     loop {
-        let answer = match reader.read_frame(max_frame_len, &mut should_abort) {
-            Ok(json) => match Request::from_json(&json) {
+        let answer = match reader.read_payload(max_frame_len, &mut should_abort) {
+            Ok(payload) => match decode_request(payload) {
                 Ok(request) => {
                     if handler.handle(request, &writer).is_err() {
                         break;
@@ -153,16 +154,11 @@ fn connection_loop<H: Handler>(handler: &H, stream: TcpStream, max_frame_len: us
                 }
                 // The frame itself was well-formed, so the stream is
                 // still in sync — answer and keep reading.
-                Err(message) => {
-                    let id = json.get("id").and_then(Json::as_u64).unwrap_or(0);
-                    Some((Response::error(id, ErrorCode::BadRequest, message), false))
-                }
+                Err(e) => Some((
+                    Response::error(e.id, ErrorCode::BadRequest, e.message),
+                    false,
+                )),
             },
-            // Bad payload, intact framing: recoverable.
-            Err(FrameError::Json(e)) => Some((
-                Response::error(0, ErrorCode::BadRequest, format!("bad payload: {e}")),
-                false,
-            )),
             Err(FrameError::TooLarge { len, max }) => Some((
                 Response::error(
                     0,
@@ -175,7 +171,10 @@ fn connection_loop<H: Handler>(handler: &H, stream: TcpStream, max_frame_len: us
                 handler.protocol_error();
                 break;
             }
-            Err(FrameError::Closed | FrameError::Aborted | FrameError::Io(_)) => break,
+            // `read_payload` parses nothing, so it never reports `Json`.
+            Err(
+                FrameError::Closed | FrameError::Aborted | FrameError::Io(_) | FrameError::Json(_),
+            ) => break,
         };
         if let Some((response, hang_up)) = answer {
             handler.protocol_error();

@@ -7,10 +7,12 @@
 //!
 //! # Architecture
 //!
-//! * [`protocol`] — a length-prefixed JSON wire format (reusing
+//! * [`protocol`] — a length-prefixed wire format (reusing
 //!   `didt-telemetry`'s vendored JSON layer; the offline build has no
 //!   serde). One `u32` big-endian length prefix, then a UTF-8 JSON
-//!   document. Requests are [`protocol::Request`]; responses are
+//!   document — or, for a request that carries samples to a v3 peer, a
+//!   block frame: a JSON header plus the samples as raw little-endian
+//!   `f64`s. Requests are [`protocol::Request`]; responses are
 //!   [`protocol::Response`].
 //! * [`service`] — [`service::Service`]: the request handlers. One
 //!   process-wide [`didt_bench::SweepContext`] calibration cache is
@@ -57,10 +59,10 @@ pub mod service;
 pub use client::{Client, ClientConfig, ClientError};
 pub use cluster::{warm_worker, HashRing, Router, RouterConfig};
 pub use protocol::{
-    snapshot_entry_from_json, snapshot_entry_to_json, write_frame, CharacterizeSpec,
-    ClosedLoopSpec, DesignSpec, ErrorCode, FrameError, FrameReader, Request, RequestBody, Response,
-    ResponsePayload, SessionSpec, TraceSource, MAX_FRAME_LEN, PROTOCOL_VERSION,
-    SNAPSHOT_MAX_ENTRIES,
+    decode_request, snapshot_entry_from_json, snapshot_entry_to_json, write_frame, write_request,
+    CharacterizeSpec, ClosedLoopSpec, DecodeError, DesignSpec, ErrorCode, FrameError, FrameReader,
+    Request, RequestBody, Response, ResponsePayload, SessionSpec, TraceSource, MAX_FRAME_LEN,
+    PROTOCOL_VERSION, SNAPSHOT_MAX_ENTRIES,
 };
 pub use server::{ServeConfig, Server, ShutdownReport};
 pub use service::{Service, ServiceStats};

@@ -1,12 +1,35 @@
-//! Wire protocol: framing plus the request/response JSON codec.
+//! Wire protocol: framing plus the request/response codec.
 //!
 //! # Framing
 //!
 //! Every message is one *frame*: a 4-byte big-endian `u32` payload
-//! length followed by exactly that many bytes of UTF-8 JSON. Frames
-//! longer than the receiver's limit ([`MAX_FRAME_LEN`] by default) are
+//! length followed by exactly that many payload bytes. Frames longer
+//! than the receiver's limit ([`MAX_FRAME_LEN`] by default) are
 //! rejected before any payload is read, so a hostile length prefix
 //! cannot make the server allocate unboundedly.
+//!
+//! A payload is one of two shapes, told apart by its first byte:
+//!
+//! * **JSON** — a UTF-8 JSON document. Every response and every
+//!   request of protocol v2 has this shape.
+//! * **Block** (requests only, protocol v3) — the byte `0x00`, a
+//!   little-endian `u32` header length, that many bytes of JSON
+//!   header, then the request's samples as raw little-endian `f64`s.
+//!   The header is the request's JSON document with its sample array
+//!   (`spec.trace` of an `Inline` `Characterize`, `spec.samples` of a
+//!   `SessionPush`) replaced by `{"block": n}`, the sample count. The
+//!   decoder checks `8·n` against the bytes left before it allocates,
+//!   and answers a non-finite sample with the same `bad_request` the
+//!   JSON path gives a `null` one. Each sample's bytes are its
+//!   `to_bits`, so the samples arrive bit-exact by construction.
+//!
+//! No JSON document starts with `0x00`, so a server reads both shapes
+//! on one connection. A sender uses blocks only toward a peer whose
+//! `Ping` reports version 3 or later ([`Client`](crate::Client) asks
+//! once, before its first request that carries samples; the router
+//! reads each worker's version from its health probes), so a v2 peer
+//! never sees a block frame. [`write_request`] is the one request
+//! encoder for both shapes.
 //!
 //! [`FrameReader`] is a resumable decoder: it buffers partial frames
 //! across short reads and read timeouts, which is what lets server
@@ -20,6 +43,16 @@
 //! `error`. All f64 fields round-trip bit-exactly through the JSON
 //! layer (shortest-roundtrip rendering), which the protocol tests'
 //! ClosedLoop ≡ batch-runner check relies on.
+//!
+//! # Versions
+//!
+//! * v1 — `ping`, `stats`, `characterize`, `closed_loop`, `design`.
+//! * v2 — the streaming session kinds (`session_*`) and the
+//!   cache-warming snapshot pair (`snapshot_export` /
+//!   `snapshot_import`).
+//! * v3 — block frames for request samples.
+//!
+//! Every version's requests decode unchanged on a later server.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -30,15 +63,19 @@ use didt_core::characterize::ScaleGainModel;
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_telemetry::{seed_from_hex, seed_to_hex, Counter, Json, JsonError, MetricsRegistry};
 
-/// Protocol version reported by `Ping`. Version 2 adds the streaming
-/// session kinds (`session_*`) and the cache-warming snapshot pair
-/// (`snapshot_export` / `snapshot_import`); version-1 requests decode
-/// unchanged.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// Protocol version reported by `Ping` (see the module docs for what
+/// each version adds).
+pub const PROTOCOL_VERSION: u64 = 3;
 
-/// Default upper bound on a frame payload (16 MiB — a million-sample
-/// inline trace renders to roughly this much JSON).
+/// The first protocol version whose servers read block frames.
+pub(crate) const BLOCK_FRAME_VERSION: u64 = 3;
+
+/// Default upper bound on a frame payload (16 MiB). That holds about
+/// 2 M samples in a block frame, or under a million rendered as JSON.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+
+/// First payload byte of a block frame.
+const BLOCK_TAG: u8 = 0x00;
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -97,11 +134,116 @@ impl std::error::Error for FrameError {}
 /// Propagates transport errors.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
     let payload = json.render();
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    let len = frame_len(payload.len())?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload.as_bytes())?;
     w.flush()
+}
+
+fn frame_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))
+}
+
+/// Write one request frame from a borrowed body.
+///
+/// With `blocks` set, a body that carries samples goes as a block
+/// frame, assembled in `scratch` (reused across calls) and written at
+/// once. Every other request, and every request without `blocks`, goes
+/// as the JSON document of [`Request::to_json`].
+///
+/// # Errors
+///
+/// Propagates transport errors; a frame over 4 GiB is `InvalidInput`.
+pub fn write_request(
+    w: &mut impl Write,
+    scratch: &mut Vec<u8>,
+    id: u64,
+    deadline_ms: Option<u64>,
+    body: &RequestBody,
+    blocks: bool,
+) -> io::Result<()> {
+    let samples = match body.samples() {
+        Some(samples) if blocks => samples,
+        _ => return write_frame(w, &request_json(id, deadline_ms, body, false)),
+    };
+    let header = request_json(id, deadline_ms, body, true).render();
+    let header_len = frame_len(header.len())?;
+    let payload_len = 1 + 4 + header.len() + 8 * samples.len();
+    scratch.clear();
+    scratch.reserve(4 + payload_len);
+    scratch.extend_from_slice(&frame_len(payload_len)?.to_be_bytes());
+    scratch.push(BLOCK_TAG);
+    scratch.extend_from_slice(&header_len.to_le_bytes());
+    scratch.extend_from_slice(header.as_bytes());
+    for x in samples {
+        scratch.extend_from_slice(&x.to_le_bytes());
+    }
+    w.write_all(scratch)?;
+    w.flush()
+}
+
+fn parse_json_payload(payload: &[u8]) -> Result<Json, JsonError> {
+    let text = std::str::from_utf8(payload).map_err(|e| JsonError {
+        message: format!("payload is not UTF-8: {e}"),
+        offset: 0,
+    })?;
+    Json::parse(text)
+}
+
+/// A request payload that did not decode: the structured `bad_request`
+/// a server answers it with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError {
+    /// The request's id, when its header parsed far enough (else 0).
+    pub id: u64,
+    /// What was wrong.
+    pub message: String,
+}
+
+/// Decode one request payload, JSON or block frame (module docs).
+///
+/// # Errors
+///
+/// A [`DecodeError`] for a malformed payload or request shape.
+pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+    let bad_payload = |e: JsonError| DecodeError {
+        id: 0,
+        message: format!("bad payload: {e}"),
+    };
+    let (header, mut block) = match payload.split_first() {
+        Some((&BLOCK_TAG, rest)) => {
+            let Some((len, rest)) = rest.split_first_chunk::<4>() else {
+                return Err(DecodeError {
+                    id: 0,
+                    message: "block frame ends inside its header length".to_string(),
+                });
+            };
+            let len = u32::from_le_bytes(*len) as usize;
+            if len > rest.len() {
+                return Err(DecodeError {
+                    id: 0,
+                    message: format!(
+                        "block frame header of {len} bytes runs past the {} bytes left",
+                        rest.len()
+                    ),
+                });
+            }
+            let (header, block) = rest.split_at(len);
+            (
+                parse_json_payload(header).map_err(bad_payload)?,
+                Some(block),
+            )
+        }
+        _ => (parse_json_payload(payload).map_err(bad_payload)?, None),
+    };
+    let decoded = Request::decode(&header, &mut block).and_then(|request| match block {
+        Some(_) => Err("block frame header refers to no block".to_string()),
+        None => Ok(request),
+    });
+    decoded.map_err(|message| DecodeError {
+        id: header.get("id").and_then(Json::as_u64).unwrap_or(0),
+        message,
+    })
 }
 
 /// A resumable frame decoder over any [`Read`].
@@ -148,7 +290,7 @@ impl<R: Read> FrameReader<R> {
         self.buf.capacity()
     }
 
-    /// Read one complete frame and parse its payload.
+    /// Read one complete frame and parse its payload as JSON.
     ///
     /// `should_abort` is consulted whenever the underlying read times
     /// out; returning `true` yields [`FrameError::Aborted`].
@@ -161,6 +303,21 @@ impl<R: Read> FrameReader<R> {
         max_len: usize,
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Json, FrameError> {
+        parse_json_payload(self.read_payload(max_len, should_abort)?).map_err(FrameError::Json)
+    }
+
+    /// Read one complete frame and return its raw payload, which stays
+    /// borrowed from the reader's scratch until the next read.
+    ///
+    /// # Errors
+    ///
+    /// Every [`FrameError`] variant but `Json` (the payload is not
+    /// parsed).
+    pub fn read_payload(
+        &mut self,
+        max_len: usize,
+        should_abort: &mut dyn FnMut() -> bool,
+    ) -> Result<&[u8], FrameError> {
         static BUF_REUSE: OnceLock<Arc<Counter>> = OnceLock::new();
         let mut chunk = [0u8; 4096];
         loop {
@@ -186,13 +343,7 @@ impl<R: Read> FrameReader<R> {
                             })
                             .incr();
                     }
-                    let text = std::str::from_utf8(&self.payload).map_err(|e| {
-                        FrameError::Json(JsonError {
-                            message: format!("payload is not UTF-8: {e}"),
-                            offset: 0,
-                        })
-                    })?;
-                    return Json::parse(text).map_err(FrameError::Json);
+                    return Ok(&self.payload);
                 }
             }
             match self.inner.read(&mut chunk) {
@@ -448,6 +599,20 @@ impl RequestBody {
             RequestBody::SessionClose { .. } => "session_close",
             RequestBody::SnapshotExport { .. } => "snapshot_export",
             RequestBody::SnapshotImport { .. } => "snapshot_import",
+        }
+    }
+
+    /// The per-cycle samples this request carries: an `Inline` trace
+    /// or a `SessionPush` chunk. These are what a block frame holds.
+    #[must_use]
+    pub fn samples(&self) -> Option<&[f64]> {
+        match self {
+            RequestBody::Characterize(CharacterizeSpec {
+                trace: TraceSource::Inline(samples),
+                ..
+            })
+            | RequestBody::SessionPush { samples, .. } => Some(samples),
+            _ => None,
         }
     }
 
@@ -742,6 +907,152 @@ pub fn snapshot_entry_from_json(json: &Json) -> Result<GainSnapshotEntry, String
     })
 }
 
+/// A request's JSON document. With `block`, its samples (if any) are
+/// replaced by `{"block": n}`: the header of a block frame.
+fn request_json(id: u64, deadline_ms: Option<u64>, body: &RequestBody, block: bool) -> Json {
+    let mut pairs = vec![
+        ("id", Json::num(id as f64)),
+        ("kind", Json::str(body.kind())),
+    ];
+    if let Some(ms) = deadline_ms {
+        pairs.push(("deadline_ms", Json::num(ms as f64)));
+    }
+    let spec = match body {
+        RequestBody::Ping | RequestBody::Stats => None,
+        RequestBody::Characterize(s) => {
+            let mut sp = Vec::new();
+            match &s.trace {
+                TraceSource::Inline(samples) => sp.push(("trace", samples_json(samples, block))),
+                TraceSource::Synth {
+                    benchmark,
+                    seed,
+                    warmup,
+                    cycles,
+                } => {
+                    sp.push((
+                        "synth",
+                        Json::obj(vec![
+                            ("benchmark", Json::str(benchmark.as_str())),
+                            ("seed_hex", Json::str(seed_to_hex(*seed))),
+                            ("warmup", Json::num(*warmup as f64)),
+                            ("cycles", Json::num(*cycles as f64)),
+                        ]),
+                    ));
+                }
+                TraceSource::Recorded { path } => {
+                    sp.push(("recorded", Json::str(path.as_str())));
+                }
+            }
+            sp.push(("pdn_pct", Json::num(s.pdn_pct)));
+            sp.push(("window", Json::num(s.window as f64)));
+            sp.push(("threshold", Json::num(s.threshold)));
+            sp.push(("significance", Json::num(s.significance)));
+            sp.push(("gauss_windows", Json::num(s.gauss_windows as f64)));
+            sp.push(("family", Json::str(s.family.name())));
+            sp.push(("boundary", Json::str(s.boundary.name())));
+            Some(Json::obj(sp))
+        }
+        RequestBody::ClosedLoop(s) => {
+            let mut sp = vec![
+                ("benchmark", Json::str(s.benchmark.as_str())),
+                ("pdn_pct", Json::num(s.pdn_pct)),
+                ("monitor_terms", Json::num(s.monitor_terms as f64)),
+                ("controller", controller_to_json(&s.controller)),
+                ("instructions", Json::num(s.instructions as f64)),
+                ("warmup_cycles", Json::num(s.warmup_cycles as f64)),
+            ];
+            if let Some(path) = &s.replay {
+                sp.push(("replay", Json::str(path.as_str())));
+            }
+            Some(Json::obj(sp))
+        }
+        RequestBody::Design(s) => Some(Json::obj(vec![
+            ("pdn_pct", Json::num(s.pdn_pct)),
+            ("window", Json::num(s.window as f64)),
+            ("terms", Json::num(s.terms as f64)),
+            ("i_dev", Json::num(s.i_dev)),
+        ])),
+        RequestBody::SessionOpen(s) => Some(Json::obj(vec![
+            ("pdn_pct", Json::num(s.pdn_pct)),
+            ("window", Json::num(s.window as f64)),
+            ("threshold", Json::num(s.threshold)),
+            ("significance", Json::num(s.significance)),
+            ("gauss_windows", Json::num(s.gauss_windows as f64)),
+            ("family", Json::str(s.family.name())),
+            ("boundary", Json::str(s.boundary.name())),
+        ])),
+        RequestBody::SessionPush { session, samples } => Some(Json::obj(vec![
+            ("session", Json::num(*session as f64)),
+            ("samples", samples_json(samples, block)),
+        ])),
+        RequestBody::SessionVerdict { session } | RequestBody::SessionClose { session } => {
+            Some(Json::obj(vec![("session", Json::num(*session as f64))]))
+        }
+        RequestBody::SnapshotExport { max_entries } => Some(Json::obj(vec![(
+            "max_entries",
+            Json::num(*max_entries as f64),
+        )])),
+        RequestBody::SnapshotImport { entries } => Some(Json::obj(vec![(
+            "entries",
+            Json::Arr(entries.iter().map(snapshot_entry_to_json).collect()),
+        )])),
+    };
+    if let Some(spec) = spec {
+        pairs.push(("spec", spec));
+    }
+    Json::obj(pairs)
+}
+
+/// Decode the sample field `field`: a JSON array of numbers, or — in
+/// a block frame — the `{"block": n}` reference that takes the frame's
+/// block. `not_array` is the error for any other value. A non-finite
+/// block sample gets the error a JSON `null` sample gets.
+fn samples_from(
+    v: &Json,
+    field: &str,
+    not_array: &str,
+    block: &mut Option<&[u8]>,
+) -> Result<Vec<f64>, String> {
+    let not_numbers = || format!("field `{field}` must hold only numbers");
+    if let (Some(n), Some(bytes)) = (v.get("block"), *block) {
+        let n = n
+            .as_u64()
+            .ok_or_else(|| format!("field `{field}.block` must be a sample count"))?;
+        if n.checked_mul(8) != Some(bytes.len() as u64) {
+            return Err(format!(
+                "block of {} bytes does not hold the {n} samples `{field}` names",
+                bytes.len()
+            ));
+        }
+        *block = None;
+        let samples: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect();
+        return if samples.iter().all(|x| x.is_finite()) {
+            Ok(samples)
+        } else {
+            Err(not_numbers())
+        };
+    }
+    let arr = v.as_arr().ok_or(not_array)?;
+    let mut samples = Vec::with_capacity(arr.len());
+    for v in arr {
+        samples.push(v.as_f64().ok_or_else(not_numbers)?);
+    }
+    Ok(samples)
+}
+
+/// A sample array, or the `{"block": n}` reference that stands for it
+/// in a block frame's header.
+fn samples_json(samples: &[f64], block: bool) -> Json {
+    if block {
+        Json::obj(vec![("block", Json::num(samples.len() as f64))])
+    } else {
+        Json::Arr(samples.iter().map(|&x| Json::num(x)).collect())
+    }
+}
+
 impl Request {
     /// The consistent-hash shard key this request routes on, when it
     /// has one. `Characterize` and `SessionOpen` shard on their
@@ -790,116 +1101,25 @@ impl Request {
         }
     }
 
-    /// Encode to the wire JSON shape.
+    /// Encode to the wire JSON shape (the v2 document).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("id", Json::num(self.id as f64)),
-            ("kind", Json::str(self.body.kind())),
-        ];
-        if let Some(ms) = self.deadline_ms {
-            pairs.push(("deadline_ms", Json::num(ms as f64)));
-        }
-        let spec = match &self.body {
-            RequestBody::Ping | RequestBody::Stats => None,
-            RequestBody::Characterize(s) => {
-                let mut sp = Vec::new();
-                match &s.trace {
-                    TraceSource::Inline(samples) => {
-                        sp.push((
-                            "trace",
-                            Json::Arr(samples.iter().map(|&x| Json::num(x)).collect()),
-                        ));
-                    }
-                    TraceSource::Synth {
-                        benchmark,
-                        seed,
-                        warmup,
-                        cycles,
-                    } => {
-                        sp.push((
-                            "synth",
-                            Json::obj(vec![
-                                ("benchmark", Json::str(benchmark.as_str())),
-                                ("seed_hex", Json::str(seed_to_hex(*seed))),
-                                ("warmup", Json::num(*warmup as f64)),
-                                ("cycles", Json::num(*cycles as f64)),
-                            ]),
-                        ));
-                    }
-                    TraceSource::Recorded { path } => {
-                        sp.push(("recorded", Json::str(path.as_str())));
-                    }
-                }
-                sp.push(("pdn_pct", Json::num(s.pdn_pct)));
-                sp.push(("window", Json::num(s.window as f64)));
-                sp.push(("threshold", Json::num(s.threshold)));
-                sp.push(("significance", Json::num(s.significance)));
-                sp.push(("gauss_windows", Json::num(s.gauss_windows as f64)));
-                sp.push(("family", Json::str(s.family.name())));
-                sp.push(("boundary", Json::str(s.boundary.name())));
-                Some(Json::obj(sp))
-            }
-            RequestBody::ClosedLoop(s) => {
-                let mut sp = vec![
-                    ("benchmark", Json::str(s.benchmark.as_str())),
-                    ("pdn_pct", Json::num(s.pdn_pct)),
-                    ("monitor_terms", Json::num(s.monitor_terms as f64)),
-                    ("controller", controller_to_json(&s.controller)),
-                    ("instructions", Json::num(s.instructions as f64)),
-                    ("warmup_cycles", Json::num(s.warmup_cycles as f64)),
-                ];
-                if let Some(path) = &s.replay {
-                    sp.push(("replay", Json::str(path.as_str())));
-                }
-                Some(Json::obj(sp))
-            }
-            RequestBody::Design(s) => Some(Json::obj(vec![
-                ("pdn_pct", Json::num(s.pdn_pct)),
-                ("window", Json::num(s.window as f64)),
-                ("terms", Json::num(s.terms as f64)),
-                ("i_dev", Json::num(s.i_dev)),
-            ])),
-            RequestBody::SessionOpen(s) => Some(Json::obj(vec![
-                ("pdn_pct", Json::num(s.pdn_pct)),
-                ("window", Json::num(s.window as f64)),
-                ("threshold", Json::num(s.threshold)),
-                ("significance", Json::num(s.significance)),
-                ("gauss_windows", Json::num(s.gauss_windows as f64)),
-                ("family", Json::str(s.family.name())),
-                ("boundary", Json::str(s.boundary.name())),
-            ])),
-            RequestBody::SessionPush { session, samples } => Some(Json::obj(vec![
-                ("session", Json::num(*session as f64)),
-                (
-                    "samples",
-                    Json::Arr(samples.iter().map(|&x| Json::num(x)).collect()),
-                ),
-            ])),
-            RequestBody::SessionVerdict { session } | RequestBody::SessionClose { session } => {
-                Some(Json::obj(vec![("session", Json::num(*session as f64))]))
-            }
-            RequestBody::SnapshotExport { max_entries } => Some(Json::obj(vec![(
-                "max_entries",
-                Json::num(*max_entries as f64),
-            )])),
-            RequestBody::SnapshotImport { entries } => Some(Json::obj(vec![(
-                "entries",
-                Json::Arr(entries.iter().map(snapshot_entry_to_json).collect()),
-            )])),
-        };
-        if let Some(spec) = spec {
-            pairs.push(("spec", spec));
-        }
-        Json::obj(pairs)
+        request_json(self.id, self.deadline_ms, &self.body, false)
     }
 
-    /// Decode from the wire JSON shape.
+    /// Decode from the wire JSON shape (the v2 document).
     ///
     /// # Errors
     ///
     /// A human-readable message naming the first offending field.
     pub fn from_json(json: &Json) -> Result<Request, String> {
+        Request::decode(json, &mut None)
+    }
+
+    /// Decode a JSON document, or a block frame's header when `block`
+    /// holds the frame's sample bytes. The field that refers to the
+    /// block takes it, leaving `None`.
+    fn decode(json: &Json, block: &mut Option<&[u8]>) -> Result<Request, String> {
         let id = json
             .get("id")
             .and_then(Json::as_u64)
@@ -924,13 +1144,13 @@ impl Request {
             "characterize" => {
                 let s = need_spec()?;
                 let d = CharacterizeSpec::default();
-                let trace = if let Some(arr) = s.get("trace") {
-                    let arr = arr.as_arr().ok_or("field `trace` must be an array")?;
-                    let mut samples = Vec::with_capacity(arr.len());
-                    for v in arr {
-                        samples.push(v.as_f64().ok_or("field `trace` must hold only numbers")?);
-                    }
-                    TraceSource::Inline(samples)
+                let trace = if let Some(v) = s.get("trace") {
+                    TraceSource::Inline(samples_from(
+                        v,
+                        "trace",
+                        "field `trace` must be an array",
+                        block,
+                    )?)
                 } else if let Some(sy) = s.get("synth") {
                     let benchmark = sy
                         .get("benchmark")
@@ -1023,14 +1243,13 @@ impl Request {
             }
             "session_push" => {
                 let s = need_spec()?;
-                let arr = s
-                    .get("samples")
-                    .and_then(Json::as_arr)
-                    .ok_or("`session_push` needs an array field `samples`")?;
-                let mut samples = Vec::with_capacity(arr.len());
-                for v in arr {
-                    samples.push(v.as_f64().ok_or("field `samples` must hold only numbers")?);
-                }
+                let not_array = "`session_push` needs an array field `samples`";
+                let samples = samples_from(
+                    s.get("samples").ok_or(not_array)?,
+                    "samples",
+                    not_array,
+                    block,
+                )?;
                 RequestBody::SessionPush {
                     session: req_session(s)?,
                     samples,
@@ -1667,6 +1886,72 @@ mod tests {
             }
             other => panic!("wrong body: {other:?}"),
         }
+    }
+
+    /// Encode `body` with [`write_request`] and decode the payload the
+    /// way a server does.
+    fn through_wire(body: &RequestBody, blocks: bool) -> (Vec<u8>, Request) {
+        let mut wire = Vec::new();
+        write_request(&mut wire, &mut Vec::new(), 7, Some(90), body, blocks).unwrap();
+        let mut r = FrameReader::new(std::io::Cursor::new(wire.clone()));
+        let request = decode_request(r.read_payload(usize::MAX, &mut || false).unwrap()).unwrap();
+        (wire, request)
+    }
+
+    #[test]
+    fn block_frames_carry_samples_bit_exactly() {
+        let samples = vec![-0.0, f64::from_bits(1), f64::MAX, -1.5, f64::MIN_POSITIVE];
+        for body in [
+            RequestBody::Characterize(CharacterizeSpec {
+                trace: TraceSource::Inline(samples.clone()),
+                ..CharacterizeSpec::default()
+            }),
+            RequestBody::SessionPush {
+                session: 3,
+                samples: samples.clone(),
+            },
+        ] {
+            let (wire, back) = through_wire(&body, true);
+            assert_eq!(wire[4], BLOCK_TAG, "{} goes as a block frame", body.kind());
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(back.body.samples().unwrap()), bits(&samples));
+            assert_eq!((back.id, back.deadline_ms, back.body), (7, Some(90), body));
+        }
+    }
+
+    #[test]
+    fn write_request_without_blocks_writes_the_json_frame() {
+        for body in [
+            RequestBody::Characterize(CharacterizeSpec {
+                trace: TraceSource::Inline(vec![1.0, 2.5]),
+                ..CharacterizeSpec::default()
+            }),
+            // A body with no samples ignores `blocks`.
+            RequestBody::Ping,
+        ] {
+            let (wire, back) = through_wire(&body, body.samples().is_none());
+            let request = Request {
+                id: 7,
+                deadline_ms: Some(90),
+                body,
+            };
+            let mut json = Vec::new();
+            write_frame(&mut json, &request.to_json()).unwrap();
+            assert_eq!(wire, json);
+            assert_eq!(back, request);
+        }
+    }
+
+    #[test]
+    fn block_reference_in_a_json_frame_is_not_an_array() {
+        let json = br#"{"id": 4, "kind": "characterize", "spec": {"trace": {"block": 2}}}"#;
+        assert_eq!(
+            decode_request(json),
+            Err(DecodeError {
+                id: 4,
+                message: "field `trace` must be an array".to_string(),
+            })
+        );
     }
 
     #[test]

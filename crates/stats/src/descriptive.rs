@@ -37,11 +37,25 @@ pub fn mean(data: &[f64]) -> f64 {
 /// ```
 #[must_use]
 pub fn variance(data: &[f64]) -> f64 {
+    variance_about(data, mean(data))
+}
+
+/// [`variance`] of a sample whose [`mean`] the caller already holds:
+/// the same arithmetic, without summing the sample a second time.
+///
+/// # Examples
+///
+/// ```
+/// let data = [1.0, 1.0, 3.0, 3.0];
+/// let m = didt_stats::mean(&data);
+/// assert_eq!(didt_stats::variance_about(&data, m), didt_stats::variance(&data));
+/// ```
+#[must_use]
+pub fn variance_about(data: &[f64], mean: f64) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let m = mean(data);
-    data.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
+    data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / data.len() as f64
 }
 
 /// Population standard deviation.
