@@ -10,10 +10,11 @@
 //! deliberate, reviewed decision.
 
 use didt_bench::{
-    benchmark_trace, impulse_energy_capture, standard_system, ControllerSpec, ExperimentRunner,
-    RunParams, Sweep, SweepContext,
+    benchmark_trace, impulse_energy_capture, standard_system, workload_seed, ControllerSpec,
+    ExperimentRunner, RunParams, Sweep, SweepContext, SweepPoint,
 };
 use didt_core::characterize::{EmergencyEstimator, ScaleGainModel, VarianceModel};
+use didt_core::control::{ClosedLoop, ClosedLoopConfig, ClosedLoopResult, NoControl};
 use didt_core::monitor::FamilyMonitorDesign;
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_serve::{CharacterizeSpec, Request, RequestBody, ResponsePayload, Service, TraceSource};
@@ -254,6 +255,138 @@ fn tab02_scheme_comparison_goldens() {
     eprintln!("tab02 golden baseline emergencies: {base}");
     assert_eq!(base, 30, "uncontrolled baseline emergencies changed");
 }
+
+/// A closed-loop result's ten fields in declaration order: the seven
+/// counts as they are, then `v_min`, `v_max` and `mean_power` by
+/// `to_bits`.
+fn result_bits(r: &ClosedLoopResult) -> [u64; 10] {
+    [
+        r.cycles,
+        r.instructions,
+        r.low_emergencies,
+        r.high_emergencies,
+        r.stall_cycles,
+        r.nop_cycles,
+        r.false_positives,
+        r.v_min.to_bits(),
+        r.v_max.to_bits(),
+        r.mean_power.to_bits(),
+    ]
+}
+
+/// Controlled replays through `SweepContext::run_replay`: two short
+/// uncontrolled recordings (gzip and mcf at 150 %) re-scored under six
+/// threshold and damping schemes. Both legs' ten fields are pinned by
+/// bits; the uncontrolled leg is pinned once per recording and every
+/// scheme's replay must reproduce it.
+#[test]
+fn controlled_replay_goldens() {
+    let ctx = SweepContext::standard().unwrap();
+    let pdn = ctx.pdn(150.0).unwrap();
+    let run = RunParams {
+        instructions: 6_000,
+        warmup_cycles: 1_000,
+    };
+    let schemes = [
+        ControllerSpec::AnalogThreshold {
+            low: 0.975,
+            high: 1.025,
+            hysteresis: 0.004,
+        },
+        ControllerSpec::FullConvolution {
+            low: 0.975,
+            high: 1.025,
+            hysteresis: 0.004,
+        },
+        ControllerSpec::PipelineDamping {
+            window: 15,
+            max_delta: 6.0,
+        },
+        ControllerSpec::WaveletThreshold {
+            low: 0.975,
+            high: 1.025,
+            hysteresis: 0.004,
+            delay: 1,
+        },
+        ControllerSpec::BiquadRecursive {
+            low: 0.975,
+            high: 1.025,
+            hysteresis: 0.004,
+            delay: 1,
+        },
+        ControllerSpec::WaveletFamilyThreshold {
+            low: 0.975,
+            high: 1.025,
+            hysteresis: 0.004,
+            delay: 1,
+            family: WaveletFamily::Db3,
+            boundary: BoundaryMode::Periodic,
+        },
+    ];
+    let mut actual = Vec::new();
+    for bench in [Benchmark::Gzip, Benchmark::Mcf] {
+        let cfg = ClosedLoopConfig {
+            seed: workload_seed(bench, 150.0),
+            warmup_cycles: run.warmup_cycles,
+            instructions: run.instructions,
+            ..ClosedLoopConfig::standard(bench)
+        };
+        let live = ClosedLoop::new(*ctx.system().processor(), *pdn, cfg)
+            .run_recording(&mut NoControl)
+            .unwrap();
+        actual.push((bench.name(), "baseline", result_bits(&live.result)));
+        for controller in schemes {
+            let point = SweepPoint {
+                benchmark: bench,
+                pdn_pct: 150.0,
+                monitor_terms: 13,
+                controller,
+            };
+            let pr = ctx
+                .run_replay(&point, run, &live.records, live.pre_roll)
+                .unwrap();
+            assert_eq!(
+                result_bits(&pr.baseline),
+                result_bits(&live.result),
+                "{} {}: uncontrolled replay leg changed",
+                bench.name(),
+                controller.tag()
+            );
+            actual.push((bench.name(), controller.tag(), result_bits(&pr.controlled)));
+        }
+    }
+    for (bench, tag, bits) in &actual {
+        eprintln!(
+            "replay golden {bench} {tag}: {:?} v_min {:#x} v_max {:#x} power {:#x}",
+            &bits[..7],
+            bits[7],
+            bits[8],
+            bits[9]
+        );
+    }
+    assert_eq!(actual, REPLAY_GOLDEN, "controlled replay results changed");
+}
+
+/// `(benchmark, scheme tag or "baseline", result_bits)` per replay in
+/// `controlled_replay_goldens`, captured from the per-cycle two-leg
+/// replay loop.
+#[rustfmt::skip]
+const REPLAY_GOLDEN: &[(&str, &str, [u64; 10])] = &[
+    ("gzip", "baseline", [28044, 6003, 3, 0, 0, 0, 0, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("gzip", "analog-sensor", [28044, 6003, 3, 0, 754, 0, 388, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("gzip", "full-convolution", [28044, 6003, 3, 0, 755, 0, 460, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("gzip", "pipeline-damping", [28044, 6003, 3, 0, 2587, 2627, 4612, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("gzip", "wavelet-convolution", [28044, 6003, 3, 0, 121, 50, 65, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("gzip", "biquad-recursive", [28044, 6003, 3, 0, 754, 0, 306, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("gzip", "wavelet-family", [28044, 6003, 3, 0, 1023, 0, 498, 0x3fee4a61e5cfcf14, 0x3ff055425d5e9a50, 0x40304bb50ba431ed]),
+    ("mcf", "baseline", [87125, 6003, 0, 0, 0, 0, 0, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+    ("mcf", "analog-sensor", [87125, 6003, 0, 0, 385, 0, 259, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+    ("mcf", "full-convolution", [87125, 6003, 0, 0, 390, 0, 302, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+    ("mcf", "pipeline-damping", [87125, 6003, 0, 0, 4252, 4389, 8351, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+    ("mcf", "wavelet-convolution", [87125, 6003, 0, 0, 56, 3, 17, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+    ("mcf", "biquad-recursive", [87125, 6003, 0, 0, 392, 0, 219, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+    ("mcf", "wavelet-family", [87125, 6003, 0, 0, 655, 0, 441, 0x3fee9d5992a663d8, 0x3ff047b9a5907be0, 0x402d50aa25ac3e94]),
+];
 
 /// Figure 9 at full scale: `fig09_emergency_estimate`'s loop over all
 /// 26 benchmarks (window 64, calibration seed `0xCAB1`, 150 %
