@@ -1522,7 +1522,8 @@ impl SweepContext {
     /// baseline and the point's controller both score the same fixed
     /// record stream (records `[0, pre_roll)` settle the PDN unscored).
     /// The baseline is *not* the per-cell cached one — a recorded trace
-    /// is its own workload, so both legs come from the records.
+    /// is its own workload, so both legs come from the records, in one
+    /// pass ([`ClosedLoop::replay_with_baseline`]).
     ///
     /// # Errors
     ///
@@ -1539,12 +1540,12 @@ impl SweepContext {
         let pdn = self.pdn(point.pdn_pct)?;
         let cfg = self.loop_config(point.benchmark, point.pdn_pct, run);
         let harness = ClosedLoop::new(*self.system.processor(), *pdn, cfg);
-        let baseline = harness.replay(&mut NoControl, records, pre_roll)?;
-        let controlled = if matches!(point.controller, ControllerSpec::None) {
-            baseline
+        let (baseline, controlled) = if matches!(point.controller, ControllerSpec::None) {
+            let baseline = harness.replay(&mut NoControl, records, pre_roll)?;
+            (baseline, baseline)
         } else {
             let mut ctl = self.controller(point)?;
-            harness.replay(ctl.as_mut(), records, pre_roll)?
+            harness.replay_with_baseline(ctl.as_mut(), records, pre_roll)?
         };
         Ok(PointResult {
             point: point.clone(),

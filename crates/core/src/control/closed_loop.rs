@@ -1,6 +1,6 @@
 //! The closed-loop simulation harness: processor ⇄ controller ⇄ PDN.
 
-use crate::control::DidtController;
+use crate::control::{DidtController, NoControl};
 use crate::monitor::CycleSense;
 use crate::DidtError;
 use didt_pdn::SecondOrderPdn;
@@ -280,11 +280,62 @@ impl ClosedLoop {
     /// replayed record counts into the global `trace.replay_cycles`
     /// counter.
     ///
+    /// Because the stream is fixed, the whole replay is one pass in
+    /// blocks of [`REPLAY_BLOCK`] cycles: the PDN steps each cycle of a
+    /// block and tallies what no action can change, then the block's
+    /// senses go to [`DidtController::decide_block`] at once, and a
+    /// short second loop tallies the returned actions.
+    ///
     /// # Errors
     ///
     /// [`DidtError::InvalidConfig`] when `pre_roll` exceeds the record
     /// count.
     pub fn replay(
+        &self,
+        controller: &mut dyn DidtController,
+        records: &[Record],
+        pre_roll: usize,
+    ) -> Result<ClosedLoopResult, DidtError> {
+        let result = self.replay_pass(controller, records, pre_roll)?;
+        record_run_metrics(controller.name(), &result);
+        Ok(result)
+    }
+
+    /// [`Self::replay`] plus the uncontrolled leg, from the same single
+    /// pass: `(uncontrolled, controlled)`.
+    ///
+    /// In open-loop replay the recorded currents fix every voltage, so
+    /// an uncontrolled replay differs from a controlled one only in the
+    /// counts that come from actions: the uncontrolled leg is the
+    /// controlled result with its stall, no-op and false-positive counts
+    /// at zero, bit for bit what replaying under [`NoControl`] returns.
+    /// Each leg counts one run into its scheme's `closed_loop.<scheme>.*`
+    /// metrics; the records count into `trace.replay_cycles` once.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`Self::replay`].
+    pub fn replay_with_baseline(
+        &self,
+        controller: &mut dyn DidtController,
+        records: &[Record],
+        pre_roll: usize,
+    ) -> Result<(ClosedLoopResult, ClosedLoopResult), DidtError> {
+        let controlled = self.replay_pass(controller, records, pre_roll)?;
+        let baseline = ClosedLoopResult {
+            stall_cycles: 0,
+            nop_cycles: 0,
+            false_positives: 0,
+            ..controlled
+        };
+        record_run_metrics(NoControl.name(), &baseline);
+        record_run_metrics(controller.name(), &controlled);
+        Ok((baseline, controlled))
+    }
+
+    /// The one replay pass behind [`Self::replay`] and
+    /// [`Self::replay_with_baseline`]; records no per-scheme metrics.
+    fn replay_pass(
         &self,
         controller: &mut dyn DidtController,
         records: &[Record],
@@ -318,46 +369,58 @@ impl ClosedLoop {
             v_max: f64::NEG_INFINITY,
             ..ClosedLoopResult::default()
         };
+        let stall_fp_line =
+            self.config.v_fault_low + self.config.control_margin + self.config.fp_guard;
+        let nop_fp_line =
+            self.config.v_fault_high - self.config.control_margin - self.config.fp_guard;
         let mut power_accum = 0.0;
         let mut committed: u64 = 0;
-        for r in &records[pre_roll..] {
-            let action = controller.decide(sense);
-            let v = pdn_sim.step(r.current);
-            committed += u64::from(r.committed);
-            result.cycles += 1;
-            power_accum += r.power;
-            result.v_min = result.v_min.min(v);
-            result.v_max = result.v_max.max(v);
-            if v < self.config.v_fault_low {
-                result.low_emergencies += 1;
-            } else if v > self.config.v_fault_high {
-                result.high_emergencies += 1;
-            }
-            match action {
-                ControlAction::StallIssue => {
-                    result.stall_cycles += 1;
-                    let fp_line =
-                        self.config.v_fault_low + self.config.control_margin + self.config.fp_guard;
-                    if v > fp_line {
-                        result.false_positives += 1;
-                    }
+        let mut senses = [sense; REPLAY_BLOCK];
+        let mut volts = [0.0; REPLAY_BLOCK];
+        let mut actions = [ControlAction::Normal; REPLAY_BLOCK];
+        for block in records[pre_roll..].chunks(REPLAY_BLOCK) {
+            let n = block.len();
+            // The PDN loop: the voltage and every tally no action can
+            // change. `senses[j]` is what the controller sees before
+            // cycle `j`: the previous cycle's current and voltage.
+            for ((r, s), v_out) in block.iter().zip(&mut senses).zip(&mut volts) {
+                *s = sense;
+                let v = pdn_sim.step(r.current);
+                committed += u64::from(r.committed);
+                power_accum += r.power;
+                result.v_min = result.v_min.min(v);
+                result.v_max = result.v_max.max(v);
+                if v < self.config.v_fault_low {
+                    result.low_emergencies += 1;
+                } else if v > self.config.v_fault_high {
+                    result.high_emergencies += 1;
                 }
-                ControlAction::InjectNops => {
-                    result.nop_cycles += 1;
-                    let fp_line = self.config.v_fault_high
-                        - self.config.control_margin
-                        - self.config.fp_guard;
-                    if v < fp_line {
-                        result.false_positives += 1;
-                    }
-                }
-                ControlAction::Normal => {}
+                *v_out = v;
+                sense = CycleSense {
+                    current: r.current,
+                    voltage: v,
+                };
             }
-            sense = CycleSense {
-                current: r.current,
-                voltage: v,
-            };
+            controller.decide_block(&senses[..n], &mut actions[..n]);
+            for (&action, &v) in actions[..n].iter().zip(&volts[..n]) {
+                match action {
+                    ControlAction::StallIssue => {
+                        result.stall_cycles += 1;
+                        if v > stall_fp_line {
+                            result.false_positives += 1;
+                        }
+                    }
+                    ControlAction::InjectNops => {
+                        result.nop_cycles += 1;
+                        if v < nop_fp_line {
+                            result.false_positives += 1;
+                        }
+                    }
+                    ControlAction::Normal => {}
+                }
+            }
         }
+        result.cycles = (records.len() - pre_roll) as u64;
         result.instructions = committed;
         result.mean_power = if result.cycles > 0 {
             power_accum / result.cycles as f64
@@ -368,7 +431,6 @@ impl ClosedLoop {
             result.v_min = self.pdn.vdd();
             result.v_max = self.pdn.vdd();
         }
-        record_run_metrics(controller.name(), &result);
         Ok(result)
     }
 
@@ -615,6 +677,11 @@ fn replay_cycles_counter() -> &'static std::sync::Arc<didt_telemetry::Counter> {
         didt_telemetry::MetricsRegistry::global().counter(didt_trace::REPLAY_CYCLES_COUNTER)
     })
 }
+
+/// Cycles [`ClosedLoop::replay`] steps through the PDN before handing
+/// them to the controller at once. Scratch is a few stack arrays of this
+/// length, whatever the recording's length.
+pub const REPLAY_BLOCK: usize = 256;
 
 /// Cycles simulated between wall-clock reads in
 /// [`ClosedLoop::run_with_deadline_scratch`]. At the simulator's throughput

@@ -1,7 +1,7 @@
 //! Controller implementations: threshold comparison over a voltage
 //! monitor, pipeline damping, and the no-control baseline.
 
-use crate::control::DidtController;
+use crate::control::{DidtController, REPLAY_BLOCK};
 use crate::monitor::{CycleSense, VoltageMonitor};
 use didt_uarch::ControlAction;
 use std::collections::VecDeque;
@@ -67,11 +67,9 @@ impl<M: VoltageMonitor> ThresholdController<M> {
     pub fn monitor(&self) -> &M {
         &self.monitor
     }
-}
 
-impl<M: VoltageMonitor> DidtController for ThresholdController<M> {
-    fn decide(&mut self, sense: CycleSense) -> ControlAction {
-        let v = self.monitor.observe(sense);
+    /// Step the comparator on one voltage estimate.
+    fn compare(&mut self, v: f64) -> ControlAction {
         if self.engaged_low {
             if v >= self.v_low + self.hysteresis {
                 self.engaged_low = false;
@@ -94,9 +92,35 @@ impl<M: VoltageMonitor> DidtController for ThresholdController<M> {
             ControlAction::Normal
         }
     }
+}
 
+impl<M: VoltageMonitor> DidtController for ThresholdController<M> {
+    fn decide(&mut self, sense: CycleSense) -> ControlAction {
+        let v = self.monitor.observe(sense);
+        self.compare(v)
+    }
+
+    /// Runs the whole block through [`VoltageMonitor::observe_block`],
+    /// then the comparator over the estimates in cycle order.
+    fn decide_block(&mut self, senses: &[CycleSense], actions: &mut [ControlAction]) {
+        assert_eq!(senses.len(), actions.len(), "one action per sense");
+        let mut estimates = [0.0; REPLAY_BLOCK];
+        for (senses, actions) in senses
+            .chunks(REPLAY_BLOCK)
+            .zip(actions.chunks_mut(REPLAY_BLOCK))
+        {
+            let estimates = &mut estimates[..senses.len()];
+            self.monitor.observe_block(senses, estimates);
+            for (&v, action) in estimates.iter().zip(actions) {
+                *action = self.compare(v);
+            }
+        }
+    }
+
+    /// The monitor's name, so each threshold scheme reports (and counts
+    /// its `closed_loop.<scheme>.*` metrics) under its own name.
     fn name(&self) -> &'static str {
-        "threshold"
+        self.monitor.name()
     }
 }
 
@@ -236,5 +260,62 @@ mod tests {
     fn names() {
         assert_eq!(NoControl.name(), "no-control");
         assert_eq!(PipelineDamping::new(1, 1.0).name(), "pipeline-damping");
+    }
+
+    #[test]
+    fn threshold_schemes_take_their_monitors_names() {
+        use crate::monitor::{
+            BiquadMonitor, FamilyMonitorDesign, FullConvolutionMonitor, WaveletMonitorDesign,
+        };
+        use didt_dsp::{BoundaryMode, WaveletFamily};
+        fn name_of(monitor: impl VoltageMonitor) -> &'static str {
+            ThresholdController::new(monitor, 0.97, 1.03, 0.005).name()
+        }
+        let pdn = didt_pdn::SecondOrderPdn::from_resonance(100e6, 2.2, 4e-4, 1.0, 3e9).unwrap();
+        let wavelet = WaveletMonitorDesign::new(&pdn, 64)
+            .unwrap()
+            .build(13, 1)
+            .unwrap();
+        let family = FamilyMonitorDesign::new(&pdn, 64, WaveletFamily::Db3, BoundaryMode::Periodic)
+            .unwrap()
+            .build(13, 1)
+            .unwrap();
+        assert_eq!(name_of(AnalogSensor::new(1.0, 2)), "analog-sensor");
+        assert_eq!(
+            name_of(FullConvolutionMonitor::new(&pdn, 16, 3)),
+            "full-convolution"
+        );
+        assert_eq!(name_of(wavelet), "wavelet-convolution");
+        assert_eq!(name_of(BiquadMonitor::new(&pdn, 1)), "biquad-recursive");
+        assert_eq!(name_of(family), "wavelet-family");
+    }
+
+    #[test]
+    fn decide_block_matches_per_cycle_decide() {
+        // Two blocks' worth plus a tail, swinging through both control
+        // points so the comparator's hysteresis state crosses chunks.
+        let senses: Vec<CycleSense> = (0..2 * REPLAY_BLOCK + 37)
+            .map(|n| {
+                let t = n as f64;
+                sense(
+                    30.0 + 20.0 * (t * 0.11).sin(),
+                    1.0 + 0.05 * (t * 0.07).sin(),
+                )
+            })
+            .collect();
+        let mut one = ThresholdController::new(AnalogSensor::new(1.0, 2), 0.97, 1.03, 0.005);
+        let mut block = one.clone();
+        let want: Vec<ControlAction> = senses.iter().map(|&s| one.decide(s)).collect();
+        let mut got = vec![ControlAction::Normal; senses.len()];
+        block.decide_block(&senses, &mut got);
+        assert_eq!(got, want);
+        assert!(
+            want.contains(&ControlAction::StallIssue) && want.contains(&ControlAction::InjectNops)
+        );
+        let mut damping = PipelineDamping::new(4, 6.0);
+        let mut damping_block = damping.clone();
+        let want: Vec<ControlAction> = senses.iter().map(|&s| damping.decide(s)).collect();
+        damping_block.decide_block(&senses, &mut got);
+        assert_eq!(got, want);
     }
 }

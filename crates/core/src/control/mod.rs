@@ -13,7 +13,7 @@ mod controllers;
 
 pub use closed_loop::{
     ClosedLoop, ClosedLoopConfig, ClosedLoopResult, RecordedRun, SimScratch,
-    DEADLINE_CHECK_INTERVAL,
+    DEADLINE_CHECK_INTERVAL, REPLAY_BLOCK,
 };
 pub use controllers::{NoControl, PipelineDamping, ThresholdController};
 
@@ -24,6 +24,24 @@ use didt_uarch::ControlAction;
 pub trait DidtController {
     /// Decide the action for the next cycle from the latest sense data.
     fn decide(&mut self, sense: CycleSense) -> ControlAction;
+
+    /// Decide a run of consecutive cycles at once: `actions[n]` is what
+    /// [`Self::decide`] would return for `senses[n]` after being handed
+    /// `senses[..n]`. Open-loop replay knows every sense before it asks
+    /// (the recorded current fixes the voltage), so it hands over a
+    /// block of [`REPLAY_BLOCK`] cycles; the live loop cannot, since
+    /// there the next current depends on the last action. The default
+    /// is the per-cycle `decide` loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two slices differ in length.
+    fn decide_block(&mut self, senses: &[CycleSense], actions: &mut [ControlAction]) {
+        assert_eq!(senses.len(), actions.len(), "one action per sense");
+        for (&sense, action) in senses.iter().zip(actions) {
+            *action = self.decide(sense);
+        }
+    }
 
     /// Scheme name for reports.
     fn name(&self) -> &'static str;

@@ -40,7 +40,15 @@ pub struct FullConvolutionMonitor {
     impulse: Vec<f64>,
     vdd: f64,
     delay: DelayLine,
+    /// [`VoltageMonitor::observe_block`]'s linear history, oldest
+    /// first: the ring's last `taps − 1` lags, then the block's
+    /// currents.
+    history: Vec<f64>,
 }
+
+/// Consecutive cycles [`FullConvolutionMonitor::observe_block`] scores
+/// together, each in its own accumulator.
+const LANES: usize = 8;
 
 impl FullConvolutionMonitor {
     /// Build a monitor convolving over `taps` impulse-response samples
@@ -52,6 +60,7 @@ impl FullConvolutionMonitor {
             impulse: pdn.impulse_response(taps.max(1)),
             vdd: pdn.vdd(),
             delay: DelayLine::new(pdn.vdd(), delay),
+            history: Vec::new(),
         }
     }
 
@@ -73,6 +82,45 @@ impl VoltageMonitor for FullConvolutionMonitor {
         // and bounds check per tap.
         let droop = self.ring.dot(&self.impulse);
         self.delay.pass(self.vdd - droop)
+    }
+
+    /// Scores `LANES` (8) consecutive cycles per pass over the taps. Each
+    /// cycle keeps one accumulator from `0.0` and adds `h[m] · lag(m)`
+    /// for `m` increasing, exactly as [`HistoryRing::dot`] does, so
+    /// every estimate has `observe`'s bits; the lanes only break the
+    /// single accumulator's latency chain, they reassociate no sum.
+    fn observe_block(&mut self, senses: &[CycleSense], estimates: &mut [f64]) {
+        assert_eq!(senses.len(), estimates.len(), "one estimate per sense");
+        let h = &self.impulse[..];
+        let k = h.len();
+        self.history.clear();
+        self.history.extend(self.ring.lags()[..k - 1].iter().rev());
+        self.history.extend(senses.iter().map(|s| s.current));
+        // Cycle `t`'s lag `m` sits at `history[k - 1 + t - m]`, so cycle
+        // `t`'s taps are the window `history[t..t + k]` read backwards.
+        let mut lanes = estimates.chunks_exact_mut(LANES);
+        for (c, out) in lanes.by_ref().enumerate() {
+            let window = &self.history[c * LANES..c * LANES + k - 1 + LANES];
+            let mut acc = [0.0; LANES];
+            for (&w, x) in h.iter().zip(window.windows(LANES).rev()) {
+                for (a, &x) in acc.iter_mut().zip(x) {
+                    *a += w * x;
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
+        let tail = senses.len() - senses.len() % LANES;
+        for (t, out) in (tail..).zip(lanes.into_remainder()) {
+            let mut acc = 0.0;
+            for (&w, &x) in h.iter().zip(self.history[t..t + k].iter().rev()) {
+                acc += w * x;
+            }
+            *out = acc;
+        }
+        for (sense, estimate) in senses.iter().zip(estimates) {
+            self.ring.push(sense.current);
+            *estimate = self.delay.pass(self.vdd - *estimate);
+        }
     }
 
     fn name(&self) -> &'static str {

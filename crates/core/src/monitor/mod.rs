@@ -57,6 +57,22 @@ pub trait VoltageMonitor {
     /// Feed one cycle; returns the voltage estimate available this cycle.
     fn observe(&mut self, sense: CycleSense) -> f64;
 
+    /// Feed a run of consecutive cycles at once: `estimates[n]` is what
+    /// [`Self::observe`] would return for `senses[n]` after being fed
+    /// `senses[..n]`, and the monitor ends in the same state. The
+    /// default is the per-cycle `observe` loop; a monitor overrides it
+    /// only with a kernel that returns the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two slices differ in length.
+    fn observe_block(&mut self, senses: &[CycleSense], estimates: &mut [f64]) {
+        assert_eq!(senses.len(), estimates.len(), "one estimate per sense");
+        for (&sense, estimate) in senses.iter().zip(estimates) {
+            *estimate = self.observe(sense);
+        }
+    }
+
     /// Short scheme name for reports.
     fn name(&self) -> &'static str;
 

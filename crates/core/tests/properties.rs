@@ -2,8 +2,10 @@
 //! terms must track the exact dot products under arbitrary inputs, the
 //! array-laid-out wavelet monitor and the mirrored history ring must
 //! reproduce their one-term and naive references bit for bit, the
-//! full-term wavelet monitor must equal windowed convolution, and the
-//! estimators must be well-behaved probabilities.
+//! full-convolution monitor's block kernel must reproduce its per-cycle
+//! `observe` bit for bit, the full-term wavelet monitor must equal
+//! windowed convolution, and the estimators must be well-behaved
+//! probabilities.
 
 use didt_core::characterize::{ScaleGainModel, VarianceModel};
 use didt_core::monitor::{
@@ -101,6 +103,48 @@ proptest! {
             .enumerate()
             .fold(0.0, |acc, (m, &w)| acc + w * ring.lag(m));
         prop_assert!(ring.dot(h).to_bits() == naive.to_bits(), "{taps} taps");
+    }
+
+    #[test]
+    fn full_convolution_observe_block_equals_observe_bitwise(
+        currents in prop::collection::vec(0.0..80.0f64, 0..1500),
+        taps in 1usize..=300,
+        delay in 0usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let p = pdn();
+        let mut one = FullConvolutionMonitor::new(&p, taps, delay);
+        let mut mixed = one.clone();
+        let senses: Vec<CycleSense> = currents
+            .iter()
+            .map(|&i| CycleSense { current: i, voltage: 1.0 })
+            .collect();
+        let want: Vec<f64> = senses.iter().map(|&s| one.observe(s)).collect();
+        // Random pieces, empty ones included, each fed either as one
+        // block or cycle by cycle, so blocks start at every ring state.
+        let mut got = vec![f64::NAN; senses.len()];
+        let mut rng = seed;
+        let mut at = 0;
+        while at < senses.len() {
+            rng = rng.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(0x1405_7B7E_F767_814F);
+            let r = (rng >> 16) as usize;
+            let len = if r.is_multiple_of(4) { r % 700 } else { r % 20 };
+            let end = (at + len).min(senses.len());
+            if r.is_multiple_of(5) {
+                for n in at..end {
+                    got[n] = mixed.observe(senses[n]);
+                }
+            } else {
+                mixed.observe_block(&senses[at..end], &mut got[at..end]);
+            }
+            at = end;
+        }
+        for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(g.to_bits() == w.to_bits(), "cycle {n} of {taps} taps: {g} vs {w}");
+        }
+        // Both end in the same state.
+        let next = CycleSense { current: 42.0, voltage: 1.0 };
+        prop_assert!(one.observe(next).to_bits() == mixed.observe(next).to_bits());
     }
 
     #[test]
