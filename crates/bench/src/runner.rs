@@ -1145,12 +1145,19 @@ impl SweepContext {
     }
 
     /// The PDN at `pct` percent of target impedance, calibrated once
-    /// per distinct percentage.
+    /// per distinct percentage. Every other impedance-keyed accessor
+    /// starts here, so it shares this check.
     ///
     /// # Errors
     ///
     /// Propagates [`DidtSystem::pdn_at`]'s error for invalid percentages.
     pub fn pdn(&self, pct: f64) -> Result<Arc<SecondOrderPdn>, DidtError> {
+        // `pct_millis` saturates non-finite and non-positive percentages
+        // to key 0, which a tiny valid percentage may already hold: they
+        // skip the memo and get the error a cold fill gives.
+        if !(pct > 0.0 && pct.is_finite()) {
+            return self.system.pdn_at(pct).map(Arc::new);
+        }
         self.pdns.try_get_or_compute(pct_millis(pct), || {
             let _span = didt_telemetry::span("cache.fill.pdns");
             self.system.pdn_at(pct)
@@ -1768,8 +1775,13 @@ mod tests {
 
     #[test]
     fn invalid_keys_leave_no_trace_in_the_memo() {
+        let cold = SweepContext::standard().unwrap();
         let ctx = SweepContext::standard().unwrap();
         ctx.gain_model(150.0, 256, 11).unwrap();
+        // 0.0004 % is valid and holds key 0, the key every percentage
+        // ≤ 0 or NaN saturates to; those must still fail.
+        ctx.pdn(0.0004).unwrap();
+        ctx.gain_model(0.0004, 64, 1).unwrap();
         let snapshot = |ctx: &SweepContext| {
             (
                 (ctx.pdns.len(), ctx.pdns.computations(), ctx.pdns.requests()),
@@ -1790,6 +1802,12 @@ mod tests {
             assert!(ctx.gain_model(f64::NAN, 256, 11).is_err());
             assert!(ctx.pdn(0.0).is_err());
             assert!(ctx.monitor_design(-1.0, 256).is_err());
+            for pct in [-5.0, f64::NAN, 0.0, f64::INFINITY] {
+                let warm = ctx.pdn(pct).unwrap_err().to_string();
+                assert_eq!(warm, cold.pdn(pct).unwrap_err().to_string(), "{pct}");
+            }
+            let warm = ctx.gain_model(-5.0, 64, 1).unwrap_err().to_string();
+            assert_eq!(warm, cold.gain_model(-5.0, 64, 1).unwrap_err().to_string());
         }
         assert_eq!(snapshot(&ctx), baseline, "bad pct left an entry behind");
         let pdn_requests = ctx.pdns.requests();

@@ -18,12 +18,15 @@
 //! samples of latency, and still have to pick a boundary policy for the
 //! stream head — the per-level state and latency grow linearly with the
 //! filter while losing the O(1)-per-sample property that justifies the
-//! online path (and the paper's Haar-first hardware argument, §6). Batch
-//! analyses in other bases go through [`crate::dwt_boundary`]; online
-//! consumers (the serve characterize fast path, the online monitors)
-//! are a documented Haar-only capability, enforced end to end by the
-//! `characterize_over_tcp_is_bit_identical_to_batch_for_haar` service
-//! test.
+//! online path (and the paper's Haar-first hardware argument, §6).
+//!
+//! No analysis in the workspace calls it: the characterization service
+//! runs [`crate::dwt_boundary`] for every basis, one-shot requests and
+//! session verdicts alike, and the online monitors keep their own
+//! per-cycle state. It stays for `examples/streaming_analysis.rs`, its
+//! property test and the benchmark's layer timing. Its coefficients are
+//! `(a ± b)·(1/√2)`, so they match [`crate::dwt`]'s `a·h0 + b·h1` to
+//! round-off, not bit for bit.
 
 use crate::wavelet::FRAC_1_SQRT_2;
 use crate::DspError;

@@ -472,13 +472,13 @@ fn scale_variances_of(result: &Json) -> Vec<f64> {
         .collect()
 }
 
-/// The Haar family keeps the streaming single-pass path (`StreamingDwt`
-/// has no dbN sibling — the online pyramid is a documented Haar-only
-/// capability), and the wire must not perturb it: a Characterize answer
-/// over TCP is bit-identical to the same request handled in process,
-/// a request that omits the family fields is bit-identical to one that
-/// spells out haar/periodic, and the filter-generic batch engine agrees
-/// with the streaming answer to accumulation round-off.
+/// The wire must not perturb a Haar answer: a Characterize answer over
+/// TCP is bit-identical to the same request handled in process, and a
+/// request that omits the family fields is bit-identical to one that
+/// spells out haar/periodic. The periodic rows agree with the zero-pad
+/// boundary's to round-off, also on a 1,111-sample trace, whose ragged
+/// tail the periodic Haar analysis zero-pads to the next multiple of the
+/// window.
 #[test]
 fn characterize_over_tcp_is_bit_identical_to_batch_for_haar() {
     let server = small_server();
@@ -518,36 +518,39 @@ fn characterize_over_tcp_is_bit_identical_to_batch_for_haar() {
             CharacterizeSpec {
                 family: didt_dsp::WaveletFamily::Haar,
                 boundary: didt_dsp::BoundaryMode::Periodic,
-                ..inline_characterize(trace.clone())
+                ..inline_characterize(trace)
             },
             Some(60_000),
         )
         .expect("explicit haar characterize");
     assert_eq!(tcp.render(), explicit.render());
 
-    // The filter-generic batch engine (forced via an expansive boundary
-    // mode; for Haar's 2-tap filter on an even-length trace the
-    // extension is never read, so the coefficient set is the same) must
-    // reproduce the streaming per-scale variances to round-off.
-    let generic = client
-        .characterize(
-            CharacterizeSpec {
-                family: didt_dsp::WaveletFamily::Haar,
-                boundary: didt_dsp::BoundaryMode::ZeroPad,
-                ..inline_characterize(trace)
-            },
-            Some(60_000),
-        )
-        .expect("batch-engine characterize");
-    let streamed = scale_variances_of(&tcp);
-    let batched = scale_variances_of(&generic);
-    assert_eq!(streamed.len(), batched.len());
-    for (level, (s, b)) in streamed.iter().zip(&batched).enumerate() {
-        assert!(
-            (s - b).abs() <= 1e-12 * s.abs().max(1e-12),
-            "level {}: streaming {s} vs batch engine {b}",
-            level + 1
-        );
+    // Haar's 2-tap filter never reads past a zero-padded tail, so the
+    // zero-pad boundary mode sees the same nonzero coefficients as the
+    // periodic analysis, and the per-scale variances agree to round-off.
+    for len in [2_048, 1_111] {
+        let [periodic, zero_pad] = [
+            didt_dsp::BoundaryMode::Periodic,
+            didt_dsp::BoundaryMode::ZeroPad,
+        ]
+        .map(|boundary| {
+            let spec = CharacterizeSpec {
+                boundary,
+                ..inline_characterize(deterministic_trace(len))
+            };
+            let result = client
+                .characterize(spec, Some(60_000))
+                .expect("characterize");
+            scale_variances_of(&result)
+        });
+        assert_eq!(periodic.len(), zero_pad.len(), "{len} samples");
+        for (level, (p, z)) in periodic.iter().zip(&zero_pad).enumerate() {
+            assert!(
+                (p - z).abs() <= 1e-12 * p.abs().max(1e-12),
+                "{len} samples, level {}: periodic {p} vs zero-pad {z}",
+                level + 1
+            );
+        }
     }
 
     drop(client);

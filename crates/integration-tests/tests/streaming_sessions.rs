@@ -12,6 +12,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_serve::{
     CharacterizeSpec, Client, ClientConfig, ClientError, ClosedLoopSpec, ErrorCode, FrameReader,
     Request, RequestBody, ResponsePayload, ServeConfig, Server, Service, SessionSpec, TraceSource,
@@ -56,16 +57,32 @@ fn session_verdict_bit_identical_to_one_shot_over_tcp() {
     let addr = server.local_addr().to_string();
     let mut client = Client::connect(&addr).expect("connect");
 
-    for window in [16usize, 64, 256] {
+    // Haar/periodic at three windows (1,111 samples leave a ragged tail
+    // the analysis zero-pads), and one expansive non-Haar basis.
+    for (window, family, boundary) in [
+        (16usize, WaveletFamily::Haar, BoundaryMode::Periodic),
+        (64, WaveletFamily::Haar, BoundaryMode::Periodic),
+        (256, WaveletFamily::Haar, BoundaryMode::Periodic),
+        (64, WaveletFamily::Db4, BoundaryMode::Symmetric),
+    ] {
         let samples = trace(1111);
         let one_shot = client
-            .characterize(spec_for(window, samples.clone()), None)
+            .characterize(
+                CharacterizeSpec {
+                    family,
+                    boundary,
+                    ..spec_for(window, samples.clone())
+                },
+                None,
+            )
             .expect("one-shot characterize");
 
         let session = client
             .session_open(SessionSpec {
                 window,
                 gauss_windows: 25,
+                family,
+                boundary,
                 ..SessionSpec::default()
             })
             .expect("session open");
@@ -87,7 +104,9 @@ fn session_verdict_bit_identical_to_one_shot_over_tcp() {
         assert_eq!(
             strip_session(verdict).render(),
             one_shot.render(),
-            "window {window}: streamed verdict must be byte-identical to one-shot"
+            "{}/{} at window {window}: streamed verdict must be byte-identical to one-shot",
+            family.name(),
+            boundary.name()
         );
     }
 

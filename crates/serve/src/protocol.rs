@@ -430,15 +430,15 @@ pub struct CharacterizeSpec {
     pub significance: f64,
     /// Random windows sampled for the Gaussianity study.
     pub gauss_windows: usize,
-    /// Wavelet basis family for the variance analysis. `Haar` (the
-    /// default, and the paper's basis) keeps the streaming single-pass
-    /// path; other families run the batch filter-generic transform.
-    /// Requests that omit the field get Haar, so pre-family clients are
-    /// unaffected.
+    /// Wavelet basis family for the variance analysis; every family
+    /// runs the one filter-generic transform. Requests that omit the
+    /// field get `Haar`, the default and the paper's basis, so
+    /// pre-family clients are unaffected.
     pub family: WaveletFamily,
-    /// Boundary extension mode of the analysis transform. Only
-    /// meaningful for non-Haar families (the Haar streaming path is
-    /// inherently periodic); defaults to `Periodic`.
+    /// Boundary extension mode of the analysis transform; defaults to
+    /// `Periodic`. A periodic Haar trace of any length is zero-padded to
+    /// a multiple of the window; other periodic families need a length
+    /// divisible by `2^levels`, and the expansive modes take any length.
     pub boundary: BoundaryMode,
 }
 
@@ -503,8 +503,8 @@ pub struct DesignSpec {
 /// Spec for a streaming characterization session: a `Characterize`
 /// analysis whose trace arrives incrementally via `SessionPush` chunks
 /// instead of in one frame. Identical fields to [`CharacterizeSpec`]
-/// minus the trace; sessions are restricted to the Haar/periodic basis
-/// (the only one with a streaming transform).
+/// minus the trace, with the same rules: a verdict is the one-shot
+/// answer over every sample pushed so far.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Supply impedance, percent of target.
@@ -517,10 +517,11 @@ pub struct SessionSpec {
     pub significance: f64,
     /// Random windows sampled for the Gaussianity study.
     pub gauss_windows: usize,
-    /// Wavelet basis; must be `Haar` (decode accepts any name, the
-    /// handler rejects non-streaming bases with `bad_request`).
+    /// Wavelet basis family, as in [`CharacterizeSpec::family`].
     pub family: WaveletFamily,
-    /// Boundary mode; must be `Periodic` (see `family`).
+    /// Boundary mode, as in [`CharacterizeSpec::boundary`]. A length
+    /// rule the samples break is the verdict's `bad_request`; the
+    /// session stays open and keeps taking pushes.
     pub boundary: BoundaryMode,
 }
 

@@ -14,6 +14,7 @@
 //! binaries, which is what makes serial client replay bit-identical to
 //! batch-runner results.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -23,7 +24,6 @@ use didt_bench::{GainSnapshotEntry, SweepContext, SweepPoint};
 use didt_core::characterize::{EmergencyEstimator, GaussianityStudy, VarianceModel};
 use didt_core::monitor::TermKind;
 use didt_core::DidtError;
-use didt_dsp::streaming::StreamingHaar;
 use didt_dsp::{dwt_boundary, scale_variance, BoundaryMode, WaveletFamily};
 use didt_telemetry::{seed_to_hex, Counter, Histogram, Json, MetricsRegistry};
 use didt_uarch::Benchmark;
@@ -89,17 +89,13 @@ impl ServiceStats {
     }
 }
 
-/// One open streaming session: the incremental Haar pyramid plus the
-/// full sample history. The pyramid and per-level coefficient rows are
-/// grown in push order, so at verdict time they hold exactly what a
-/// one-shot `Characterize` over the concatenated samples would have
-/// accumulated — the basis of the bit-identity contract.
+/// One open streaming session: its spec and every sample pushed so
+/// far. A verdict runs [`Service::analyze`] over a copy of the samples,
+/// the function a one-shot `Characterize` runs, so the two agree bit
+/// for bit.
 #[derive(Debug)]
 struct SessionState {
     spec: SessionSpec,
-    levels: usize,
-    pyramid: StreamingHaar,
-    per_level: Vec<Vec<f64>>,
     samples: Vec<f64>,
     verdicts: u64,
 }
@@ -143,6 +139,29 @@ fn check_deadline(deadline: Option<Instant>) -> Result<(), (ErrorCode, String)> 
             "deadline exceeded between analysis stages".to_string(),
         )),
         _ => Ok(()),
+    }
+}
+
+/// The edge checks a `Characterize` and a `SessionOpen` share, run
+/// before any trace is resolved or any session is opened.
+fn check_analysis_spec(spec: &SessionSpec) -> Result<(), (ErrorCode, String)> {
+    if !spec.window.is_power_of_two() || spec.window < 8 {
+        return Err(bad("`window` must be a power of two, at least 8"));
+    }
+    if !(spec.significance > 0.0 && spec.significance < 1.0) {
+        return Err(bad("`significance` must be in (0, 1)"));
+    }
+    Ok(())
+}
+
+/// Decomposition depth of the §4 analysis: the deepest periodic pyramid
+/// the family's filter allows at this window, or the window's full
+/// dyadic depth for the expansive modes.
+fn analysis_levels(spec: &SessionSpec) -> usize {
+    if spec.boundary == BoundaryMode::Periodic {
+        spec.family.periodic_levels(spec.window)
+    } else {
+        spec.window.trailing_zeros() as usize
     }
 }
 
@@ -372,13 +391,19 @@ impl Service {
         Json::obj(pairs)
     }
 
-    fn resolve_trace(&self, source: &TraceSource) -> Result<Arc<Vec<f64>>, (ErrorCode, String)> {
+    /// The samples a request names. Inline samples are borrowed from the
+    /// request; synthetic and recorded traces are copied out of their
+    /// caches and files.
+    fn resolve_trace<'a>(
+        &self,
+        source: &'a TraceSource,
+    ) -> Result<Cow<'a, [f64]>, (ErrorCode, String)> {
         match source {
             TraceSource::Inline(samples) => {
                 if samples.iter().any(|x| !x.is_finite()) {
                     return Err(bad("inline trace holds non-finite samples"));
                 }
-                Ok(Arc::new(samples.clone()))
+                Ok(Cow::Borrowed(samples))
             }
             TraceSource::Synth {
                 benchmark,
@@ -397,7 +422,7 @@ impl Service {
                     *warmup,
                     *cycles,
                 );
-                Ok(Arc::new(trace.samples.clone()))
+                Ok(Cow::Owned(trace.samples.clone()))
             }
             TraceSource::Recorded { path } => {
                 let (meta, records) = read_recorded(path)?;
@@ -414,74 +439,12 @@ impl Service {
                         MetricsRegistry::global().counter(didt_trace::REPLAY_CYCLES_COUNTER)
                     })
                     .add(samples.len() as u64);
-                Ok(Arc::new(samples))
+                Ok(Cow::Owned(samples))
             }
         }
     }
 
     fn characterize(&self, spec: &CharacterizeSpec, deadline: Option<Instant>) -> HandlerResult {
-        if !spec.window.is_power_of_two() || spec.window < 8 {
-            return Err(bad("`window` must be a power of two, at least 8"));
-        }
-        if !(spec.significance > 0.0 && spec.significance < 1.0) {
-            return Err(bad("`significance` must be in (0, 1)"));
-        }
-        let trace = self.resolve_trace(&spec.trace)?;
-        if trace.len() < spec.window {
-            return Err(bad(format!(
-                "trace too short: {} samples for a {}-cycle window",
-                trace.len(),
-                spec.window
-            )));
-        }
-        // The Haar/periodic combination (every pre-family client) keeps
-        // the streaming single-pass path below, bit-identical to the
-        // pre-family service. Other combinations run the batch
-        // filter-generic transform; `StreamingHaar` has no dbN sibling —
-        // the online pyramid is a documented Haar-only capability.
-        let haar_streaming =
-            spec.family == WaveletFamily::Haar && spec.boundary == BoundaryMode::Periodic;
-        let levels = if spec.boundary == BoundaryMode::Periodic {
-            spec.family.periodic_levels(spec.window)
-        } else {
-            spec.window.trailing_zeros() as usize
-        };
-
-        // Per-scale variance over the whole (arbitrary-length) trace:
-        // streaming pyramid plus an explicit zero-padded tail, so no
-        // client sample is silently dropped.
-        check_deadline(deadline)?;
-        let mut per_level: Vec<Vec<f64>> = vec![Vec::new(); levels];
-        if haar_streaming {
-            let mut pyramid =
-                StreamingHaar::new(levels).map_err(|e| bad(format!("pyramid setup: {e}")))?;
-            for &x in trace.iter() {
-                for c in pyramid.push(x) {
-                    per_level[c.level - 1].push(c.value);
-                }
-            }
-            let (tail, _) = pyramid.finish();
-            for c in tail {
-                per_level[c.level - 1].push(c.value);
-            }
-        } else {
-            if spec.boundary == BoundaryMode::Periodic
-                && !trace.len().is_multiple_of(1usize << levels)
-            {
-                return Err(bad(format!(
-                    "periodic `{}` analysis needs a trace length divisible by {}; \
-                     use an expansive boundary mode (zero-pad, symmetric, zeroth-order) \
-                     for arbitrary lengths",
-                    spec.family.name(),
-                    1usize << levels
-                )));
-            }
-            let decomp = dwt_boundary(&trace, spec.family, levels, spec.boundary)
-                .map_err(|e| bad(format!("family transform: {e}")))?;
-            for (row, detail) in decomp.detail_rows().enumerate() {
-                per_level[row].extend_from_slice(detail);
-            }
-        }
         let params = SessionSpec {
             pdn_pct: spec.pdn_pct,
             window: spec.window,
@@ -491,25 +454,56 @@ impl Service {
             family: spec.family,
             boundary: spec.boundary,
         };
-        self.characterize_report(&trace, &per_level, &params, deadline)
+        check_analysis_spec(&params)?;
+        let trace = self.resolve_trace(&spec.trace)?;
+        self.analyze(&trace, &params, deadline)
     }
 
-    /// The analysis back half shared *verbatim* by one-shot
-    /// `Characterize` and the streaming session verdict: per-scale
-    /// variance/correlation over the accumulated detail rows, the χ²
-    /// Gaussianity study, and the Gaussian emergency-fraction estimate.
-    /// Because both callers run this literal code over the same inputs,
-    /// a session verdict is `to_bits()`-identical to a one-shot over
-    /// the concatenated samples.
-    fn characterize_report(
+    /// The §4 analysis behind one-shot `Characterize` and every session
+    /// verdict: per-scale variance and correlation from one
+    /// [`dwt_boundary`] pass, the χ² Gaussianity study, and the Gaussian
+    /// emergency-fraction estimate. A session verdict calls this over a
+    /// copy of its samples, so it is `to_bits()`-identical to a one-shot
+    /// over the concatenated samples.
+    ///
+    /// A periodic Haar trace whose length is not a multiple of the
+    /// window is zero-padded to the next multiple before the transform,
+    /// so no sample is dropped; `scale_variance` still divides by the
+    /// unpadded length. Other periodic families need a divisible length.
+    fn analyze(
         &self,
         trace: &[f64],
-        per_level: &[Vec<f64>],
         spec: &SessionSpec,
         deadline: Option<Instant>,
     ) -> HandlerResult {
-        let scales: Vec<Json> = per_level
-            .iter()
+        if trace.len() < spec.window {
+            return Err(bad(format!(
+                "trace too short: {} samples for a {}-cycle window",
+                trace.len(),
+                spec.window
+            )));
+        }
+        let levels = analysis_levels(spec);
+        let span = 1usize << levels;
+        check_deadline(deadline)?;
+        let padded: Vec<f64>;
+        let input = if spec.boundary != BoundaryMode::Periodic || trace.len().is_multiple_of(span) {
+            trace
+        } else if spec.family == WaveletFamily::Haar {
+            padded = [trace, &vec![0.0; span - trace.len() % span]].concat();
+            &padded
+        } else {
+            return Err(bad(format!(
+                "periodic `{}` analysis needs a trace length divisible by {span}; \
+                 use an expansive boundary mode (zero-pad, symmetric, zeroth-order) \
+                 for arbitrary lengths",
+                spec.family.name(),
+            )));
+        };
+        let decomp = dwt_boundary(input, spec.family, levels, spec.boundary)
+            .map_err(|e| bad(format!("family transform: {e}")))?;
+        let scales: Vec<Json> = decomp
+            .detail_rows()
             .enumerate()
             .map(|(i, d)| {
                 let sv = scale_variance(i + 1, d, trace.len());
@@ -578,22 +572,10 @@ impl Service {
     }
 
     fn session_open(&self, spec: &SessionSpec) -> HandlerResult {
-        if !spec.window.is_power_of_two() || spec.window < 8 {
-            return Err(bad("`window` must be a power of two, at least 8"));
-        }
-        if !(spec.significance > 0.0 && spec.significance < 1.0) {
-            return Err(bad("`significance` must be in (0, 1)"));
-        }
-        if spec.family != WaveletFamily::Haar || spec.boundary != BoundaryMode::Periodic {
-            return Err(bad("streaming sessions require the haar/periodic basis \
-                 (the online pyramid has no filter-generic sibling); \
-                 use one-shot `characterize` for other bases"));
-        }
+        check_analysis_spec(spec)?;
         // Probe the PDN now so a bad impedance fails at open, not at
         // the first verdict.
         self.ctx.pdn(spec.pdn_pct).map_err(|e| didt_err(&e))?;
-        let levels = spec.window.trailing_zeros() as usize;
-        let pyramid = StreamingHaar::new(levels).map_err(|e| bad(format!("pyramid setup: {e}")))?;
         let mut sessions = self.sessions.lock().expect("session table poisoned");
         if sessions.len() >= MAX_OPEN_SESSIONS {
             return Err((
@@ -606,9 +588,6 @@ impl Service {
             id,
             SessionState {
                 spec: spec.clone(),
-                levels,
-                pyramid,
-                per_level: vec![Vec::new(); levels],
                 samples: Vec::new(),
                 verdicts: 0,
             },
@@ -621,7 +600,7 @@ impl Service {
         Ok(Json::obj(vec![
             ("session", Json::num(id as f64)),
             ("window", Json::num(spec.window as f64)),
-            ("levels", Json::num(levels as f64)),
+            ("levels", Json::num(analysis_levels(spec) as f64)),
         ]))
     }
 
@@ -638,11 +617,6 @@ impl Service {
                 "session would exceed {MAX_SESSION_SAMPLES} samples"
             )));
         }
-        for &x in samples {
-            for c in state.pyramid.push(x) {
-                state.per_level[c.level - 1].push(c.value);
-            }
-        }
         state.samples.extend_from_slice(samples);
         self.stats
             .session_samples
@@ -651,20 +625,13 @@ impl Service {
             ("session", Json::num(session as f64)),
             ("received", Json::num(samples.len() as f64)),
             ("total_samples", Json::num(state.samples.len() as f64)),
-            (
-                "pending_samples",
-                Json::num(state.pyramid.pending_samples() as f64),
-            ),
         ]))
     }
 
     fn session_verdict(&self, session: u64, deadline: Option<Instant>) -> HandlerResult {
-        // Clone the accumulated state out of the table so the (cheap)
-        // session lock is never held across the analysis, then flush
-        // the *clone* of the pyramid: the live session keeps absorbing
-        // pushes, and this verdict sees exactly the one-shot view of
-        // everything pushed so far.
-        let (spec, mut per_level, samples, pyramid) = {
+        // Copy the samples out of the table so the session lock is never
+        // held across the analysis; the live session keeps taking pushes.
+        let (spec, samples) = {
             let mut sessions = self.sessions.lock().expect("session table poisoned");
             let state = sessions
                 .get_mut(&session)
@@ -677,24 +644,10 @@ impl Service {
                 )));
             }
             state.verdicts += 1;
-            (
-                state.spec.clone(),
-                state.per_level.clone(),
-                state.samples.clone(),
-                state.pyramid.clone(),
-            )
+            (state.spec.clone(), state.samples.clone())
         };
-        // Zero-padded tail flush, exactly like the one-shot path's
-        // `finish` over a trace of this length.
-        let (tail, _) = {
-            let mut p = pyramid;
-            p.finish()
-        };
-        for c in tail {
-            per_level[c.level - 1].push(c.value);
-        }
         self.stats.session_verdicts.fetch_add(1, Ordering::Relaxed);
-        let mut report = self.characterize_report(&samples, &per_level, &spec, deadline)?;
+        let mut report = self.analyze(&samples, &spec, deadline)?;
         if let Json::Obj(pairs) = &mut report {
             pairs.insert(0, ("session".to_string(), Json::num(session as f64)));
         }
@@ -717,7 +670,7 @@ impl Service {
             ("session", Json::num(session as f64)),
             ("total_samples", Json::num(state.samples.len() as f64)),
             ("verdicts", Json::num(state.verdicts as f64)),
-            ("levels", Json::num(state.levels as f64)),
+            ("levels", Json::num(analysis_levels(&state.spec) as f64)),
         ]))
     }
 
@@ -1265,7 +1218,7 @@ mod tests {
     fn session_verdict_is_bit_identical_to_oneshot_characterize() {
         let svc = service();
         // A deterministic synthetic trace, pushed in ragged chunks so
-        // chunk boundaries cross window and pyramid alignments.
+        // chunk boundaries cross window alignments.
         let trace: Vec<f64> = (0..1_234)
             .map(|i| (i as f64 * 0.37).sin() * 3.0 + 100.0)
             .collect();
@@ -1415,37 +1368,114 @@ mod tests {
         assert_eq!(sessions.get("verdicts").and_then(Json::as_u64), Some(2));
     }
 
+    /// A response's outcome: its report rendered without the session id
+    /// a verdict adds, or its error.
+    fn outcome(resp: Response) -> Result<String, (ErrorCode, String)> {
+        match resp.payload {
+            ResponsePayload::Ok {
+                result: Json::Obj(pairs),
+                ..
+            } => {
+                Ok(Json::Obj(pairs.into_iter().filter(|(k, _)| k != "session").collect()).render())
+            }
+            ResponsePayload::Error { code, message } => Err((code, message)),
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
     #[test]
-    fn session_open_rejects_non_streaming_bases() {
+    fn sessions_accept_every_basis() {
         let svc = service();
-        for (family, boundary) in [
-            (WaveletFamily::Db4, BoundaryMode::Periodic),
-            (WaveletFamily::Haar, BoundaryMode::ZeroPad),
-        ] {
-            let resp = svc.handle(
+        let trace: Vec<f64> = (0..1_056)
+            .map(|i| (i as f64 * 0.37).sin() * 3.0 + 100.0 + (i % 11) as f64 * 0.1)
+            .collect();
+        let open = |spec: &SessionSpec| {
+            let open = ok_result(svc.handle(
+                &session_req(1, RequestBody::SessionOpen(spec.clone())),
+                None,
+            ));
+            open.get("session").and_then(Json::as_u64).unwrap()
+        };
+        let push = |sid, samples: &[f64]| {
+            ok_result(svc.handle(
                 &session_req(
-                    1,
-                    RequestBody::SessionOpen(SessionSpec {
-                        family,
-                        boundary,
-                        ..SessionSpec::default()
+                    2,
+                    RequestBody::SessionPush {
+                        session: sid,
+                        samples: samples.to_vec(),
+                    },
+                ),
+                None,
+            ))
+        };
+        let verdict = |sid| {
+            outcome(svc.handle(
+                &session_req(3, RequestBody::SessionVerdict { session: sid }),
+                None,
+            ))
+        };
+        let one_shot = |spec: &SessionSpec, samples: &[f64]| {
+            outcome(svc.handle(
+                &session_req(
+                    3,
+                    RequestBody::Characterize(CharacterizeSpec {
+                        trace: TraceSource::Inline(samples.to_vec()),
+                        pdn_pct: spec.pdn_pct,
+                        window: spec.window,
+                        threshold: spec.threshold,
+                        significance: spec.significance,
+                        gauss_windows: spec.gauss_windows,
+                        family: spec.family,
+                        boundary: spec.boundary,
                     }),
                 ),
                 None,
-            );
-            assert!(
-                matches!(
-                    resp.payload,
-                    ResponsePayload::Error {
-                        code: ErrorCode::BadRequest,
-                        ..
-                    }
-                ),
-                "{}/{} must be rejected at open",
-                family.name(),
-                boundary.name()
-            );
+            ))
+        };
+        for family in WaveletFamily::ALL {
+            for boundary in BoundaryMode::ALL {
+                let spec = SessionSpec {
+                    window: 32,
+                    gauss_windows: 10,
+                    family,
+                    boundary,
+                    ..SessionSpec::default()
+                };
+                let sid = open(&spec);
+                let mut offset = 0;
+                for chunk_len in [1, 30, 33, 100, 400, 492] {
+                    push(sid, &trace[offset..offset + chunk_len]);
+                    offset += chunk_len;
+                }
+                assert_eq!(offset, trace.len(), "chunk plan must cover the trace");
+                let got = verdict(sid);
+                let case = format!("{}/{}", family.name(), boundary.name());
+                assert!(got.is_ok(), "{case}: {got:?}");
+                assert_eq!(got, one_shot(&spec, &trace), "{case}");
+            }
         }
+
+        // A periodic db4 analysis at window 32 runs 3 levels, so it needs
+        // a length divisible by 8: the verdict over 1,001 samples is the
+        // one-shot's bad_request, and the session keeps taking pushes.
+        let spec = SessionSpec {
+            window: 32,
+            gauss_windows: 10,
+            family: WaveletFamily::Db4,
+            boundary: BoundaryMode::Periodic,
+            ..SessionSpec::default()
+        };
+        let sid = open(&spec);
+        push(sid, &trace[..1_001]);
+        let got = verdict(sid);
+        assert!(
+            matches!(&got, Err((ErrorCode::BadRequest, m)) if m.contains("divisible")),
+            "{got:?}"
+        );
+        assert_eq!(got, one_shot(&spec, &trace[..1_001]));
+        push(sid, &trace[1_001..1_008]);
+        assert_eq!(verdict(sid), one_shot(&spec, &trace[..1_008]));
+        assert!(verdict(sid).is_ok());
     }
 
     #[test]
