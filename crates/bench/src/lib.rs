@@ -19,8 +19,8 @@ pub use experiments::{
 pub use observe::Experiment;
 pub use runner::{
     capture_records, default_threads, pct_millis, point_seed, workload_seed, CacheStats,
-    ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, PointResult, RunParams, Sweep,
-    SweepContext, SweepPoint,
+    ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, PointResult, RunParams,
+    StreamReplayError, Sweep, SweepContext, SweepPoint,
 };
 pub use steal::{CostClass, SchedReport, SplitMix64, StealDeques};
 pub use table::TextTable;

@@ -34,7 +34,7 @@ use crate::steal::{CostClass, SchedReport, SplitMix64, StealDeques};
 use didt_core::characterize::ScaleGainModel;
 use didt_core::control::{
     ClosedLoop, ClosedLoopConfig, ClosedLoopResult, DidtController, NoControl, PipelineDamping,
-    SimScratch, ThresholdController,
+    Replay, SimScratch, ThresholdController,
 };
 use didt_core::monitor::{
     AnalogSensor, BiquadMonitor, FamilyMonitorDesign, FullConvolutionMonitor, WaveletMonitorDesign,
@@ -42,7 +42,7 @@ use didt_core::monitor::{
 use didt_core::{DidtError, DidtSystem};
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
-use didt_trace::Record;
+use didt_trace::{Record, ReplayColumns, TraceError, TraceReader};
 use didt_uarch::{
     capture_trace, Benchmark, ControlAction, CurrentTrace, Processor, ProcessorConfig,
     WorkloadGenerator,
@@ -942,6 +942,40 @@ pub struct RunParams {
     pub warmup_cycles: u64,
 }
 
+/// Why [`SweepContext::run_replay_stream`] failed: the recording or
+/// the replay.
+#[derive(Debug)]
+pub enum StreamReplayError {
+    /// The `.dtrc` reader rejected the recording.
+    Trace(TraceError),
+    /// The point could not be set up or replayed, or the deadline
+    /// passed between chunks.
+    Replay(DidtError),
+}
+
+impl std::fmt::Display for StreamReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StreamReplayError::Trace(e) => write!(f, "recorded trace: {e}"),
+            StreamReplayError::Replay(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for StreamReplayError {}
+
+impl From<TraceError> for StreamReplayError {
+    fn from(e: TraceError) -> Self {
+        StreamReplayError::Trace(e)
+    }
+}
+
+impl From<DidtError> for StreamReplayError {
+    fn from(e: DidtError) -> Self {
+        StreamReplayError::Replay(e)
+    }
+}
+
 /// Outcome of one sweep point: the controlled run next to the shared
 /// uncontrolled baseline of its (benchmark, impedance) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -1530,7 +1564,7 @@ impl SweepContext {
     /// record stream (records `[0, pre_roll)` settle the PDN unscored).
     /// The baseline is *not* the per-cell cached one — a recorded trace
     /// is its own workload, so both legs come from the records, in one
-    /// pass ([`ClosedLoop::replay_with_baseline`]).
+    /// pass ([`Replay::finish_with_baseline`]).
     ///
     /// # Errors
     ///
@@ -1543,16 +1577,85 @@ impl SweepContext {
         records: &[Record],
         pre_roll: usize,
     ) -> Result<PointResult, DidtError> {
+        self.replay_point(point, run, pre_roll, |replay| {
+            replay.feed_records(records);
+            Ok(())
+        })
+    }
+
+    /// [`Self::run_replay`] straight from a `.dtrc` reader: each data
+    /// chunk's `current`, `power` and `committed` columns are decoded
+    /// into one reused buffer and fed to the pass, so no whole
+    /// recording and no [`Record`] is ever built. The header's
+    /// `pre_roll` is the warm-in. The result has `run_replay`'s bits
+    /// over the file's records, and it comes back only after the end
+    /// chunk has verified the stream (record count, pre-roll, no
+    /// trailing bytes); a rejected file counts no `trace.replay_cycles`.
+    ///
+    /// The deadline is checked after every chunk. When the point cannot
+    /// be set up, the rest of the file is still read, so a bad file is
+    /// reported before a bad point, as reading it first would.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamReplayError::Trace`] for every reader rejection;
+    /// [`StreamReplayError::Replay`] for PDN and monitor errors and for
+    /// [`DidtError::DeadlineExceeded`].
+    pub fn run_replay_stream<R: std::io::Read>(
+        &self,
+        point: &SweepPoint,
+        run: RunParams,
+        reader: &mut TraceReader<R>,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<PointResult, StreamReplayError> {
+        let pre_roll = usize::try_from(reader.meta().pre_roll).unwrap_or(usize::MAX);
+        let mut columns = ReplayColumns::new();
+        let mut set_up = false;
+        let outcome = self.replay_point(point, run, pre_roll, |replay| {
+            set_up = true;
+            let mut fed = 0u64;
+            while reader.next_columns(&mut columns)? {
+                replay.feed(&columns);
+                fed += columns.len() as u64;
+                if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+                    return Err(StreamReplayError::Replay(DidtError::DeadlineExceeded {
+                        after_cycles: fed,
+                    }));
+                }
+            }
+            Ok(())
+        });
+        if outcome.is_err() && !set_up {
+            while reader.next_columns(&mut columns)? {}
+        }
+        outcome
+    }
+
+    /// The one replay entry: set up the point's harness and controller,
+    /// let `feed` stream the recording into the pass, then finish it
+    /// into both legs.
+    fn replay_point<E: From<DidtError>>(
+        &self,
+        point: &SweepPoint,
+        run: RunParams,
+        pre_roll: usize,
+        feed: impl FnOnce(&mut Replay<'_>) -> Result<(), E>,
+    ) -> Result<PointResult, E> {
         let _span = didt_telemetry::span("sweep.replay");
         let pdn = self.pdn(point.pdn_pct)?;
         let cfg = self.loop_config(point.benchmark, point.pdn_pct, run);
         let harness = ClosedLoop::new(*self.system.processor(), *pdn, cfg);
         let (baseline, controlled) = if matches!(point.controller, ControllerSpec::None) {
-            let baseline = harness.replay(&mut NoControl, records, pre_roll)?;
+            let mut no_control = NoControl;
+            let mut replay = harness.start_replay(&mut no_control, pre_roll);
+            feed(&mut replay)?;
+            let baseline = replay.finish()?;
             (baseline, baseline)
         } else {
             let mut ctl = self.controller(point)?;
-            harness.replay_with_baseline(ctl.as_mut(), records, pre_roll)?
+            let mut replay = harness.start_replay(ctl.as_mut(), pre_roll);
+            feed(&mut replay)?;
+            replay.finish_with_baseline()?
         };
         Ok(PointResult {
             point: point.clone(),

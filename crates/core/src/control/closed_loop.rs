@@ -3,8 +3,8 @@
 use crate::control::{DidtController, NoControl};
 use crate::monitor::CycleSense;
 use crate::DidtError;
-use didt_pdn::SecondOrderPdn;
-use didt_trace::{Record, RecordKind, TraceMeta};
+use didt_pdn::{SecondOrderPdn, VoltageSimulator};
+use didt_trace::{Record, RecordKind, ReplayColumns, TraceMeta};
 use didt_uarch::{Benchmark, ControlAction, Processor, ProcessorConfig, WorkloadGenerator};
 
 /// Configuration of one closed-loop experiment.
@@ -280,11 +280,8 @@ impl ClosedLoop {
     /// replayed record counts into the global `trace.replay_cycles`
     /// counter.
     ///
-    /// Because the stream is fixed, the whole replay is one pass in
-    /// blocks of [`REPLAY_BLOCK`] cycles: the PDN steps each cycle of a
-    /// block and tallies what no action can change, then the block's
-    /// senses go to [`DidtController::decide_block`] at once, and a
-    /// short second loop tallies the returned actions.
+    /// This is one [`Replay`] pass fed the whole slice: see there for
+    /// how the pass scores a block of cycles at a time.
     ///
     /// # Errors
     ///
@@ -296,21 +293,14 @@ impl ClosedLoop {
         records: &[Record],
         pre_roll: usize,
     ) -> Result<ClosedLoopResult, DidtError> {
-        let result = self.replay_pass(controller, records, pre_roll)?;
-        record_run_metrics(controller.name(), &result);
-        Ok(result)
+        let mut replay = self.start_replay(controller, pre_roll);
+        replay.feed_records(records);
+        replay.finish()
     }
 
     /// [`Self::replay`] plus the uncontrolled leg, from the same single
-    /// pass: `(uncontrolled, controlled)`.
-    ///
-    /// In open-loop replay the recorded currents fix every voltage, so
-    /// an uncontrolled replay differs from a controlled one only in the
-    /// counts that come from actions: the uncontrolled leg is the
-    /// controlled result with its stall, no-op and false-positive counts
-    /// at zero, bit for bit what replaying under [`NoControl`] returns.
-    /// Each leg counts one run into its scheme's `closed_loop.<scheme>.*`
-    /// metrics; the records count into `trace.replay_cycles` once.
+    /// pass: `(uncontrolled, controlled)`; see
+    /// [`Replay::finish_with_baseline`].
     ///
     /// # Errors
     ///
@@ -321,117 +311,46 @@ impl ClosedLoop {
         records: &[Record],
         pre_roll: usize,
     ) -> Result<(ClosedLoopResult, ClosedLoopResult), DidtError> {
-        let controlled = self.replay_pass(controller, records, pre_roll)?;
-        let baseline = ClosedLoopResult {
-            stall_cycles: 0,
-            nop_cycles: 0,
-            false_positives: 0,
-            ..controlled
-        };
-        record_run_metrics(NoControl.name(), &baseline);
-        record_run_metrics(controller.name(), &controlled);
-        Ok((baseline, controlled))
+        let mut replay = self.start_replay(controller, pre_roll);
+        replay.feed_records(records);
+        replay.finish_with_baseline()
     }
 
-    /// The one replay pass behind [`Self::replay`] and
-    /// [`Self::replay_with_baseline`]; records no per-scheme metrics.
-    fn replay_pass(
-        &self,
-        controller: &mut dyn DidtController,
-        records: &[Record],
+    /// Open a replay pass under `controller` whose first `pre_roll`
+    /// records warm the PDN unscored. Feed it the recording in order, in
+    /// pieces of any size ([`Replay::feed_records`] or, straight from a
+    /// `.dtrc` reader, [`Replay::feed`]), then finish it: the result has
+    /// the bits of one [`Self::replay`] over the concatenated records.
+    pub fn start_replay<'a>(
+        &'a self,
+        controller: &'a mut dyn DidtController,
         pre_roll: usize,
-    ) -> Result<ClosedLoopResult, DidtError> {
-        let _span = didt_telemetry::span("core.closed_loop.replay");
-        if pre_roll > records.len() {
-            return Err(DidtError::InvalidConfig {
-                name: "replay",
-                reason: "pre_roll exceeds the record count",
-            });
-        }
-        replay_cycles_counter().add(records.len() as u64);
-        let mut pdn_sim = self.pdn.simulator();
-        let mut sense = CycleSense {
+    ) -> Replay<'a> {
+        let vdd = self.pdn.vdd();
+        let sense = CycleSense {
             current: 0.0,
-            voltage: self.pdn.vdd(),
+            voltage: vdd,
         };
-        let mut v_last = self.pdn.vdd();
-        for r in &records[..pre_roll] {
-            v_last = pdn_sim.step(r.current);
+        Replay {
+            _span: didt_telemetry::span("core.closed_loop.replay"),
+            harness: self,
+            controller,
+            pdn_sim: self.pdn.simulator(),
+            pre_roll,
+            fed: 0,
+            sense,
+            result: ClosedLoopResult {
+                v_min: f64::INFINITY,
+                v_max: f64::NEG_INFINITY,
+                ..ClosedLoopResult::default()
+            },
+            power_accum: 0.0,
+            committed: 0,
+            filled: 0,
+            senses: [sense; REPLAY_BLOCK],
+            volts: [0.0; REPLAY_BLOCK],
+            actions: [ControlAction::Normal; REPLAY_BLOCK],
         }
-        if pre_roll > 0 {
-            sense = CycleSense {
-                current: records[pre_roll - 1].current,
-                voltage: v_last,
-            };
-        }
-        let mut result = ClosedLoopResult {
-            v_min: f64::INFINITY,
-            v_max: f64::NEG_INFINITY,
-            ..ClosedLoopResult::default()
-        };
-        let stall_fp_line =
-            self.config.v_fault_low + self.config.control_margin + self.config.fp_guard;
-        let nop_fp_line =
-            self.config.v_fault_high - self.config.control_margin - self.config.fp_guard;
-        let mut power_accum = 0.0;
-        let mut committed: u64 = 0;
-        let mut senses = [sense; REPLAY_BLOCK];
-        let mut volts = [0.0; REPLAY_BLOCK];
-        let mut actions = [ControlAction::Normal; REPLAY_BLOCK];
-        for block in records[pre_roll..].chunks(REPLAY_BLOCK) {
-            let n = block.len();
-            // The PDN loop: the voltage and every tally no action can
-            // change. `senses[j]` is what the controller sees before
-            // cycle `j`: the previous cycle's current and voltage.
-            for ((r, s), v_out) in block.iter().zip(&mut senses).zip(&mut volts) {
-                *s = sense;
-                let v = pdn_sim.step(r.current);
-                committed += u64::from(r.committed);
-                power_accum += r.power;
-                result.v_min = result.v_min.min(v);
-                result.v_max = result.v_max.max(v);
-                if v < self.config.v_fault_low {
-                    result.low_emergencies += 1;
-                } else if v > self.config.v_fault_high {
-                    result.high_emergencies += 1;
-                }
-                *v_out = v;
-                sense = CycleSense {
-                    current: r.current,
-                    voltage: v,
-                };
-            }
-            controller.decide_block(&senses[..n], &mut actions[..n]);
-            for (&action, &v) in actions[..n].iter().zip(&volts[..n]) {
-                match action {
-                    ControlAction::StallIssue => {
-                        result.stall_cycles += 1;
-                        if v > stall_fp_line {
-                            result.false_positives += 1;
-                        }
-                    }
-                    ControlAction::InjectNops => {
-                        result.nop_cycles += 1;
-                        if v < nop_fp_line {
-                            result.false_positives += 1;
-                        }
-                    }
-                    ControlAction::Normal => {}
-                }
-            }
-        }
-        result.cycles = (records.len() - pre_roll) as u64;
-        result.instructions = committed;
-        result.mean_power = if result.cycles > 0 {
-            power_accum / result.cycles as f64
-        } else {
-            0.0
-        };
-        if result.cycles == 0 {
-            result.v_min = self.pdn.vdd();
-            result.v_max = self.pdn.vdd();
-        }
-        Ok(result)
     }
 
     fn run_inner(
@@ -669,6 +588,218 @@ impl RecordedRun {
     }
 }
 
+/// One open-loop replay pass over a recording fed in pieces, opened by
+/// [`ClosedLoop::start_replay`]. [`ClosedLoop::replay`] feeds it one
+/// record slice; a served replay feeds it one decoded `.dtrc` chunk at
+/// a time, so no whole recording is ever held.
+///
+/// Because the stream is fixed, the pass works in blocks of
+/// [`REPLAY_BLOCK`] scored cycles: the PDN steps each cycle of a block
+/// and tallies what no action can change, then the block's senses go to
+/// [`DidtController::decide_block`] at once, and a short second loop
+/// tallies the returned actions. A block that a piece ends inside is
+/// carried over to the next piece, and so is the pre-roll, so where the
+/// pieces break changes no block and no bit.
+pub struct Replay<'a> {
+    _span: didt_telemetry::Span,
+    harness: &'a ClosedLoop,
+    controller: &'a mut dyn DidtController,
+    pdn_sim: VoltageSimulator,
+    pre_roll: usize,
+    /// Records fed so far, pre-roll included.
+    fed: usize,
+    /// What the controller sees before the next cycle: the previous
+    /// cycle's current and voltage.
+    sense: CycleSense,
+    result: ClosedLoopResult,
+    power_accum: f64,
+    committed: u64,
+    /// Scored cycles of the open block.
+    filled: usize,
+    senses: [CycleSense; REPLAY_BLOCK],
+    volts: [f64; REPLAY_BLOCK],
+    actions: [ControlAction; REPLAY_BLOCK],
+}
+
+impl Replay<'_> {
+    /// Feed the next records.
+    pub fn feed_records(&mut self, records: &[Record]) {
+        self.feed_cycles(records.iter().map(|r| (r.current, r.power, r.committed)));
+    }
+
+    /// Feed the next records as one decoded `.dtrc` chunk's columns.
+    pub fn feed(&mut self, columns: &ReplayColumns) {
+        self.feed_cycles(
+            columns
+                .current()
+                .iter()
+                .zip(columns.power())
+                .zip(columns.committed())
+                .map(|((&current, &power), &committed)| (current, power, committed)),
+        );
+    }
+
+    /// The one scoring loop: each `(current, power, committed)` cycle
+    /// either warms the PDN (pre-roll) or joins the open block.
+    fn feed_cycles(&mut self, cycles: impl Iterator<Item = (f64, f64, u16)>) {
+        let mut cycles = cycles;
+        let warm = self.pre_roll.saturating_sub(self.fed);
+        for (current, _, _) in cycles.by_ref().take(warm) {
+            let voltage = self.pdn_sim.step(current);
+            self.sense = CycleSense { current, voltage };
+            self.fed += 1;
+        }
+        let (v_low, v_high) = (
+            self.harness.config.v_fault_low,
+            self.harness.config.v_fault_high,
+        );
+        loop {
+            let start = self.filled;
+            let mut sense = self.sense;
+            let mut result = self.result;
+            let mut power_accum = self.power_accum;
+            let mut committed = self.committed;
+            let mut filled = start;
+            // The PDN loop: the voltage and every tally no action can
+            // change. `senses[j]` is what the controller sees before
+            // cycle `j` of the block.
+            for ((s, v_out), (current, power, commits)) in self.senses[start..]
+                .iter_mut()
+                .zip(&mut self.volts[start..])
+                .zip(cycles.by_ref())
+            {
+                *s = sense;
+                let v = self.pdn_sim.step(current);
+                committed += u64::from(commits);
+                power_accum += power;
+                result.v_min = result.v_min.min(v);
+                result.v_max = result.v_max.max(v);
+                if v < v_low {
+                    result.low_emergencies += 1;
+                } else if v > v_high {
+                    result.high_emergencies += 1;
+                }
+                *v_out = v;
+                sense = CycleSense {
+                    current,
+                    voltage: v,
+                };
+                filled += 1;
+            }
+            self.fed += filled - start;
+            self.sense = sense;
+            self.result = result;
+            self.power_accum = power_accum;
+            self.committed = committed;
+            self.filled = filled;
+            if filled < REPLAY_BLOCK {
+                return;
+            }
+            self.decide_block();
+        }
+    }
+
+    /// Hand the open block to the controller and tally its actions.
+    fn decide_block(&mut self) {
+        let n = self.filled;
+        self.filled = 0;
+        self.controller
+            .decide_block(&self.senses[..n], &mut self.actions[..n]);
+        let config = &self.harness.config;
+        let stall_fp_line = config.v_fault_low + config.control_margin + config.fp_guard;
+        let nop_fp_line = config.v_fault_high - config.control_margin - config.fp_guard;
+        for (&action, &v) in self.actions[..n].iter().zip(&self.volts[..n]) {
+            match action {
+                ControlAction::StallIssue => {
+                    self.result.stall_cycles += 1;
+                    if v > stall_fp_line {
+                        self.result.false_positives += 1;
+                    }
+                }
+                ControlAction::InjectNops => {
+                    self.result.nop_cycles += 1;
+                    if v < nop_fp_line {
+                        self.result.false_positives += 1;
+                    }
+                }
+                ControlAction::Normal => {}
+            }
+        }
+    }
+
+    /// Score the last block and close the pass; records no per-scheme
+    /// metrics.
+    fn close(&mut self) -> Result<ClosedLoopResult, DidtError> {
+        if self.pre_roll > self.fed {
+            return Err(DidtError::InvalidConfig {
+                name: "replay",
+                reason: "pre_roll exceeds the record count",
+            });
+        }
+        if self.filled > 0 {
+            self.decide_block();
+        }
+        replay_cycles_counter().add(self.fed as u64);
+        let mut result = self.result;
+        result.cycles = (self.fed - self.pre_roll) as u64;
+        result.instructions = self.committed;
+        result.mean_power = if result.cycles > 0 {
+            self.power_accum / result.cycles as f64
+        } else {
+            0.0
+        };
+        if result.cycles == 0 {
+            let vdd = self.harness.pdn.vdd();
+            result.v_min = vdd;
+            result.v_max = vdd;
+        }
+        Ok(result)
+    }
+
+    /// The controlled result, counted as one run of the controller's
+    /// scheme. The records count into `trace.replay_cycles` here, so a
+    /// pass that is dropped unfinished counts none.
+    ///
+    /// # Errors
+    ///
+    /// [`DidtError::InvalidConfig`] when the pre-roll exceeds the
+    /// records fed.
+    pub fn finish(mut self) -> Result<ClosedLoopResult, DidtError> {
+        let result = self.close()?;
+        record_run_metrics(self.controller.name(), &result);
+        Ok(result)
+    }
+
+    /// [`Self::finish`] plus the uncontrolled leg: `(uncontrolled,
+    /// controlled)`.
+    ///
+    /// In open-loop replay the recorded currents fix every voltage, so
+    /// an uncontrolled replay differs from a controlled one only in the
+    /// counts that come from actions: the uncontrolled leg is the
+    /// controlled result with its stall, no-op and false-positive counts
+    /// at zero, bit for bit what replaying under [`NoControl`] returns.
+    /// Each leg counts one run into its scheme's `closed_loop.<scheme>.*`
+    /// metrics; the records count into `trace.replay_cycles` once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::finish`].
+    pub fn finish_with_baseline(
+        mut self,
+    ) -> Result<(ClosedLoopResult, ClosedLoopResult), DidtError> {
+        let controlled = self.close()?;
+        let baseline = ClosedLoopResult {
+            stall_cycles: 0,
+            nop_cycles: 0,
+            false_positives: 0,
+            ..controlled
+        };
+        record_run_metrics(NoControl.name(), &baseline);
+        record_run_metrics(self.controller.name(), &controlled);
+        Ok((baseline, controlled))
+    }
+}
+
 /// The process-global `trace.replay_cycles` counter, resolved once.
 fn replay_cycles_counter() -> &'static std::sync::Arc<didt_telemetry::Counter> {
     use std::sync::OnceLock;
@@ -678,8 +809,8 @@ fn replay_cycles_counter() -> &'static std::sync::Arc<didt_telemetry::Counter> {
     })
 }
 
-/// Cycles [`ClosedLoop::replay`] steps through the PDN before handing
-/// them to the controller at once. Scratch is a few stack arrays of this
+/// Cycles a [`Replay`] pass steps through the PDN before handing them
+/// to the controller at once. Scratch is a few stack arrays of this
 /// length, whatever the recording's length.
 pub const REPLAY_BLOCK: usize = 256;
 

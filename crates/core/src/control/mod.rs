@@ -12,7 +12,7 @@ mod closed_loop;
 mod controllers;
 
 pub use closed_loop::{
-    ClosedLoop, ClosedLoopConfig, ClosedLoopResult, RecordedRun, SimScratch,
+    ClosedLoop, ClosedLoopConfig, ClosedLoopResult, RecordedRun, Replay, SimScratch,
     DEADLINE_CHECK_INTERVAL, REPLAY_BLOCK,
 };
 pub use controllers::{NoControl, PipelineDamping, ThresholdController};

@@ -181,6 +181,7 @@ impl WaveletMonitorDesign {
         Ok(WaveletMonitor {
             // The coarsest term's oldest tap is lag `window`.
             ring: HistoryRing::new(self.window + 1),
+            window: self.window,
             details,
             approximations,
             raw: vec![0.0; kept.len()],
@@ -188,6 +189,8 @@ impl WaveletMonitorDesign {
             weight: kept.iter().map(|w| w.weight).collect(),
             vdd: self.vdd,
             delay: DelayLine::new(self.vdd, delay),
+            history: Vec::new(),
+            raws: Vec::new(),
         })
     }
 }
@@ -229,6 +232,8 @@ impl WaveletMonitorDesign {
 #[derive(Debug, Clone)]
 pub struct WaveletMonitor {
     ring: HistoryRing,
+    /// The lag window: no tap reads past lag `window`.
+    window: usize,
     /// Per detail term: its `newest`, `crossing` and `oldest` lags, then its slot.
     details: Vec<[usize; 4]>,
     /// Per approximation term: its `newest` and `oldest` lags, then its slot.
@@ -239,6 +244,12 @@ pub struct WaveletMonitor {
     weight: Vec<f64>,
     vdd: f64,
     delay: DelayLine,
+    /// [`VoltageMonitor::observe_block`]'s linear history, oldest
+    /// first: the ring's last `window` lags, then the block's currents.
+    history: Vec<f64>,
+    /// [`VoltageMonitor::observe_block`]'s pulse sums, one row of the
+    /// block's length per slot.
+    raws: Vec<f64>,
 }
 
 impl VoltageMonitor for WaveletMonitor {
@@ -260,6 +271,63 @@ impl VoltageMonitor for WaveletMonitor {
             .map(|((raw, norm), weight)| raw * norm * weight)
             .sum();
         self.delay.pass(self.vdd - droop)
+    }
+
+    /// Terms outside, cycles inside. Each term's pulse sum runs its
+    /// recurrence over the block in cycle order, adding the same
+    /// `newest − 2·crossing + oldest` (or `newest − oldest`) that
+    /// `observe` adds, into one row per slot. Then each cycle's droop
+    /// adds `(raw·norm)·weight` over the slots in slot order, from
+    /// `−0.0` as `Iterator::sum` does. Those are `observe`'s additions
+    /// in `observe`'s order, so every estimate has its bits; only the
+    /// loop nest changed, and with it the per-cycle ring reads.
+    fn observe_block(&mut self, senses: &[CycleSense], estimates: &mut [f64]) {
+        assert_eq!(senses.len(), estimates.len(), "one estimate per sense");
+        let n = senses.len();
+        if n == 0 {
+            return;
+        }
+        let w = self.window;
+        self.history.clear();
+        self.history.extend(self.ring.lags()[..w].iter().rev());
+        self.history.extend(senses.iter().map(|s| s.current));
+        // Cycle `t`'s lag `m` sits at `history[w + t − m]`, so a tap at
+        // lag `m` reads the block's run `history[w − m..][..n]`.
+        let tap = |m: usize| &self.history[w - m..][..n];
+        self.raws.resize(self.raw.len() * n, 0.0);
+        for &[newest, crossing, oldest, slot] in &self.details {
+            let mut raw = self.raw[slot];
+            let row = &mut self.raws[slot * n..][..n];
+            for (((r, &a), &c), &o) in row
+                .iter_mut()
+                .zip(tap(newest))
+                .zip(tap(crossing))
+                .zip(tap(oldest))
+            {
+                raw += a - 2.0 * c + o;
+                *r = raw;
+            }
+            self.raw[slot] = raw;
+        }
+        for &[newest, oldest, slot] in &self.approximations {
+            let mut raw = self.raw[slot];
+            let row = &mut self.raws[slot * n..][..n];
+            for ((r, &a), &o) in row.iter_mut().zip(tap(newest)).zip(tap(oldest)) {
+                raw += a - o;
+                *r = raw;
+            }
+            self.raw[slot] = raw;
+        }
+        estimates.fill(-0.0);
+        for ((row, &norm), &weight) in self.raws.chunks_exact(n).zip(&self.norm).zip(&self.weight) {
+            for (droop, &raw) in estimates.iter_mut().zip(row) {
+                *droop += raw * norm * weight;
+            }
+        }
+        for (sense, estimate) in senses.iter().zip(estimates) {
+            self.ring.push(sense.current);
+            *estimate = self.delay.pass(self.vdd - *estimate);
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -2,8 +2,8 @@
 //! terms must track the exact dot products under arbitrary inputs, the
 //! array-laid-out wavelet monitor and the mirrored history ring must
 //! reproduce their one-term and naive references bit for bit, the
-//! full-convolution monitor's block kernel must reproduce its per-cycle
-//! `observe` bit for bit, the full-term wavelet monitor must equal
+//! full-convolution and wavelet monitors' block kernels must reproduce
+//! their per-cycle `observe` bit for bit, the full-term wavelet monitor must equal
 //! windowed convolution, and the estimators must be well-behaved
 //! probabilities.
 
@@ -145,6 +145,61 @@ proptest! {
         // Both end in the same state.
         let next = CycleSense { current: 42.0, voltage: 1.0 };
         prop_assert!(one.observe(next).to_bits() == mixed.observe(next).to_bits());
+    }
+
+    #[test]
+    fn wavelet_observe_block_equals_observe_bitwise(
+        currents in prop::collection::vec(0.0..80.0f64, 0..1500),
+        window_log2 in 3u32..=8,
+        k_fraction in 0.0..1.0f64,
+        delay in 0usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let window = 1usize << window_log2;
+        let k = 1 + ((window - 1) as f64 * k_fraction) as usize;
+        let design = WaveletMonitorDesign::new(&pdn(), window).expect("design");
+        let mut one = design.build(k, delay).expect("monitor");
+        let mut mixed = one.clone();
+        let senses: Vec<CycleSense> = currents
+            .iter()
+            .map(|&i| CycleSense { current: i, voltage: 1.0 })
+            .collect();
+        let want: Vec<f64> = senses.iter().map(|&s| one.observe(s)).collect();
+        // Random pieces, empty ones included, each fed either as one
+        // block or cycle by cycle, so blocks start at every ring state.
+        let mut got = vec![f64::NAN; senses.len()];
+        let mut rng = seed;
+        let mut at = 0;
+        while at < senses.len() {
+            rng = rng.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(0x1405_7B7E_F767_814F);
+            let r = (rng >> 16) as usize;
+            let len = if r.is_multiple_of(4) { r % 700 } else { r % 20 };
+            let end = (at + len).min(senses.len());
+            if r.is_multiple_of(5) {
+                for n in at..end {
+                    got[n] = mixed.observe(senses[n]);
+                }
+            } else {
+                mixed.observe_block(&senses[at..end], &mut got[at..end]);
+            }
+            at = end;
+        }
+        for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "cycle {n}, window {window}, k {k}, delay {delay}: {g} vs {w}"
+            );
+        }
+        // Both end in the same state.
+        for next in [42.0, 0.0, 79.5] {
+            let s = CycleSense { current: next, voltage: 1.0 };
+            prop_assert!(one.observe(s).to_bits() == mixed.observe(s).to_bits());
+        }
+        let tail = [CycleSense { current: 17.0, voltage: 1.0 }; 3];
+        let (mut a, mut b) = ([0.0; 3], [0.0; 3]);
+        one.observe_block(&tail, &mut a);
+        mixed.observe_block(&tail, &mut b);
+        prop_assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -18,10 +18,18 @@
 //!   a silent partial answer;
 //! * any single corrupted byte is detected by both decoders;
 //! * a header `pre_roll` beyond the file's record count is rejected;
-//! * the library's sliced CRC-32, fed any byte string in any pieces,
-//!   equals the reference's bitwise one.
+//! * the library's lane CRC-32, fed any byte string in any pieces,
+//!   equals the reference's bitwise one;
+//! * the replay column decoder (`TraceReader::next_columns`) returns
+//!   `read_all`'s current, power and committed bits for every stream,
+//!   and rejects every stream `read_all` rejects with the same error —
+//!   payload edits under a repaired CRC included, so the decoders'
+//!   own checks are compared, not only the CRC's.
 
-use didt_trace::{read_all, Crc32, Record, RecordKind, TraceMeta, TraceWriter};
+use didt_trace::{
+    read_all, Crc32, Record, RecordKind, ReplayColumns, TraceError, TraceMeta, TraceReader,
+    TraceWriter,
+};
 use proptest::prelude::*;
 
 /// An independent `.dtrc` decoder implemented from TRACE_FORMAT.md
@@ -309,10 +317,54 @@ fn assert_both_decoders_agree(bytes: &[u8], want: &[Record], kind: RecordKind) {
     }
 }
 
+/// Every chunk of a stream through `TraceReader::next_columns`: the
+/// current and power bits and the committed counts, concatenated.
+type ColumnBits = (Vec<u64>, Vec<u64>, Vec<u16>);
+
+fn decode_columns(bytes: &[u8]) -> Result<ColumnBits, TraceError> {
+    let mut reader = TraceReader::new(bytes)?;
+    let mut columns = ReplayColumns::new();
+    let mut out = ColumnBits::default();
+    while reader.next_columns(&mut columns)? {
+        assert_eq!(columns.power().len(), columns.len());
+        assert_eq!(columns.committed().len(), columns.len());
+        out.0.extend(columns.current().iter().map(|x| x.to_bits()));
+        out.1.extend(columns.power().iter().map(|x| x.to_bits()));
+        out.2.extend_from_slice(columns.committed());
+    }
+    Ok(out)
+}
+
+/// `bytes` with data chunk `which` (modulo the chunk count) re-framed:
+/// `edit` changes its payload, and the length field and CRC are
+/// rewritten to match, so only the payload decoders can object.
+fn edit_chunk(bytes: &[u8], which: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut at = 33 + bytes[32] as usize + 4;
+    let mut chunks = Vec::new();
+    while u32_at(at) != 0 {
+        let len = u32_at(at + 4) as usize;
+        chunks.push((at, len));
+        at += 8 + len + 4;
+    }
+    let Some(&(start, len)) = chunks.get(which % chunks.len().max(1)) else {
+        return bytes.to_vec();
+    };
+    let mut payload = bytes[start + 8..start + 8 + len].to_vec();
+    edit(&mut payload);
+    let mut frame = bytes[start..start + 4].to_vec();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let crc = reference::crc32(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    [&bytes[..start], &frame[..], &bytes[start + 8 + len + 4..]].concat()
+}
+
 proptest! {
     /// §0: `Crc32::update` over random bytes (0–4 KiB) cut at random
-    /// split points — empty pieces and lengths off the 16-byte step
-    /// included — equals the bitwise reference CRC of the whole.
+    /// split points — empty pieces, lengths off the 8-byte step and
+    /// off the four-lane split included — equals the bitwise reference
+    /// CRC of the whole.
     #[test]
     fn streaming_crc_equals_the_bitwise_reference(
         bytes in prop::collection::vec(any::<u8>(), 0..=4096),
@@ -435,6 +487,76 @@ proptest! {
         bytes[pos] ^= flip;
         prop_assert!(read_all(&bytes[..]).is_err(), "byte {pos} xor {flip:#04x}");
         prop_assert!(reference::decode(&bytes).is_err(), "byte {pos} xor {flip:#04x}");
+    }
+}
+
+proptest! {
+    // Eight stream mutations share the cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The replay column decoder against `read_all`, for both kinds and
+    /// any chunk size: on an intact stream it returns the same current,
+    /// power and committed bits; on a truncated, byte-flipped or
+    /// over-long stream, or one whose chunk payload was edited under a
+    /// repaired CRC, it fails exactly when `read_all` fails, with the
+    /// same error.
+    #[test]
+    fn column_decoder_matches_read_all_on_accepts_and_rejects(
+        raw in prop::collection::vec(
+            ((0u64..=u64::MAX - 1, 0u64..=u64::MAX - 1),
+             (0u16..=u16::MAX, 0u16..=u16::MAX, 0u16..=u16::MAX)),
+            0..=120,
+        ),
+        full in any::<bool>(),
+        chunk in 1usize..=48,
+        mutation in 0u8..8,
+        at_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        which in 0usize..8,
+    ) {
+        let raw: Vec<_> = raw.into_iter().map(|((c, p), (co, l2, mi))| (c, p, co, l2, mi)).collect();
+        let (kind, records) = if full {
+            (RecordKind::Full, full_records(&with_specials(raw)))
+        } else {
+            let currents = with_specials(raw).iter().map(|r| Record::current_only(f64::from_bits(r.0))).collect();
+            (RecordKind::Current, currents)
+        };
+        let good = encode(&records, kind, chunk);
+        let at = |len: usize| ((len as f64) * at_frac) as usize;
+        let bytes = match mutation {
+            0 => good,
+            1 => good[..at(good.len())].to_vec(),
+            2 => {
+                let mut bad = good;
+                let pos = at(bad.len());
+                bad[pos] ^= flip;
+                bad
+            }
+            3 => [&good[..], &[flip]].concat(),
+            4 => edit_chunk(&good, which, |p| if !p.is_empty() { let i = at(p.len()); p[i] ^= flip; }),
+            5 => edit_chunk(&good, which, |p| if !p.is_empty() { let i = at(p.len()); p[i] = 9.max(flip); }),
+            6 => edit_chunk(&good, which, |p| { let i = at(p.len()); p.truncate(i); }),
+            _ => edit_chunk(&good, which, |p| p.extend_from_slice(&[flip, 0, flip])),
+        };
+        match (read_all(&bytes[..]), decode_columns(&bytes)) {
+            (Ok((_, want)), Ok((current, power, committed))) => {
+                prop_assert!(mutation != 0 || want.len() == records.len());
+                prop_assert_eq!(current.len(), want.len());
+                for (i, r) in want.iter().enumerate() {
+                    prop_assert!(current[i] == r.current.to_bits(), "current {i}");
+                    prop_assert!(power[i] == r.power.to_bits(), "power {i}");
+                    prop_assert!(committed[i] == r.committed, "committed {i}");
+                }
+            }
+            (Err(want), Err(got)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            (want, got) => prop_assert!(
+                false,
+                "mutation {}: read_all {:?} but columns {:?}",
+                mutation,
+                want.map(|(_, r)| r.len()),
+                got.map(|c| c.0.len())
+            ),
+        }
     }
 }
 

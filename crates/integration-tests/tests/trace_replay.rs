@@ -5,7 +5,9 @@
 //! of BBV-style phase clustering: fixed seeds give identical
 //! clusterings, and the chunking of the trace file is invisible to the
 //! clustering downstream of it. And the one-pass block replay against a
-//! per-cycle reference of the two-leg replay loop, bit for bit.
+//! per-cycle reference of the two-leg replay loop, bit for bit, and the
+//! replay streamed chunk by chunk from a `.dtrc` reader against the
+//! replay of the same records held whole.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -18,7 +20,8 @@ use didt_core::monitor::CycleSense;
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use didt_trace::{
-    cluster_records, read_path, write_path, PhaseConfig, Record, RecordKind, TraceMeta, TraceWriter,
+    cluster_records, read_path, write_path, PhaseConfig, Record, RecordKind, TraceMeta,
+    TraceReader, TraceWriter,
 };
 use didt_uarch::{Benchmark, ControlAction};
 use proptest::prelude::*;
@@ -406,5 +409,50 @@ proptest! {
             }
         }
         prop_assert!(engaged > 0, "no scheme engaged at offset {offset}");
+    }
+
+    /// `run_replay_stream` over a `.dtrc` stream equals `run_replay`
+    /// over the same records on every field of both legs, for every
+    /// scheme, any chunk size, and a pre-roll that ends anywhere — in
+    /// the first chunk, on a chunk edge, or past several chunks — so
+    /// pre-roll and replay blocks carried across chunk edges move no
+    /// bit.
+    #[test]
+    fn streamed_replay_equals_the_record_replay(
+        offset in 0usize..4 * REPLAY_BLOCK,
+        len in 0usize..3 * REPLAY_BLOCK,
+        pre_frac in 0.0f64..=1.0,
+        chunk in 1usize..=700,
+    ) {
+        let ctx = shared_context();
+        let records = &shared_records()[offset..][..len];
+        let pre_roll = ((len as f64) * pre_frac) as usize;
+        let mut meta = TraceMeta::new(RecordKind::Full, "gzip");
+        meta.pre_roll = pre_roll as u64;
+        let mut w = TraceWriter::with_chunk_records(Vec::new(), &meta, chunk).unwrap();
+        w.extend_from_slice(records).unwrap();
+        let bytes = w.finish().unwrap();
+        let run = RunParams {
+            instructions: 3_000,
+            warmup_cycles: 800,
+        };
+        for controller in SPECS {
+            let point = SweepPoint {
+                benchmark: Benchmark::Gzip,
+                pdn_pct: 200.0,
+                monitor_terms: 13,
+                controller,
+            };
+            let want = ctx.run_replay(&point, run, records, pre_roll).unwrap();
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            let got = ctx.run_replay_stream(&point, run, &mut reader, None).unwrap();
+            let got = (result_bits(&got.baseline), result_bits(&got.controlled));
+            let want = (result_bits(&want.baseline), result_bits(&want.controlled));
+            prop_assert!(
+                got == want,
+                "{}, {len} records in chunks of {chunk}, pre-roll {pre_roll}: {got:?} != {want:?}",
+                controller.tag()
+            );
+        }
     }
 }

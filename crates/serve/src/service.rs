@@ -14,19 +14,21 @@
 //! binaries, which is what makes serial client replay bit-identical to
 //! batch-runner results.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use didt_bench::{GainSnapshotEntry, SweepContext, SweepPoint};
+use didt_bench::{GainSnapshotEntry, StreamReplayError, SweepContext, SweepPoint};
 use didt_core::characterize::{EmergencyEstimator, GaussianityStudy, VarianceModel};
 use didt_core::monitor::TermKind;
 use didt_core::DidtError;
 use didt_dsp::{dwt_boundary, scale_variance, BoundaryMode, WaveletFamily};
 use didt_telemetry::{seed_to_hex, Counter, Histogram, Json, MetricsRegistry};
-use didt_uarch::Benchmark;
+use didt_trace::{ReplayColumns, TraceError, TraceReader};
+use didt_uarch::{Benchmark, CurrentTrace};
 
 use crate::protocol::{
     snapshot_entry_to_json, CharacterizeSpec, ClosedLoopSpec, DesignSpec, ErrorCode, Request,
@@ -96,8 +98,33 @@ impl ServiceStats {
 #[derive(Debug)]
 struct SessionState {
     spec: SessionSpec,
-    samples: Vec<f64>,
+    /// The pushed chunks in order, each shared, so a verdict's snapshot
+    /// under the session lock costs one reference count per push, not
+    /// one copy per sample.
+    chunks: Vec<Arc<[f64]>>,
+    /// Samples across `chunks`.
+    total: usize,
     verdicts: u64,
+}
+
+/// The samples a request names: borrowed from the request, shared with
+/// the context's trace cache, or read from a recording.
+enum Samples<'a> {
+    Borrowed(&'a [f64]),
+    Cached(Arc<CurrentTrace>),
+    Owned(Vec<f64>),
+}
+
+impl std::ops::Deref for Samples<'_> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match self {
+            Samples::Borrowed(samples) => samples,
+            Samples::Cached(trace) => &trace.samples,
+            Samples::Owned(samples) => samples,
+        }
+    }
 }
 
 /// The dI/dt characterization service.
@@ -392,18 +419,18 @@ impl Service {
     }
 
     /// The samples a request names. Inline samples are borrowed from the
-    /// request; synthetic and recorded traces are copied out of their
-    /// caches and files.
+    /// request and synthetic traces from the context's cache; a
+    /// recording's currents are decoded chunk by chunk, column only.
     fn resolve_trace<'a>(
         &self,
         source: &'a TraceSource,
-    ) -> Result<Cow<'a, [f64]>, (ErrorCode, String)> {
+    ) -> Result<Samples<'a>, (ErrorCode, String)> {
         match source {
             TraceSource::Inline(samples) => {
                 if samples.iter().any(|x| !x.is_finite()) {
                     return Err(bad("inline trace holds non-finite samples"));
                 }
-                Ok(Cow::Borrowed(samples))
+                Ok(Samples::Borrowed(samples))
             }
             TraceSource::Synth {
                 benchmark,
@@ -415,31 +442,39 @@ impl Service {
                 if *cycles == 0 || *cycles > 4_000_000 {
                     return Err(bad("`synth.cycles` must be in 1..=4000000"));
                 }
-                let trace = self.ctx.trace(
+                Ok(Samples::Cached(self.ctx.trace(
                     bench,
                     self.ctx.system().processor(),
                     *seed,
                     *warmup,
                     *cycles,
-                );
-                Ok(Cow::Owned(trace.samples.clone()))
+                )))
             }
             TraceSource::Recorded { path } => {
-                let (meta, records) = read_recorded(path)?;
+                let mut reader = open_recorded(path)?;
                 // Pre-roll records exist to settle stateful consumers;
                 // the characterization analyses are stateless per
                 // window, so they are simply excluded.
-                let samples: Vec<f64> = records[meta.pre_roll as usize..]
-                    .iter()
-                    .map(|r| r.current)
-                    .collect();
+                let pre_roll = reader.meta().pre_roll;
+                let mut columns = ReplayColumns::new();
+                let mut samples = Vec::new();
+                let mut read = 0u64;
+                while reader
+                    .next_columns(&mut columns)
+                    .map_err(|e| recorded_error(path, &e))?
+                {
+                    let skip = usize::try_from(pre_roll.saturating_sub(read))
+                        .map_or(columns.len(), |skip| skip.min(columns.len()));
+                    samples.extend_from_slice(&columns.current()[skip..]);
+                    read += columns.len() as u64;
+                }
                 static REPLAY_CYCLES: OnceLock<Arc<Counter>> = OnceLock::new();
                 REPLAY_CYCLES
                     .get_or_init(|| {
                         MetricsRegistry::global().counter(didt_trace::REPLAY_CYCLES_COUNTER)
                     })
                     .add(samples.len() as u64);
-                Ok(Cow::Owned(samples))
+                Ok(Samples::Owned(samples))
             }
         }
     }
@@ -588,7 +623,8 @@ impl Service {
             id,
             SessionState {
                 spec: spec.clone(),
-                samples: Vec::new(),
+                chunks: Vec::new(),
+                total: 0,
                 verdicts: 0,
             },
         );
@@ -608,45 +644,52 @@ impl Service {
         if samples.iter().any(|x| !x.is_finite()) {
             return Err(bad("session chunk holds non-finite samples"));
         }
+        let received = samples.len();
+        let chunk: Arc<[f64]> = Arc::from(samples);
         let mut sessions = self.sessions.lock().expect("session table poisoned");
         let state = sessions
             .get_mut(&session)
             .ok_or_else(|| no_session(session))?;
-        if state.samples.len() + samples.len() > MAX_SESSION_SAMPLES {
+        if state.total + received > MAX_SESSION_SAMPLES {
             return Err(bad(format!(
                 "session would exceed {MAX_SESSION_SAMPLES} samples"
             )));
         }
-        state.samples.extend_from_slice(samples);
+        if received > 0 {
+            state.chunks.push(chunk);
+        }
+        state.total += received;
         self.stats
             .session_samples
-            .fetch_add(samples.len() as u64, Ordering::Relaxed);
+            .fetch_add(received as u64, Ordering::Relaxed);
         Ok(Json::obj(vec![
             ("session", Json::num(session as f64)),
-            ("received", Json::num(samples.len() as f64)),
-            ("total_samples", Json::num(state.samples.len() as f64)),
+            ("received", Json::num(received as f64)),
+            ("total_samples", Json::num(state.total as f64)),
         ]))
     }
 
     fn session_verdict(&self, session: u64, deadline: Option<Instant>) -> HandlerResult {
-        // Copy the samples out of the table so the session lock is never
-        // held across the analysis; the live session keeps taking pushes.
-        let (spec, samples) = {
+        // Take a snapshot of the chunk list under the session lock and
+        // copy the samples out of it after, so the lock is held neither
+        // across the copy nor across the analysis; the live session
+        // keeps taking pushes.
+        let (spec, chunks) = {
             let mut sessions = self.sessions.lock().expect("session table poisoned");
             let state = sessions
                 .get_mut(&session)
                 .ok_or_else(|| no_session(session))?;
-            if state.samples.len() < state.spec.window {
+            if state.total < state.spec.window {
                 return Err(bad(format!(
                     "session has {} samples, needs at least the {}-cycle window",
-                    state.samples.len(),
-                    state.spec.window
+                    state.total, state.spec.window
                 )));
             }
             state.verdicts += 1;
-            (state.spec.clone(), state.samples.clone())
+            (state.spec.clone(), state.chunks.clone())
         };
         self.stats.session_verdicts.fetch_add(1, Ordering::Relaxed);
+        let samples = chunks.concat();
         let mut report = self.analyze(&samples, &spec, deadline)?;
         if let Json::Obj(pairs) = &mut report {
             pairs.insert(0, ("session".to_string(), Json::num(session as f64)));
@@ -668,7 +711,7 @@ impl Service {
             .incr();
         Ok(Json::obj(vec![
             ("session", Json::num(session as f64)),
-            ("total_samples", Json::num(state.samples.len() as f64)),
+            ("total_samples", Json::num(state.total as f64)),
             ("verdicts", Json::num(state.verdicts as f64)),
             ("levels", Json::num(analysis_levels(&state.spec) as f64)),
         ]))
@@ -720,15 +763,18 @@ impl Service {
         };
         let (result, replayed_seed) = match &spec.replay {
             Some(path) => {
-                let (meta, records) = read_recorded(path)?;
-                check_deadline(deadline)?;
-                let result = self
-                    .ctx
-                    .run_replay(&point, run, &records, meta.pre_roll as usize)
-                    .map_err(|e| didt_err(&e))?;
+                let mut reader = open_recorded(path)?;
                 // The meaningful seed of a replayed run is the one the
                 // trace was recorded under, not the live point seed.
-                (result, Some(meta.seed))
+                let seed = reader.meta().seed;
+                let result = self
+                    .ctx
+                    .run_replay_stream(&point, run, &mut reader, deadline)
+                    .map_err(|e| match e {
+                        StreamReplayError::Trace(e) => recorded_error(path, &e),
+                        StreamReplayError::Replay(e) => didt_err(&e),
+                    })?;
+                (result, Some(seed))
             }
             None => (
                 self.ctx
@@ -817,15 +863,17 @@ fn parse_benchmark(name: &str) -> Result<Benchmark, (ErrorCode, String)> {
         .map_err(|_| bad(format!("unknown benchmark `{name}`")))
 }
 
-/// Read a server-local `.dtrc` file named by a request. Every reader
-/// rejection (missing file, bad magic, CRC mismatch, truncation, ...)
-/// is the *client's* problem — it named the file — so the whole
-/// [`didt_trace::TraceError`] taxonomy maps to `BadRequest`.
-fn read_recorded(
-    path: &str,
-) -> Result<(didt_trace::TraceMeta, Vec<didt_trace::Record>), (ErrorCode, String)> {
-    didt_trace::read_path(std::path::Path::new(path))
-        .map_err(|e| bad(format!("recorded trace `{path}`: {e}")))
+/// Open a server-local `.dtrc` file named by a request. Every reader
+/// rejection (missing file, bad magic, CRC mismatch, truncation, ...),
+/// here or at any later chunk, is the *client's* problem — it named the
+/// file — so the whole [`TraceError`] taxonomy maps to `BadRequest`
+/// ([`recorded_error`]).
+fn open_recorded(path: &str) -> Result<TraceReader<BufReader<File>>, (ErrorCode, String)> {
+    TraceReader::open(std::path::Path::new(path)).map_err(|e| recorded_error(path, &e))
+}
+
+fn recorded_error(path: &str, e: &TraceError) -> (ErrorCode, String) {
+    bad(format!("recorded trace `{path}`: {e}"))
 }
 
 #[cfg(test)]

@@ -18,13 +18,20 @@
 //!
 //! [`TraceReader::next_chunk`] decodes into caller-supplied buffers:
 //! iterating an arbitrarily long file allocates only up to the largest
-//! chunk, which is what makes the reader usable as a streaming source
-//! for replay. [`read_all`] runs the same per-chunk step but decodes
-//! each chunk straight onto the end of its result vector, growing it
-//! by the chunk's announced (already limit-checked) record count, so a
-//! whole-file read copies no record twice. Either way a chunk is
-//! CRC-checked before any of it is decoded, and an error drops the
-//! partial result: `read_all` returns `Err`, never a prefix.
+//! chunk. [`TraceReader::next_columns`] is the replay's streaming
+//! source: it decodes only the `current`, `power` and `committed`
+//! columns into a reused [`ReplayColumns`], builds no [`Record`], and
+//! length-checks the two event columns replay never reads, so it
+//! rejects exactly what `next_chunk` rejects, with the same error.
+//! [`read_all`] runs the same per-chunk step but decodes each chunk
+//! straight onto the end of its result vector, growing it by the
+//! chunk's announced (already limit-checked) record count, so a
+//! whole-file read copies no record twice. All three read frames
+//! through one step and decode `f64` columns through one kernel. A
+//! chunk is CRC-checked before any of it is decoded, and an error
+//! drops the partial result: `read_all` returns `Err`, never a prefix,
+//! and a streaming consumer must not act on what it was fed until the
+//! reader has returned `Ok(false)` (the end chunk verified).
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -210,54 +217,84 @@ fn encode_column_f64(out: &mut Vec<u8>, values: impl Iterator<Item = f64>) {
     }
 }
 
-fn decode_column_f64(
+/// `F64_MASKS[n]` keeps the low `n` bytes of a little-endian word.
+const F64_MASKS: [u64; 9] = {
+    let mut masks = [0u64; 9];
+    let mut n = 1;
+    while n < 9 {
+        masks[n] = u64::MAX >> (64 - 8 * n);
+        n += 1;
+    }
+    masks
+};
+
+/// The one XOR-delta varbyte `f64` column kernel (`TRACE_FORMAT.md`
+/// §5): decodes one value per slot of `out`, in order, from
+/// `payload[*pos..]`, and leaves `*pos` after the column. While eight
+/// bytes follow a control byte, the delta is one 8-byte load masked to
+/// the control byte's length; near the payload's end it is read byte
+/// by byte, so a short payload fails exactly where the byte loop does.
+fn decode_column_f64<'a>(
     payload: &[u8],
     pos: &mut usize,
-    out: &mut [Record],
-    set: impl Fn(&mut Record, f64),
+    out: impl Iterator<Item = &'a mut f64>,
 ) -> Result<(), TraceError> {
     let mut prev = 0u64;
-    for r in out.iter_mut() {
-        let &ctl = payload.get(*pos).ok_or(TraceError::CorruptPayload(
+    let mut at = *pos;
+    for slot in out {
+        let &ctl = payload.get(at).ok_or(TraceError::CorruptPayload(
             "payload ends inside an f64 column",
         ))?;
-        *pos += 1;
         if ctl > 8 {
             return Err(TraceError::CorruptPayload("f64 control byte exceeds 8"));
         }
-        let n = ctl as usize;
-        let bytes = payload
-            .get(*pos..*pos + n)
-            .ok_or(TraceError::CorruptPayload(
-                "payload ends inside an f64 delta",
-            ))?;
-        *pos += n;
-        let mut x = 0u64;
-        for (i, &b) in bytes.iter().enumerate() {
-            x |= u64::from(b) << (8 * i);
-        }
+        let n = usize::from(ctl);
+        let x = if let Some(word) = payload.get(at + 1..at + 9) {
+            u64::from_le_bytes(word.try_into().expect("eight bytes")) & F64_MASKS[n]
+        } else {
+            payload
+                .get(at + 1..at + 1 + n)
+                .ok_or(TraceError::CorruptPayload(
+                    "payload ends inside an f64 delta",
+                ))?
+                .iter()
+                .rev()
+                .fold(0u64, |x, &b| (x << 8) | u64::from(b))
+        };
+        at += 1 + n;
         prev ^= x;
-        set(r, f64::from_bits(prev));
+        *slot = f64::from_bits(prev);
+    }
+    *pos = at;
+    Ok(())
+}
+
+fn decode_column_u16<'a>(
+    payload: &[u8],
+    pos: &mut usize,
+    out: impl ExactSizeIterator<Item = &'a mut u16>,
+) -> Result<(), TraceError> {
+    let bytes = payload
+        .get(*pos..*pos + 2 * out.len())
+        .ok_or(TraceError::CorruptPayload(
+            "payload ends inside a u16 column",
+        ))?;
+    *pos += bytes.len();
+    for (slot, b) in out.zip(bytes.chunks_exact(2)) {
+        *slot = u16::from_le_bytes([b[0], b[1]]);
     }
     Ok(())
 }
 
-fn decode_column_u16(
-    payload: &[u8],
-    pos: &mut usize,
-    out: &mut [Record],
-    set: impl Fn(&mut Record, u16),
-) -> Result<(), TraceError> {
-    for r in out.iter_mut() {
-        let bytes = payload
-            .get(*pos..*pos + 2)
-            .ok_or(TraceError::CorruptPayload(
-                "payload ends inside a u16 column",
-            ))?;
-        *pos += 2;
-        set(r, u16::from_le_bytes([bytes[0], bytes[1]]));
+/// The payload must end exactly where its last column did.
+fn check_payload_end(payload: &[u8], pos: usize) -> Result<(), TraceError> {
+    if pos == payload.len() {
+        Ok(())
+    } else {
+        Err(TraceError::CorruptPayload(
+            "trailing bytes in chunk payload",
+        ))
     }
-    Ok(())
 }
 
 /// Decode one CRC-checked payload of `count` records onto the end of
@@ -272,19 +309,95 @@ fn decode_chunk(
     out.resize(start + count, Record::default());
     let out = &mut out[start..];
     let mut pos = 0usize;
-    decode_column_f64(payload, &mut pos, out, |r, v| r.current = v)?;
+    decode_column_f64(payload, &mut pos, out.iter_mut().map(|r| &mut r.current))?;
     if kind == RecordKind::Full {
-        decode_column_f64(payload, &mut pos, out, |r, v| r.power = v)?;
-        decode_column_u16(payload, &mut pos, out, |r, v| r.committed = v)?;
-        decode_column_u16(payload, &mut pos, out, |r, v| r.l2_misses = v)?;
-        decode_column_u16(payload, &mut pos, out, |r, v| r.mispredicts = v)?;
+        decode_column_f64(payload, &mut pos, out.iter_mut().map(|r| &mut r.power))?;
+        decode_column_u16(payload, &mut pos, out.iter_mut().map(|r| &mut r.committed))?;
+        decode_column_u16(payload, &mut pos, out.iter_mut().map(|r| &mut r.l2_misses))?;
+        decode_column_u16(
+            payload,
+            &mut pos,
+            out.iter_mut().map(|r| &mut r.mispredicts),
+        )?;
     }
-    if pos != payload.len() {
-        return Err(TraceError::CorruptPayload(
-            "trailing bytes in chunk payload",
-        ));
+    check_payload_end(payload, pos)
+}
+
+/// The three columns a closed-loop replay reads from one data chunk —
+/// `current`, `power` and `committed` — filled by
+/// [`TraceReader::next_columns`]. The buffers keep their capacity from
+/// chunk to chunk, so streaming a file allocates one chunk's worth. A
+/// kind-1 (`Current`) chunk reads as zero power and zero commits, as
+/// its [`Record`]s do.
+#[derive(Debug, Clone, Default)]
+pub struct ReplayColumns {
+    current: Vec<f64>,
+    power: Vec<f64>,
+    committed: Vec<u16>,
+}
+
+impl ReplayColumns {
+    /// Empty columns; the first chunk sizes them.
+    #[must_use]
+    pub fn new() -> Self {
+        ReplayColumns::default()
     }
-    Ok(())
+
+    /// Records in the chunk.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.current.len()
+    }
+
+    /// Whether the chunk holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.current.is_empty()
+    }
+
+    /// Per-record current (amperes).
+    #[must_use]
+    pub fn current(&self) -> &[f64] {
+        &self.current
+    }
+
+    /// Per-record power (watts).
+    #[must_use]
+    pub fn power(&self) -> &[f64] {
+        &self.power
+    }
+
+    /// Per-record committed instructions.
+    #[must_use]
+    pub fn committed(&self) -> &[u16] {
+        &self.committed
+    }
+
+    /// Decode one CRC-checked payload of `count` records into the
+    /// columns. The L2-miss and mispredict columns are length-checked,
+    /// not decoded: every payload [`decode_chunk`] rejects is rejected
+    /// here with the same error.
+    fn decode(&mut self, kind: RecordKind, count: usize, payload: &[u8]) -> Result<(), TraceError> {
+        self.current.resize(count, 0.0);
+        self.power.resize(count, 0.0);
+        self.committed.resize(count, 0);
+        let mut pos = 0usize;
+        decode_column_f64(payload, &mut pos, self.current.iter_mut())?;
+        if kind == RecordKind::Full {
+            decode_column_f64(payload, &mut pos, self.power.iter_mut())?;
+            decode_column_u16(payload, &mut pos, self.committed.iter_mut())?;
+            if payload.len() - pos < 4 * count {
+                return Err(TraceError::CorruptPayload(
+                    "payload ends inside a u16 column",
+                ));
+            }
+            pos += 4 * count;
+        } else {
+            self.power.fill(0.0);
+            self.committed.fill(0);
+        }
+        check_payload_end(payload, pos)
+    }
 }
 
 /// Streaming `.dtrc` writer over any [`Write`] sink.
@@ -543,13 +656,50 @@ impl<R: Read> TraceReader<R> {
         self.append_chunk(out)
     }
 
+    /// [`TraceReader::next_chunk`] for a replay: the next data chunk's
+    /// `current`, `power` and `committed` columns, decoded into reused
+    /// buffers, with no [`Record`] built. It checks, accepts and
+    /// rejects exactly what `next_chunk` does, with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReader::next_chunk`].
+    pub fn next_columns(&mut self, columns: &mut ReplayColumns) -> Result<bool, TraceError> {
+        let Some(count) = self.next_frame()? else {
+            return Ok(false);
+        };
+        columns.decode(self.meta.kind, count, &self.payload)?;
+        self.accept(count);
+        Ok(true)
+    }
+
     /// [`TraceReader::next_chunk`] without the clear: the next data
     /// chunk's records are decoded onto the end of `out`, so
     /// [`read_all`] fills its result in place with no staging buffer.
     fn append_chunk(&mut self, out: &mut Vec<Record>) -> Result<bool, TraceError> {
-        static READ_CHUNKS: OnceLock<Arc<Counter>> = OnceLock::new();
-        if self.done {
+        let Some(count) = self.next_frame()? else {
             return Ok(false);
+        };
+        decode_chunk(self.meta.kind, count, &self.payload, out)?;
+        self.accept(count);
+        Ok(true)
+    }
+
+    /// Count a decoded data chunk of `count` records.
+    fn accept(&mut self, count: usize) {
+        static READ_CHUNKS: OnceLock<Arc<Counter>> = OnceLock::new();
+        self.total_seen += count as u64;
+        READ_CHUNKS
+            .get_or_init(|| MetricsRegistry::global().counter(READ_CHUNKS_COUNTER))
+            .incr();
+    }
+
+    /// Read and verify the next frame. `Some(count)` leaves a data
+    /// chunk's limit- and CRC-checked payload in `self.payload`; `None`
+    /// means the end chunk verified the whole stream.
+    fn next_frame(&mut self) -> Result<Option<usize>, TraceError> {
+        if self.done {
+            return Ok(None);
         }
         let mut prefix = [0u8; 8];
         read_exact_or(&mut self.source, &mut prefix)?;
@@ -599,7 +749,7 @@ impl<R: Read> TraceReader<R> {
                 }
             }
             self.done = true;
-            return Ok(false);
+            return Ok(None);
         }
         if count > MAX_CHUNK_RECORDS {
             return Err(TraceError::ChunkTooLarge {
@@ -628,12 +778,26 @@ impl<R: Read> TraceReader<R> {
                 location: "data chunk",
             });
         }
-        decode_chunk(self.meta.kind, count as usize, &self.payload, out)?;
-        self.total_seen += u64::from(count);
-        READ_CHUNKS
-            .get_or_init(|| MetricsRegistry::global().counter(READ_CHUNKS_COUNTER))
-            .incr();
-        Ok(true)
+        Ok(Some(count as usize))
+    }
+
+    /// Decode every remaining chunk onto one vector.
+    fn into_records(mut self) -> Result<(TraceMeta, Vec<Record>), TraceError> {
+        let mut records = Vec::new();
+        while self.append_chunk(&mut records)? {}
+        Ok((self.meta, records))
+    }
+}
+
+impl TraceReader<io::BufReader<std::fs::File>> {
+    /// Open a `.dtrc` file on disk (buffered) and verify its header.
+    ///
+    /// # Errors
+    ///
+    /// `Io` when the file cannot be opened, else as
+    /// [`TraceReader::new`].
+    pub fn open(path: &Path) -> Result<Self, TraceError> {
+        TraceReader::new(io::BufReader::new(std::fs::File::open(path)?))
     }
 }
 
@@ -644,10 +808,7 @@ impl<R: Read> TraceReader<R> {
 ///
 /// Any reader variant of [`TraceError`].
 pub fn read_all<R: Read>(source: R) -> Result<(TraceMeta, Vec<Record>), TraceError> {
-    let mut reader = TraceReader::new(source)?;
-    let mut records = Vec::new();
-    while reader.append_chunk(&mut records)? {}
-    Ok((reader.meta, records))
+    TraceReader::new(source)?.into_records()
 }
 
 /// Read a `.dtrc` file from disk (buffered).
@@ -657,8 +818,7 @@ pub fn read_all<R: Read>(source: R) -> Result<(TraceMeta, Vec<Record>), TraceErr
 /// Any reader variant of [`TraceError`]; `Io` when the file cannot be
 /// opened.
 pub fn read_path(path: &Path) -> Result<(TraceMeta, Vec<Record>), TraceError> {
-    let file = std::fs::File::open(path)?;
-    read_all(io::BufReader::new(file))
+    TraceReader::open(path)?.into_records()
 }
 
 /// Write `records` to a `.dtrc` file on disk (buffered, default chunk

@@ -8,7 +8,8 @@
 //! - [`format`](mod@format): the `.dtrc` container — a versioned, compressed,
 //!   chunk-framed binary format for fixed-width per-cycle records, with a
 //!   streaming [`TraceWriter`] and a zero-alloc-iteration
-//!   [`TraceReader`]. The wire format is specified normatively in
+//!   [`TraceReader`], which also streams just the columns a replay
+//!   reads ([`ReplayColumns`]). The wire format is specified normatively in
 //!   `TRACE_FORMAT.md` at the repository root; this module is one
 //!   implementation of that contract, and the property-test suite in
 //!   `crates/integration-tests/tests/trace_format.rs` holds it to the
@@ -63,8 +64,8 @@ pub mod record;
 
 pub use crc::{crc32, Crc32};
 pub use format::{
-    read_all, read_path, write_path, TraceError, TraceMeta, TraceReader, TraceWriter,
-    READ_CHUNKS_COUNTER, REPLAY_CYCLES_COUNTER,
+    read_all, read_path, write_path, ReplayColumns, TraceError, TraceMeta, TraceReader,
+    TraceWriter, READ_CHUNKS_COUNTER, REPLAY_CYCLES_COUNTER,
 };
 pub use phase::{cluster_records, PhaseClustering, PhaseConfig, PhaseError, Representative};
 pub use record::{Record, RecordKind};
