@@ -22,5 +22,5 @@ pub use runner::{
     ControllerSpec, ExperimentRunner, GainSnapshotEntry, MemoCache, PointResult, RunParams,
     StreamReplayError, Sweep, SweepContext, SweepPoint,
 };
-pub use steal::{CostClass, SchedReport, SplitMix64, StealDeques};
+pub use steal::{CostClass, SchedReport, SplitMix64};
 pub use table::TextTable;

@@ -120,38 +120,27 @@ impl Experiment {
         });
     }
 
-    /// Record the work-stealing core's counters for this run (timing
-    /// fields — excluded from the non-timing fingerprint). Replaces any
-    /// earlier snapshot; call with the accumulated [`SchedReport`]
-    /// after the last sweep. Counter names pass through the manifest
-    /// interning table so the manifest stays lossless.
+    /// Record the runner's scheduler counters for this run (timing
+    /// fields — excluded from the non-timing fingerprint): its steal
+    /// hits, then one busy time per worker. Replaces any earlier
+    /// snapshot; call with the accumulated [`SchedReport`] after the
+    /// last sweep. Counter names pass through the manifest interning
+    /// table so the manifest stays lossless.
     pub fn scheduler(&mut self, report: &SchedReport) {
         let intern = |name: &str| {
             didt_telemetry::intern_scheduler_counter(name)
                 .expect("scheduler counter missing from interning table")
         };
-        let mut counters = vec![
-            SchedCounterRecord {
-                name: intern(crate::steal::STEAL_ATTEMPTS_COUNTER),
-                value: report.steal_attempts,
-            },
-            SchedCounterRecord {
-                name: intern(crate::steal::STEAL_HITS_COUNTER),
-                value: report.steal_hits,
-            },
-            SchedCounterRecord {
-                name: intern(crate::steal::DEQUE_MAX_DEPTH_GAUGE),
-                value: report.deque_max_depth,
-            },
-        ];
         let busy = intern(crate::steal::WORKER_BUSY_NS_HISTOGRAM);
-        for &ns in &report.worker_busy_ns {
-            counters.push(SchedCounterRecord {
-                name: busy,
-                value: ns,
-            });
-        }
-        self.manifest.scheduler = counters;
+        self.manifest.scheduler = std::iter::once(SchedCounterRecord {
+            name: intern(crate::steal::STEAL_HITS_COUNTER),
+            value: report.steal_hits,
+        })
+        .chain(report.worker_busy_ns.iter().map(|&ns| SchedCounterRecord {
+            name: busy,
+            value: ns,
+        }))
+        .collect();
     }
 
     /// Read access to the manifest built so far.

@@ -29,7 +29,7 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::steal::{CostClass, SchedReport, SplitMix64, StealDeques};
+use crate::steal::{CostClass, SchedReport};
 
 use didt_core::characterize::ScaleGainModel;
 use didt_core::control::{
@@ -42,6 +42,7 @@ use didt_core::monitor::{
 use didt_core::{DidtError, DidtSystem};
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
+use didt_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use didt_trace::{Record, ReplayColumns, TraceError, TraceReader};
 use didt_uarch::{
     capture_trace, Benchmark, ControlAction, CurrentTrace, Processor, ProcessorConfig,
@@ -263,9 +264,12 @@ impl<K: Eq + std::hash::Hash + Clone, V> MemoCache<K, V> {
         match shard.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
+                static CONTENTION: OnceLock<Arc<Counter>> = OnceLock::new();
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                didt_telemetry::MetricsRegistry::global()
-                    .counter("runner.cache.shard_contention")
+                CONTENTION
+                    .get_or_init(|| {
+                        MetricsRegistry::global().counter("runner.cache.shard_contention")
+                    })
                     .incr();
                 shard.lock().expect("memo cache poisoned")
             }
@@ -473,11 +477,12 @@ pub fn default_threads() -> usize {
 
 /// A fixed-width worker pool mapping a job over a slice of points.
 ///
-/// Scheduling is work-stealing: per-worker deques seeded by a
-/// cost-aware blocked partition, steal-half on drain (see
-/// [`crate::steal`]). Every result is stored at its point's index, so
-/// the output `Vec` is identical for any thread count (including 1)
-/// and any steal interleaving.
+/// Each worker owns one contiguous block of point indices, cut by the
+/// cost hint, and claims from its front; a worker whose block is empty
+/// claims from the back of the others' (see [`crate::steal`]). One
+/// worker runs the same loop on the calling thread. Every result is
+/// stored at its point's index, so the output `Vec` is identical for
+/// any thread count (including 1) and any claim interleaving.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentRunner {
     threads: usize,
@@ -528,9 +533,9 @@ impl ExperimentRunner {
         self.run_costed(points, CostClass::Uniform, job)
     }
 
-    /// [`Self::run`] with a per-point cost hint driving the initial
-    /// chunk partition. Hints never affect results — only which worker
-    /// runs which point.
+    /// [`Self::run`] with a per-point cost hint cutting the workers'
+    /// blocks. Hints never affect results — only which worker runs
+    /// which point.
     pub fn run_costed<P, R, F>(&self, points: &[P], cost: CostClass<P>, job: F) -> Vec<R>
     where
         P: Sync,
@@ -541,7 +546,7 @@ impl ExperimentRunner {
     }
 
     /// [`Self::run_costed`] that also returns what the scheduler did
-    /// (steal counts, per-worker busy time) for manifests and the skew
+    /// (steal hits, per-worker busy time) for manifests and the sweep
     /// benchmark. Counters are also published to the global metrics
     /// registry.
     pub fn run_costed_reported<P, R, F>(
@@ -558,142 +563,11 @@ impl ExperimentRunner {
         if points.is_empty() {
             return (Vec::new(), SchedReport::default());
         }
-        let workers = self.threads.min(points.len());
-        let (results, report) = if workers <= 1 {
-            let t0 = std::time::Instant::now();
-            let results = points.iter().enumerate().map(|(i, p)| job(i, p)).collect();
-            let report = SchedReport {
-                scheduler: "serial",
-                workers: 1,
-                worker_busy_ns: vec![t0.elapsed().as_nanos() as u64],
-                ..SchedReport::default()
-            };
-            (results, report)
-        } else {
-            run_steal(points, workers, cost, &job)
-        };
+        let (results, report) =
+            crate::steal::run_blocks(points, self.threads.min(points.len()), cost, &job);
         report.publish();
         (results, report)
     }
-}
-
-/// One steal worker's harvest: its executed points plus the scheduler
-/// observations that fold into the [`SchedReport`].
-struct StealWorkerOut<R> {
-    results: Vec<(usize, R)>,
-    attempts: u64,
-    hits: u64,
-    max_depth: u64,
-    busy_ns: u64,
-}
-
-/// Work-stealing scheduler (DESIGN.md §16): cost-aware chunks are
-/// dealt to per-worker LIFO deques by a deterministic blocked
-/// partition; a worker whose deque drains steals half of a
-/// splitmix64-chosen victim's deque. Workers exit when every point has
-/// been executed (a global remaining-count, decremented on execution,
-/// never on steal).
-fn run_steal<P, R, F>(
-    points: &[P],
-    workers: usize,
-    cost: CostClass<P>,
-    job: &F,
-) -> (Vec<R>, SchedReport)
-where
-    P: Sync,
-    R: Send,
-    F: Fn(usize, &P) -> R + Sync,
-{
-    let costs: Vec<u64> = points.iter().map(|p| cost.cost(p)).collect();
-    let chunks = crate::steal::cost_chunks(&costs, workers);
-    let chunk_count = chunks.len();
-    let parts = crate::steal::blocked_partition(&chunks, &costs, workers);
-    let seed_depths: Vec<usize> = parts.iter().map(Vec::len).collect();
-    let deques: StealDeques<std::ops::Range<usize>> = StealDeques::new(workers);
-    for (w, part) in parts.into_iter().enumerate() {
-        deques.seed(w, part);
-    }
-    let remaining = AtomicUsize::new(points.len());
-    let per_worker: Vec<StealWorkerOut<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let deques = &deques;
-                let remaining = &remaining;
-                let seed_depth = seed_depths[me];
-                scope.spawn(move || {
-                    let mut rng = SplitMix64::for_worker(me);
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    let mut attempts = 0u64;
-                    let mut hits = 0u64;
-                    let mut max_depth = seed_depth as u64;
-                    let mut busy_ns = 0u64;
-                    let mut misses = 0u32;
-                    loop {
-                        if let Some(chunk) = deques.pop(me) {
-                            misses = 0;
-                            let n = chunk.len();
-                            let t0 = std::time::Instant::now();
-                            for i in chunk {
-                                local.push((i, job(i, &points[i])));
-                            }
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                            remaining.fetch_sub(n, Ordering::AcqRel);
-                            continue;
-                        }
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        attempts += 1;
-                        let victim = rng.victim(me, workers);
-                        if deques.steal_half(me, victim) > 0 {
-                            hits += 1;
-                            max_depth = max_depth.max(deques.len(me) as u64);
-                            misses = 0;
-                            continue;
-                        }
-                        // All visible deques may be empty while peers
-                        // still execute their last chunks: back off so
-                        // idle thieves don't starve working peers
-                        // (matters on oversubscribed or small hosts).
-                        misses += 1;
-                        if misses < 8 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                        }
-                    }
-                    StealWorkerOut {
-                        results: local,
-                        attempts,
-                        hits,
-                        max_depth,
-                        busy_ns,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    let mut report = SchedReport {
-        scheduler: "steal",
-        workers,
-        chunks: chunk_count,
-        ..SchedReport::default()
-    };
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(points.len());
-    for w in per_worker {
-        report.steal_attempts += w.attempts;
-        report.steal_hits += w.hits;
-        report.deque_max_depth = report.deque_max_depth.max(w.max_depth);
-        report.worker_busy_ns.push(w.busy_ns);
-        indexed.extend(w.results);
-    }
-    indexed.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(indexed.len(), points.len());
-    (indexed.into_iter().map(|(_, r)| r).collect(), report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1703,8 +1577,11 @@ impl SweepContext {
                 .unwrap_or_else(|e| panic!("sweep point {point:?} failed: {e}"));
             (result, t0.elapsed())
         });
-        let metrics = didt_telemetry::MetricsRegistry::global();
-        let durations_hist = metrics.histogram("sweep.point_duration_ns");
+        static DURATIONS: OnceLock<Arc<Histogram>> = OnceLock::new();
+        static POINTS_PER_SEC: OnceLock<Arc<Gauge>> = OnceLock::new();
+        static CACHE_HIT_RATIO: OnceLock<Arc<Gauge>> = OnceLock::new();
+        let durations_hist = DURATIONS
+            .get_or_init(|| MetricsRegistry::global().histogram("sweep.point_duration_ns"));
         let mut results = Vec::with_capacity(timed.len());
         let mut durations = Vec::with_capacity(timed.len());
         for (result, duration) in timed {
@@ -1714,16 +1591,16 @@ impl SweepContext {
         }
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
-            metrics
-                .gauge("sweep.points_per_sec")
+            POINTS_PER_SEC
+                .get_or_init(|| MetricsRegistry::global().gauge("sweep.points_per_sec"))
                 .set(points.len() as f64 / elapsed);
         }
         let activity = self.cache_activity();
         let requests: u64 = activity.iter().map(|c| c.requests).sum();
         let hits: u64 = activity.iter().map(|c| c.hits()).sum();
         if requests > 0 {
-            metrics
-                .gauge("sweep.cache_hit_ratio")
+            CACHE_HIT_RATIO
+                .get_or_init(|| MetricsRegistry::global().gauge("sweep.cache_hit_ratio"))
                 .set(hits as f64 / requests as f64);
         }
         (results, durations)
@@ -1755,7 +1632,7 @@ mod tests {
     fn runner_preserves_point_order_at_any_width() {
         let points: Vec<usize> = (0..57).collect();
         let serial = ExperimentRunner::serial().run(&points, |i, &p| i * 1000 + p);
-        for threads in [2, 3, 8] {
+        for threads in [2, 3, 5, 8] {
             let par = ExperimentRunner::with_threads(threads).run(&points, |i, &p| i * 1000 + p);
             assert_eq!(serial, par, "threads {threads}");
         }
@@ -1766,16 +1643,6 @@ mod tests {
         let r = ExperimentRunner::from_env();
         assert!(r.run(&[] as &[u8], |_, _| 0u8).is_empty());
         assert_eq!(r.run(&[7u8], |i, &p| (i, p)), vec![(0, 7)]);
-    }
-
-    #[test]
-    fn steal_scheduler_agrees_with_serial_bitwise() {
-        let points: Vec<usize> = (0..57).collect();
-        let serial = ExperimentRunner::serial().run(&points, |i, &p| i * 1000 + p);
-        for threads in [2, 5, 8] {
-            let got = ExperimentRunner::with_threads(threads).run(&points, |i, &p| i * 1000 + p);
-            assert_eq!(serial, got, "threads {threads}");
-        }
     }
 
     #[test]
@@ -1805,13 +1672,17 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_micros(100));
             i + p
         });
-        assert_eq!(results.len(), 100);
-        assert_eq!(report.scheduler, "steal");
-        assert_eq!(report.workers, 4);
-        assert!(report.chunks >= 4, "chunks {}", report.chunks);
+        assert_eq!(results, (0..100).map(|i| 2 * i).collect::<Vec<_>>());
         assert_eq!(report.worker_busy_ns.len(), 4);
-        assert!(report.steal_hits <= report.steal_attempts);
+        assert!(report.steal_hits <= 100, "steals {}", report.steal_hits);
         assert!(report.worker_busy_ns.iter().sum::<u64>() > 0);
+        // One worker runs inline: nothing to steal, one busy sample.
+        let (serial, report) =
+            ExperimentRunner::serial()
+                .run_costed_reported(&points, CostClass::Uniform, |i, &p| i + p);
+        assert_eq!(serial, results);
+        assert_eq!(report.steal_hits, 0);
+        assert_eq!(report.worker_busy_ns.len(), 1);
     }
 
     #[test]

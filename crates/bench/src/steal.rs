@@ -1,57 +1,47 @@
-//! Work-stealing execution core (DESIGN.md §16).
+//! Block-claiming execution core (DESIGN.md §16).
 //!
-//! The sweep grids this repo runs are grids of *independent* jobs, but
-//! their costs are not uniform: Monte-Carlo PDN members and mixed
-//! live-sim vs recorded-replay points vary by orders of magnitude. A
-//! shared atomic counter handing out fixed-size packs loses the whole
-//! tail to stragglers: whoever claims the pack holding the heavy points
-//! finishes last while its peers idle.
+//! The sweep grids this repo runs are grids of *independent* jobs. The
+//! runner cuts a grid's point indices into one contiguous block per
+//! worker, balanced by an optional per-point cost hint ([`CostClass`]).
+//! Each block is a `front..back` pair packed into one `AtomicU64`: its
+//! owner claims points from the front, and a worker whose own block is
+//! empty claims from the back of the others, scanning them in a fixed
+//! order (`me+1, me+2, …`). A claim from either end is one
+//! compare-and-swap on that word, so every index is claimed exactly
+//! once. A worker exits when no block has an unclaimed point; it never
+//! waits, because whoever claimed a point runs it.
 //!
-//! This module is the runner's scheduling substrate:
-//!
-//! * [`StealDeques`] — per-worker LIFO deques with a steal-half
-//!   protocol. Owners pop newest-first from the back; thieves take the
-//!   front half of a victim (the entries the owner would reach last),
-//!   so owner locality is disturbed as little as possible.
-//! * [`CostClass`] — an optional per-point cost hint (`u64`, any
-//!   monotone proxy: trace length for replay points, grid cells for
-//!   sim points). Hints drive the initial chunking so skewed work is
-//!   split finer up front.
-//! * [`SplitMix64`] — the victim-selection RNG. Seeded from the worker
-//!   identity only — never from the wall clock — so a given (worker
-//!   count, point count) run probes victims in a reproducible order.
+//! Contiguous blocks (rather than one shared cursor) keep workers on
+//! different grid cells in a cold sweep: consecutive points share one
+//! (benchmark, impedance) baseline memo fill, so handing points 0 and 1
+//! to two workers would make one wait on the other's fill at every cell.
 //!
 //! **Determinism contract**: scheduling decides *which worker* runs a
 //! point, never *what* the point computes. Jobs receive `(index,
 //! &point)` exactly as in a serial loop, per-point seeds derive from
 //! point identity (see [`crate::runner::point_seed`]), and results are
-//! reassembled by point index. Serial ≡ parallel ≡ stolen, bit for
-//! bit, for any thread count and any steal interleaving.
+//! reassembled by point index. One worker ≡ many, bit for bit, for any
+//! thread count and any claim interleaving.
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-// ---------------------------------------------------------------------------
-// Telemetry names
-// ---------------------------------------------------------------------------
+use didt_telemetry::{Counter, Histogram, MetricsRegistry};
 
-/// Counter: steal attempts (one per `steal_half` call on a victim).
-pub const STEAL_ATTEMPTS_COUNTER: &str = "runner.steal.attempts";
-/// Counter: steal attempts that moved at least one chunk.
+/// Counter: points a worker claimed from the back of another's block.
 pub const STEAL_HITS_COUNTER: &str = "runner.steal.hits";
-/// Gauge: deepest per-worker deque observed in the most recent run.
-pub const DEQUE_MAX_DEPTH_GAUGE: &str = "runner.deque.max_depth";
 /// Histogram: per-worker busy nanoseconds (one sample per worker).
 pub const WORKER_BUSY_NS_HISTOGRAM: &str = "runner.worker.busy_ns";
 
 // ---------------------------------------------------------------------------
-// Deterministic victim-selection RNG
+// Deterministic RNG
 // ---------------------------------------------------------------------------
 
 /// SplitMix64 (Steele et al.), the standard seed-expansion generator.
-/// Small, fast and stateless beyond one `u64` — exactly enough for
-/// victim selection, and trivially reproducible from its seed.
+/// Small, fast and stateless beyond one `u64`, and trivially
+/// reproducible from its seed.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 
@@ -60,15 +50,6 @@ impl SplitMix64 {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         SplitMix64(seed)
-    }
-
-    /// Generator for one worker's steal decisions. Seeded from the
-    /// worker identity (index) and a fixed salt — never the wall
-    /// clock — so victim probe order is a pure function of the pool
-    /// shape.
-    #[must_use]
-    pub fn for_worker(worker: usize) -> Self {
-        SplitMix64(0x9E37_79B9_7F4A_7C15 ^ (worker as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
     }
 
     /// Next raw 64-bit draw.
@@ -85,31 +66,19 @@ impl SplitMix64 {
         debug_assert!(n >= 1);
         self.next_u64() % n
     }
-
-    /// A victim index in `0..workers`, never equal to `me`. Requires
-    /// `workers >= 2`.
-    pub fn victim(&mut self, me: usize, workers: usize) -> usize {
-        debug_assert!(workers >= 2);
-        let v = self.below(workers as u64 - 1) as usize;
-        if v >= me {
-            v + 1
-        } else {
-            v
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Cost hints
 // ---------------------------------------------------------------------------
 
-/// Per-point cost class for initial chunking.
+/// Per-point cost class for the initial partition.
 ///
-/// `Uniform` treats every point as cost 1 (the PR 1–9 assumption);
-/// `Hinted` supplies a relative cost per point — any monotone proxy
-/// works (trace length for replay points, grid cells for sim points).
-/// Hints only shape the initial partition; correctness never depends
-/// on their accuracy, because stealing rebalances whatever they miss.
+/// `Uniform` treats every point as cost 1; `Hinted` supplies a relative
+/// cost per point — any monotone proxy works (trace length for replay
+/// points, window length for storm keys). Hints only shape the blocks;
+/// correctness never depends on their accuracy, because idle workers
+/// claim whatever the hints misjudged.
 pub enum CostClass<P> {
     /// Every point costs the same.
     Uniform,
@@ -137,179 +106,166 @@ impl<P> Clone for CostClass<P> {
 impl<P> Copy for CostClass<P> {}
 
 // ---------------------------------------------------------------------------
-// Per-worker deques with steal-half
+// Blocks
 // ---------------------------------------------------------------------------
 
-/// Per-worker work deques with a steal-half protocol.
-///
-/// Each worker owns one `Mutex<VecDeque<T>>`. The owner treats the
-/// *back* as its hot end (pops newest-first); thieves take from
-/// the *front* — the entries the owner would reach last — moving
-/// ⌈len/2⌉ items per successful steal so a thief that found work keeps
-/// enough of it to amortize the next theft. Locks are held one at a
-/// time (victim first, then thief), so steals can never deadlock.
-///
-/// The sweep runner is the only user: each worker's deque holds
-/// contiguous index chunks of the grid.
-#[derive(Debug)]
-pub struct StealDeques<T> {
-    deques: Vec<Mutex<VecDeque<T>>>,
-}
-
-impl<T> StealDeques<T> {
-    /// Empty deques for `workers` workers (min 1).
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        StealDeques {
-            deques: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-        }
-    }
-
-    /// Seed `worker`'s deque so that the owner's `pop` returns items in
-    /// the iterator's order (first item popped first). Thieves
-    /// therefore steal from the *end* of the given order.
-    pub fn seed<I>(&self, worker: usize, items: I)
-    where
-        I: IntoIterator<Item = T>,
-        I::IntoIter: DoubleEndedIterator,
-    {
-        let mut dq = self.deques[worker].lock().expect("steal deque poisoned");
-        for item in items.into_iter().rev() {
-            dq.push_back(item);
-        }
-    }
-
-    /// Owner pop: newest-first from the back.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        self.deques[worker]
-            .lock()
-            .expect("steal deque poisoned")
-            .pop_back()
-    }
-
-    /// Items currently queued for `worker`.
-    #[must_use]
-    pub fn len(&self, worker: usize) -> usize {
-        self.deques[worker]
-            .lock()
-            .expect("steal deque poisoned")
-            .len()
-    }
-
-    /// Move ⌈len/2⌉ items from the front of `victim`'s deque onto
-    /// `thief`'s, returning how many moved (0 when the victim was
-    /// empty). The victim's front holds the items its owner would
-    /// reach *last* in seeded order; after the move the thief pops
-    /// them in the owner's intended (seeded) order.
-    pub fn steal_half(&self, thief: usize, victim: usize) -> usize {
-        debug_assert_ne!(thief, victim);
-        let stolen: Vec<T> = {
-            let mut dq = self.deques[victim].lock().expect("steal deque poisoned");
-            let take = dq.len().div_ceil(2);
-            dq.drain(..take).collect()
-        };
-        let count = stolen.len();
-        if count > 0 {
-            let mut own = self.deques[thief].lock().expect("steal deque poisoned");
-            // The drain runs far-to-near in seeded order; pushing it
-            // back-to-back leaves the nearest item at the owner's hot
-            // end, so the thief resumes in seeded order.
-            for item in stolen {
-                own.push_back(item);
-            }
-        }
-        count
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cost-aware chunking and the blocked partition
-// ---------------------------------------------------------------------------
-
-/// Chunks-per-worker granularity target. More chunks means finer
-/// stealing at more claiming overhead; 4 keeps the initial partition
-/// coarse enough that the uniform case degenerates to a blocked loop
-/// while giving thieves something to take when hints are wrong.
-const CHUNKS_PER_WORKER: u64 = 4;
-
-/// Split `0..costs.len()` into contiguous chunks of roughly equal
-/// *cost* (target ≈ total / (workers × `CHUNKS_PER_WORKER`)).
-/// Deterministic: a pure function of the cost vector and worker count.
-#[must_use]
-pub fn cost_chunks(costs: &[u64], workers: usize) -> Vec<Range<usize>> {
-    let n = costs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let total: u64 = costs.iter().sum();
-    let target = (total / (workers.max(1) as u64 * CHUNKS_PER_WORKER)).max(1);
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
+/// Cut `0..costs.len()` into one contiguous block per worker (some may
+/// be empty): each point goes to the worker whose share of the total
+/// cost holds the point's cost midpoint. A pure function of the costs
+/// and the worker count.
+fn partition_blocks(costs: &[u64], workers: usize) -> Vec<Range<usize>> {
+    let workers = workers.max(1);
+    let total: u64 = costs.iter().sum::<u64>().max(1);
+    let mut ends = vec![0usize; workers];
     let mut acc = 0u64;
     for (i, &cost) in costs.iter().enumerate() {
+        let mid = acc + cost / 2;
+        let w = ((u128::from(mid) * workers as u128) / u128::from(total)) as usize;
+        ends[w.min(workers - 1)] = i + 1;
         acc += cost;
-        if acc >= target {
-            chunks.push(start..i + 1);
-            start = i + 1;
-            acc = 0;
-        }
     }
-    if start < n {
-        chunks.push(start..n);
-    }
-    chunks
+    // Midpoints only grow, so each block starts where the last ended.
+    let mut start = 0;
+    ends.into_iter()
+        .map(|end| {
+            let block = start..end.max(start);
+            start = block.end;
+            block
+        })
+        .collect()
 }
 
-/// Deterministic blocked partition: assign each chunk to the worker
-/// whose share of the total cost its midpoint falls in, keeping every
-/// worker's chunks contiguous in index order. Workers therefore start
-/// on disjoint index blocks (cache-friendly), balanced by the cost
-/// prefix sums rather than by raw counts.
-#[must_use]
-pub fn blocked_partition(
-    chunks: &[Range<usize>],
-    costs: &[u64],
-    workers: usize,
-) -> Vec<Vec<Range<usize>>> {
-    let workers = workers.max(1);
-    let mut out: Vec<Vec<Range<usize>>> = (0..workers).map(|_| Vec::new()).collect();
-    let total: u64 = costs.iter().sum::<u64>().max(1);
-    let mut acc = 0u64;
-    for chunk in chunks {
-        let chunk_cost: u64 = costs[chunk.clone()].iter().sum();
-        let mid = acc + chunk_cost / 2;
-        let w = ((u128::from(mid) * workers as u128) / u128::from(total)) as usize;
-        out[w.min(workers - 1)].push(chunk.clone());
-        acc += chunk_cost;
+/// One worker's unclaimed indices `front..back`, packed into one word
+/// (front in the high half) so a claim from either end is one
+/// compare-and-swap.
+struct Block(AtomicU64);
+
+impl Block {
+    fn new(range: Range<usize>) -> Self {
+        let end = u32::try_from(range.end).expect("sweep grids hold at most u32::MAX points");
+        Block(AtomicU64::new((range.start as u64) << 32 | u64::from(end)))
+    }
+
+    /// Claim the front index (the owner's end) or the back one (a
+    /// thief's); `None` when the block is empty. Exclusivity needs only
+    /// the word's own modification order, so `Relaxed` suffices: the
+    /// results travel back through the thread joins.
+    fn claim(&self, from_back: bool) -> Option<usize> {
+        let split = |word: u64| (word >> 32, word & u64::from(u32::MAX));
+        let take = |word: u64| {
+            if from_back {
+                word - 1
+            } else {
+                word + (1 << 32)
+            }
+        };
+        let prev = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |word| {
+                let (front, back) = split(word);
+                (front < back).then(|| take(word))
+            })
+            .ok()?;
+        let (front, back) = split(prev);
+        Some(if from_back { back - 1 } else { front } as usize)
+    }
+}
+
+/// One worker's harvest: its executed points plus what it observed.
+struct Drained<R> {
+    results: Vec<(usize, R)>,
+    steal_hits: u64,
+    busy_ns: u64,
+}
+
+/// Worker `me`'s loop: claim from its own block's front, else from the
+/// back of the next non-empty block after it; stop when none is left.
+fn drain<P, R, F>(me: usize, blocks: &[Block], points: &[P], job: &F) -> Drained<R>
+where
+    F: Fn(usize, &P) -> R,
+{
+    let mut out = Drained {
+        results: Vec::new(),
+        steal_hits: 0,
+        busy_ns: 0,
+    };
+    loop {
+        let i = match blocks[me].claim(false) {
+            Some(i) => i,
+            None => {
+                let stolen =
+                    (1..blocks.len()).find_map(|k| blocks[(me + k) % blocks.len()].claim(true));
+                let Some(i) = stolen else { break };
+                out.steal_hits += 1;
+                i
+            }
+        };
+        let t0 = Instant::now();
+        out.results.push((i, job(i, &points[i])));
+        out.busy_ns += t0.elapsed().as_nanos() as u64;
     }
     out
+}
+
+/// Run `job(index, &point)` over every point on `workers` threads (on
+/// the calling thread when `workers` is 1), returning the results in
+/// point order with what the scheduler did.
+pub(crate) fn run_blocks<P, R, F>(
+    points: &[P],
+    workers: usize,
+    cost: CostClass<P>,
+    job: &F,
+) -> (Vec<R>, SchedReport)
+where
+    P: Sync,
+    R: Send,
+    F: Fn(usize, &P) -> R + Sync,
+{
+    let costs: Vec<u64> = points.iter().map(|p| cost.cost(p)).collect();
+    let blocks: Vec<Block> = partition_blocks(&costs, workers)
+        .into_iter()
+        .map(Block::new)
+        .collect();
+    let blocks = &blocks[..];
+    let per_worker: Vec<Drained<R>> = if workers <= 1 {
+        vec![drain(0, blocks, points, job)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| scope.spawn(move || drain(me, blocks, points, job)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
+        })
+    };
+    let mut report = SchedReport::default();
+    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(points.len());
+    for w in per_worker {
+        report.steal_hits += w.steal_hits;
+        report.worker_busy_ns.push(w.busy_ns);
+        indexed.extend(w.results);
+    }
+    indexed.sort_by_key(|&(i, _)| i);
+    debug_assert_eq!(indexed.len(), points.len());
+    (indexed.into_iter().map(|(_, r)| r).collect(), report)
 }
 
 // ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
 
-/// What one scheduled run did, for manifests and the skew benchmark.
-/// All fields are timing-class observations (they vary with the steal
-/// interleaving), so the manifest stores them outside the non-timing
+/// What one scheduled run did, for manifests and the sweep benchmark.
+/// Steal hits and busy times vary with the claim interleaving, never
+/// with results, so the manifest stores them outside the non-timing
 /// fingerprint.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedReport {
-    /// `"serial"` or `"steal"`.
-    pub scheduler: &'static str,
-    /// Workers that ran (after clamping to the point count).
-    pub workers: usize,
-    /// Initial chunk count (0 for serial).
-    pub chunks: usize,
-    /// Steal attempts across all workers.
-    pub steal_attempts: u64,
-    /// Steal attempts that moved at least one chunk.
+    /// Points claimed from the back of another worker's block.
     pub steal_hits: u64,
-    /// Deepest deque observed by any worker.
-    pub deque_max_depth: u64,
-    /// Busy (job-executing) nanoseconds per worker, indexed by worker.
+    /// Busy (job-executing) nanoseconds per worker that ran (the
+    /// thread count clamped to the point count), indexed by worker.
     pub worker_busy_ns: Vec<u64>,
 }
 
@@ -317,14 +273,7 @@ impl SchedReport {
     /// Fold another run's observations into this one (used by drivers
     /// that invoke the runner repeatedly, e.g. `storm_report`).
     pub fn absorb(&mut self, other: &SchedReport) {
-        if self.scheduler.is_empty() {
-            self.scheduler = other.scheduler;
-        }
-        self.workers = self.workers.max(other.workers);
-        self.chunks += other.chunks;
-        self.steal_attempts += other.steal_attempts;
         self.steal_hits += other.steal_hits;
-        self.deque_max_depth = self.deque_max_depth.max(other.deque_max_depth);
         if self.worker_busy_ns.len() < other.worker_busy_ns.len() {
             self.worker_busy_ns.resize(other.worker_busy_ns.len(), 0);
         }
@@ -350,15 +299,12 @@ impl SchedReport {
 
     /// Publish the run's counters to the global metrics registry.
     pub fn publish(&self) {
-        let metrics = didt_telemetry::MetricsRegistry::global();
-        metrics
-            .counter(STEAL_ATTEMPTS_COUNTER)
-            .add(self.steal_attempts);
-        metrics.counter(STEAL_HITS_COUNTER).add(self.steal_hits);
-        metrics
-            .gauge(DEQUE_MAX_DEPTH_GAUGE)
-            .set(self.deque_max_depth as f64);
-        let busy = metrics.histogram(WORKER_BUSY_NS_HISTOGRAM);
+        static HITS: OnceLock<Arc<Counter>> = OnceLock::new();
+        static BUSY: OnceLock<Arc<Histogram>> = OnceLock::new();
+        HITS.get_or_init(|| MetricsRegistry::global().counter(STEAL_HITS_COUNTER))
+            .add(self.steal_hits);
+        let busy =
+            BUSY.get_or_init(|| MetricsRegistry::global().histogram(WORKER_BUSY_NS_HISTOGRAM));
         for &ns in &self.worker_busy_ns {
             busy.record(ns);
         }
@@ -371,109 +317,125 @@ mod tests {
 
     #[test]
     fn splitmix_is_deterministic_and_nontrivial() {
-        let mut a = SplitMix64::for_worker(3);
-        let mut b = SplitMix64::for_worker(3);
+        let mut a = SplitMix64::new(3);
+        let mut b = SplitMix64::new(3);
         let draws: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         assert_eq!(draws, (0..8).map(|_| b.next_u64()).collect::<Vec<_>>());
-        let mut c = SplitMix64::for_worker(4);
-        assert_ne!(draws[0], c.next_u64(), "workers must not share streams");
+        assert_ne!(
+            draws[0],
+            SplitMix64::new(4).next_u64(),
+            "seeds must not share streams"
+        );
+        assert!((0..64).all(|_| a.below(5) < 5));
     }
 
     #[test]
-    fn victim_never_self() {
-        for me in 0..6 {
-            let mut rng = SplitMix64::for_worker(me);
-            for _ in 0..200 {
-                let v = rng.victim(me, 6);
-                assert_ne!(v, me);
-                assert!(v < 6);
-            }
-        }
-    }
-
-    #[test]
-    fn chunks_cover_range_exactly_once() {
-        for n in [1usize, 2, 7, 57, 256] {
-            for workers in [1usize, 2, 8] {
-                let costs = vec![1u64; n];
-                let chunks = cost_chunks(&costs, workers);
-                let mut covered = 0usize;
-                for (k, c) in chunks.iter().enumerate() {
-                    assert_eq!(c.start, covered, "chunk {k} not contiguous");
-                    covered = c.end;
+    fn blocked_partition_is_contiguous_and_total() {
+        let skewed: Vec<u64> = (0..100u64).map(|i| 1 + i % 7).collect();
+        for n in [1usize, 2, 7, 57, 100] {
+            for workers in 1..=8 {
+                for costs in [vec![1u64; n], skewed[..n].to_vec()] {
+                    let blocks = partition_blocks(&costs, workers);
+                    assert_eq!(blocks.len(), workers);
+                    let mut next = 0usize;
+                    for b in &blocks {
+                        assert_eq!(b.start, next, "n {n}, workers {workers}: {blocks:?}");
+                        next = b.end;
+                    }
+                    assert_eq!(next, n, "n {n}, workers {workers}: {blocks:?}");
                 }
-                assert_eq!(covered, n);
             }
         }
     }
 
     #[test]
     fn skewed_costs_split_finer_near_heavy_points() {
-        // Zipf-ish costs descending: the heavy head must not end up in
-        // one giant chunk.
+        // Zipf-ish costs descending: every block's cost lies within one
+        // point's cost of an even share, so the heavy head gets narrow
+        // blocks and the light tail wide ones.
         let costs: Vec<u64> = (0..64u64).map(|i| 8000 / (i + 1)).collect();
-        let chunks = cost_chunks(&costs, 8);
-        assert!(chunks.len() >= 8, "want fine chunks, got {}", chunks.len());
-        // The single heaviest point should sit in a small chunk.
-        let head = chunks.iter().find(|c| c.contains(&0)).unwrap();
-        assert!(head.len() <= 4, "heavy head chunk too wide: {head:?}");
-    }
-
-    #[test]
-    fn blocked_partition_is_contiguous_and_total() {
-        let costs: Vec<u64> = (0..100u64).map(|i| 1 + i % 7).collect();
-        let chunks = cost_chunks(&costs, 4);
-        let parts = blocked_partition(&chunks, &costs, 4);
-        assert_eq!(parts.len(), 4);
-        let mut next = 0usize;
-        for part in &parts {
-            for c in part {
-                assert_eq!(c.start, next);
-                next = c.end;
+        let total: u64 = costs.iter().sum();
+        let heaviest = *costs.iter().max().unwrap();
+        for workers in 1..=8 {
+            let blocks = partition_blocks(&costs, workers);
+            let share = total as f64 / workers as f64;
+            for b in &blocks {
+                let cost: u64 = costs[b.clone()].iter().sum();
+                assert!(
+                    (cost as f64 - share).abs() <= heaviest as f64,
+                    "workers {workers}: block {b:?} costs {cost}, share {share}"
+                );
+            }
+            if workers > 1 {
+                assert!(blocks[0].len() < blocks[workers - 1].len(), "{blocks:?}");
             }
         }
-        assert_eq!(next, costs.len());
     }
 
     #[test]
-    fn steal_half_moves_front_half_in_order() {
-        let dq: StealDeques<u32> = StealDeques::new(2);
-        dq.seed(0, [1u32, 2, 3, 4, 5]);
-        // Owner pops in seeded order.
-        assert_eq!(dq.pop(0), Some(1));
-        // Thief takes ⌈4/2⌉ = 2 from the victim's far end… which in
-        // seeded order is the *tail* of the remaining [2,3,4,5].
-        let got = dq.steal_half(1, 0);
-        assert_eq!(got, 2);
-        // Thief pops its loot in stolen order.
-        assert_eq!(dq.pop(1), Some(4));
-        assert_eq!(dq.pop(1), Some(5));
-        assert_eq!(dq.pop(1), None);
-        // Owner keeps its near half.
-        assert_eq!(dq.pop(0), Some(2));
-        assert_eq!(dq.pop(0), Some(3));
-        assert_eq!(dq.pop(0), None);
-        assert_eq!(dq.steal_half(1, 0), 0);
+    fn claims_take_front_in_order_and_back_in_reverse() {
+        let block = Block::new(3..8);
+        assert_eq!(block.claim(false), Some(3));
+        assert_eq!(block.claim(true), Some(7));
+        assert_eq!(block.claim(true), Some(6));
+        assert_eq!(block.claim(false), Some(4));
+        assert_eq!(block.claim(false), Some(5));
+        assert_eq!(block.claim(false), None);
+        assert_eq!(block.claim(true), None);
+        assert_eq!(Block::new(4..4).claim(true), None);
+    }
+
+    #[test]
+    fn claims_cover_range_exactly_once() {
+        // Eight workers drain 10,000 trivial points. Worker 0 owns most
+        // of them, so the other seven finish their own small blocks from
+        // the front and then claim from the back of worker 0's while it
+        // still claims from the front.
+        let n = 10_000;
+        let start = |w: usize| match w {
+            0 => 0,
+            8 => n,
+            _ => 9_000 + (w - 1) * 1_000 / 7,
+        };
+        let blocks: Vec<Block> = (0..8).map(|w| Block::new(start(w)..start(w + 1))).collect();
+        let points = vec![(); n];
+        let drained: Vec<Drained<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|me| {
+                    let (blocks, points) = (&blocks, &points);
+                    scope.spawn(move || drain(me, blocks, points, &|i, _| i))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut seen = vec![0u32; n];
+        for (me, d) in drained.iter().enumerate() {
+            for &(i, r) in &d.results {
+                assert_eq!(i, r);
+                seen[i] += 1;
+            }
+            // A worker never steals from itself, so its steals are
+            // exactly the points it ran from outside its own block.
+            let own = start(me)..start(me + 1);
+            let foreign = d.results.iter().filter(|(i, _)| !own.contains(i)).count();
+            assert_eq!(d.steal_hits as usize, foreign, "worker {me}");
+        }
+        assert!(
+            seen.iter().all(|&c| c == 1),
+            "an index was claimed twice or never"
+        );
     }
 
     #[test]
     fn report_absorb_accumulates() {
         let mut total = SchedReport::default();
         let run = SchedReport {
-            scheduler: "steal",
-            workers: 4,
-            chunks: 16,
-            steal_attempts: 10,
             steal_hits: 3,
-            deque_max_depth: 5,
             worker_busy_ns: vec![100, 200, 300, 400],
         };
         total.absorb(&run);
         total.absorb(&run);
-        assert_eq!(total.scheduler, "steal");
-        assert_eq!(total.steal_attempts, 20);
         assert_eq!(total.steal_hits, 6);
-        assert_eq!(total.deque_max_depth, 5);
         assert_eq!(total.worker_busy_ns, vec![200, 400, 600, 800]);
         let fr = total.busy_fractions();
         assert_eq!(fr.len(), 4);

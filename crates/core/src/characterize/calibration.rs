@@ -15,7 +15,7 @@
 //! function of both scale and correlation.
 
 use crate::DidtError;
-use didt_dsp::{dwt, dwt_into, idwt, DwtScratch, WaveletDecomposition, WaveletFamily};
+use didt_dsp::{dwt, idwt, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
 use didt_stats::variance;
 use rand::rngs::SmallRng;
@@ -23,43 +23,6 @@ use rand::{Rng, SeedableRng};
 
 /// Correlation grid points used during calibration.
 const RHO_GRID: [f64; 5] = [-0.8, -0.4, 0.0, 0.4, 0.8];
-
-/// Solve `A·x = b` for a small dense symmetric system by Gaussian
-/// elimination with partial pivoting; `None` if singular. `a` and `b`
-/// are destroyed.
-fn solve_linear_system(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
-    let n = b.len();
-    for col in 0..n {
-        // Pivot.
-        let pivot_row = (col..n).max_by(|&r, &s| a[r][col].abs().total_cmp(&a[s][col].abs()))?;
-        if a[pivot_row][col].abs() < 1e-300 {
-            return None;
-        }
-        a.swap(col, pivot_row);
-        b.swap(col, pivot_row);
-        let pivot = a[col][col];
-        for r in (col + 1)..n {
-            let f = a[r][col] / pivot;
-            if f == 0.0 {
-                continue;
-            }
-            let (upper, lower) = a.split_at_mut(r);
-            for (c, dst) in lower[0].iter_mut().enumerate().skip(col) {
-                *dst -= f * upper[col][c];
-            }
-            b[r] -= f * b[col];
-        }
-    }
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for c in (row + 1)..n {
-            acc -= a[row][c] * x[c];
-        }
-        x[row] = acc / a[row][row];
-    }
-    Some(x)
-}
 
 /// Calibrated multiplicative factors `gain(level, ρ)` mapping per-scale
 /// current variance to voltage variance for one PDN.
@@ -195,96 +158,6 @@ impl ScaleGainModel {
             resistance: pdn.resistance(),
             vdd: pdn.vdd(),
             family,
-        })
-    }
-
-    /// Calibrate the factors by regression against real traces: simulate
-    /// each trace's voltage once, then least-squares fit
-    /// `Var(v_window) ≈ Σ_j g_j·(1 + c_j·ρ_j)·Var_j(i_window)` over all
-    /// windows, where `Var_j` is the per-scale wavelet variance and `ρ_j`
-    /// the adjacent-coefficient correlation. This mirrors the paper's
-    /// empirical fitting of its multiplicative factors and absorbs
-    /// cross-window effects the synthetic calibration cannot see.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DidtError::InvalidConfig`] for an invalid window or when
-    /// the traces provide no usable windows.
-    pub fn calibrate_from_traces(
-        pdn: &SecondOrderPdn,
-        window: usize,
-        traces: &[&[f64]],
-    ) -> Result<Self, DidtError> {
-        if window < 8 || !window.is_power_of_two() {
-            return Err(DidtError::InvalidConfig {
-                name: "window",
-                reason: "window must be a power of two >= 8",
-            });
-        }
-        let levels = window.trailing_zeros() as usize;
-        let dims = 2 * levels; // [g_1..g_L, h_1..h_L] with h_j = g_j·c_j
-        let mut ata = vec![vec![0.0f64; dims]; dims];
-        let mut aty = vec![0.0f64; dims];
-        let mut used = 0usize;
-        let mut scratch = DwtScratch::new();
-        let mut decomp = WaveletDecomposition::empty();
-        for trace in traces {
-            if trace.len() < 2 * window {
-                continue;
-            }
-            let v = pdn.simulate(trace);
-            // Skip the first window: filter settling.
-            for (wi, iw) in trace.chunks_exact(window).enumerate().skip(1) {
-                let vw = &v[wi * window..(wi + 1) * window];
-                let y = variance(vw);
-                dwt_into(iw, WaveletFamily::Haar, levels, &mut scratch, &mut decomp)?;
-                let scales = didt_dsp::scale_variances(&decomp)?;
-                let mut x = vec![0.0f64; dims];
-                for sv in &scales {
-                    x[sv.level - 1] = sv.variance;
-                    x[levels + sv.level - 1] = sv.variance * sv.adjacent_correlation;
-                }
-                for a in 0..dims {
-                    if x[a] == 0.0 {
-                        continue;
-                    }
-                    aty[a] += x[a] * y;
-                    for b in 0..dims {
-                        ata[a][b] += x[a] * x[b];
-                    }
-                }
-                used += 1;
-            }
-        }
-        if used < dims {
-            return Err(DidtError::InvalidConfig {
-                name: "traces",
-                reason: "not enough windows to fit the gain model",
-            });
-        }
-        // Ridge-regularize lightly for stability, then solve.
-        let ridge = 1e-9 * (1..=dims).map(|i| ata[i - 1][i - 1]).fold(0.0, f64::max);
-        for (i, row) in ata.iter_mut().enumerate() {
-            row[i] += ridge + 1e-30;
-        }
-        let theta = solve_linear_system(&mut ata, &mut aty).ok_or(DidtError::InvalidConfig {
-            name: "traces",
-            reason: "singular normal equations in gain fit",
-        })?;
-        let mut gains = Vec::with_capacity(levels);
-        for level in 1..=levels {
-            let g = theta[level - 1].max(0.0);
-            let h = theta[levels + level - 1];
-            let row = RHO_GRID.map(|rho| (g + h * rho).max(0.0));
-            gains.push(row);
-        }
-        Ok(ScaleGainModel {
-            window,
-            levels,
-            gains,
-            resistance: pdn.resistance(),
-            vdd: pdn.vdd(),
-            family: WaveletFamily::Haar,
         })
     }
 

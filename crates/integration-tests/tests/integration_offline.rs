@@ -107,19 +107,3 @@ fn variance_model_is_deterministic_end_to_end() {
         .collect();
     assert_eq!(a, b);
 }
-
-#[test]
-fn trace_fitted_gains_also_predict() {
-    // The regression-based calibration path must produce a usable model.
-    let sys = system();
-    let pdn = sys.pdn_at(150.0).expect("pdn");
-    let t1 = capture_trace(Benchmark::Vpr, sys.processor(), 1, 50_000, 1 << 15);
-    let t2 = capture_trace(Benchmark::Applu, sys.processor(), 1, 50_000, 1 << 15);
-    let gains = ScaleGainModel::calibrate_from_traces(&pdn, 64, &[&t1.samples, &t2.samples])
-        .expect("trace fit");
-    let model = VarianceModel::new(gains);
-    let t3 = capture_trace(Benchmark::Gap, sys.processor(), 2, 50_000, 1 << 15);
-    let est = EmergencyEstimator::new(model, 0.97);
-    let r = est.compare(&t3.samples, &pdn).expect("compare");
-    assert!(r.abs_error() < 0.04, "error {}", r.abs_error());
-}

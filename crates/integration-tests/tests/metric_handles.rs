@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const CRATES: [&str; 5] = ["dsp", "core", "uarch", "trace", "serve"];
+const CRATES: [&str; 6] = ["dsp", "core", "uarch", "trace", "serve", "bench"];
 const LOOKUPS: [&str; 3] = [".counter(", ".histogram(", ".gauge("];
 const UPDATES: [&str; 4] = [".incr(", ".add(", ".set(", ".record"];
 

@@ -1,9 +1,10 @@
-//! Property tests for the work-stealing execution core: under
+//! Property tests for the runner's block-claiming core: under
 //! adversarial cost skew (random per-point busy-loops driven by the
-//! cost hint), stolen-schedule sweeps must stay bit-identical to the
-//! serial run for any thread count and ragged grid size. Scheduling
-//! decides *which worker* executes a point, never *what* the point
-//! computes — see DESIGN.md §16 for the determinism contract.
+//! cost hint), sweeps in which idle workers claim from the back of
+//! other workers' blocks must stay bit-identical to the one-worker run
+//! for any thread count and ragged grid size. Scheduling decides
+//! *which worker* executes a point, never *what* the point computes —
+//! see DESIGN.md §16 for the determinism contract.
 
 use didt_bench::{CostClass, ExperimentRunner};
 use proptest::prelude::*;
@@ -29,7 +30,7 @@ fn hint(p: &u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Steal scheduler ≡ serial for adversarial cost vectors: ragged
+    /// Many workers ≡ one for adversarial cost vectors: ragged
     /// lengths, heavy skew (costs spanning 0..2000), 1–16 workers on
     /// whatever cores the host has (oversubscription included).
     #[test]
@@ -44,7 +45,7 @@ proptest! {
         prop_assert_eq!(&serial, &stolen);
     }
 
-    /// The cost hint steers chunking only: a deliberately *wrong* hint
+    /// The cost hint cuts the blocks only: a deliberately *wrong* hint
     /// (inverse of the true cost) still yields bit-identical results.
     #[test]
     fn misleading_hints_change_schedule_not_results(

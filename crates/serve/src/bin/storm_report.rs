@@ -96,8 +96,8 @@ fn key_trace(window: usize, pdn_pct: f64, len: usize) -> Vec<f64> {
 
 /// One storm request: a (driver slot, calibration key) pair. The
 /// cost hint is the window length — bigger windows calibrate and
-/// render more data — so the steal runner's initial partition puts
-/// fewer heavy keys on each deque and thieves absorb the rest.
+/// render more data — so the runner cuts blocks with fewer heavy keys
+/// each, and idle workers claim from the others' blocks.
 #[derive(Clone, Copy)]
 struct StormItem {
     key: usize,
@@ -383,9 +383,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         keys.len()
     );
 
-    // The fleet driver is the work-stealing runner (DESIGN.md §16):
-    // each round flattens (driver slot × key) into one item list and
-    // the steal core load-balances the heavy window-512 keys across
+    // The fleet driver is the sweep runner (DESIGN.md §16): each round
+    // flattens (driver slot × key) into one item list, cut into
+    // cost-balanced blocks so the heavy window-512 keys spread across
     // driver workers. Each worker thread lazily opens its own router
     // connection, cached in a thread local for the round.
     let items: Vec<StormItem> = (0..threads)
@@ -515,13 +515,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {rejected} rejected, {errors} errors, {lost} lost, {duplicated} duplicated, \
          {divergent} divergent"
     );
+    let busy_ms: Vec<String> = driver_report
+        .worker_busy_ns
+        .iter()
+        .map(|&ns| format!("{:.0}", ns as f64 / 1e6))
+        .collect();
     println!(
-        "driver: {} scheduler, {rounds} rounds, {} chunks, {}/{} steals hit, deque depth {}",
-        driver_report.scheduler,
-        driver_report.chunks,
+        "driver: {rounds} rounds, {} steal hits, busy ms per worker [{}]",
         driver_report.steal_hits,
-        driver_report.steal_attempts,
-        driver_report.deque_max_depth
+        busy_ms.join(", ")
     );
 
     // ------------------------------------------------------------------

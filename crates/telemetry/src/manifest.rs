@@ -112,15 +112,15 @@ pub struct SubRun {
     pub secs: f64,
 }
 
-/// One execution-scheduler counter observed by a run's work-stealing
-/// core (DESIGN.md §16). **Timing field** family: steal counts, deque
-/// depths and busy time vary with the steal interleaving, never with
-/// results, so they live outside the non-timing fingerprint. Names are
+/// One execution-scheduler counter observed by a run's sweep runner
+/// (DESIGN.md §16). **Timing field** family: steal hits and busy time
+/// vary with the claim interleaving, never with results, so they live
+/// outside the non-timing fingerprint. Names are
 /// interned against [`intern_scheduler_counter`] so manifests stay
 /// lossless through a parse round-trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedCounterRecord {
-    /// Interned counter name (`"runner.steal.attempts"`, ...). The
+    /// Interned counter name (`"runner.steal.hits"`, ...). The
     /// per-worker busy-time counter `"runner.worker.busy_ns"` repeats,
     /// one record per worker in worker order.
     pub name: &'static str,
@@ -159,8 +159,8 @@ pub struct RunManifest {
     pub metrics: Option<Json>,
     /// Aggregated span statistics at exit. **Timing field.**
     pub spans: Option<Json>,
-    /// Execution-scheduler counters (steal attempts/hits, deque depth,
-    /// per-worker busy time). **Timing field.**
+    /// Execution-scheduler counters (steal hits, per-worker busy
+    /// time). **Timing field.**
     pub scheduler: Vec<SchedCounterRecord>,
     /// Total wall-clock milliseconds. **Timing field.**
     pub wall_ms: f64,
@@ -590,12 +590,7 @@ fn intern_cache_name(name: &str) -> Result<&'static str, String> {
 ///
 /// Returns a message for names outside the registered set.
 pub fn intern_scheduler_counter(name: &str) -> Result<&'static str, String> {
-    const KNOWN: &[&str] = &[
-        "runner.steal.attempts",
-        "runner.steal.hits",
-        "runner.deque.max_depth",
-        "runner.worker.busy_ns",
-    ];
+    const KNOWN: &[&str] = &["runner.steal.hits", "runner.worker.busy_ns"];
     KNOWN
         .iter()
         .find(|&&k| k == name)
@@ -715,16 +710,8 @@ mod tests {
         m.metrics = Some(Json::obj(vec![("counters", Json::Obj(vec![]))]));
         m.scheduler = vec![
             SchedCounterRecord {
-                name: "runner.steal.attempts",
-                value: 17,
-            },
-            SchedCounterRecord {
                 name: "runner.steal.hits",
                 value: 9,
-            },
-            SchedCounterRecord {
-                name: "runner.deque.max_depth",
-                value: 6,
             },
             SchedCounterRecord {
                 name: "runner.worker.busy_ns",
@@ -893,7 +880,8 @@ mod tests {
             .to_json_string()
             .replace("runner.steal.hits", "runner.steal.bogus");
         assert!(RunManifest::from_json_str(&rogue).is_err());
-        assert!(intern_scheduler_counter("runner.steal.attempts").is_ok());
+        assert!(intern_scheduler_counter("runner.steal.hits").is_ok());
+        assert!(intern_scheduler_counter("runner.steal.attempts").is_err());
         assert!(intern_scheduler_counter("nope").is_err());
     }
 }
