@@ -4,7 +4,7 @@
 use crate::characterize::WindowSampler;
 use crate::DidtError;
 use didt_stats::chi_squared::{ChiSquaredGof, GofOutcome, GofReport, PreparedGof};
-use didt_stats::{variance, LillieforsTest, PreparedJarqueBera, StatsError};
+use didt_stats::{mean, variance_about, LillieforsTest, PreparedJarqueBera, StatsError};
 
 /// Which normality test classifies the windows.
 ///
@@ -30,9 +30,12 @@ enum PreparedTest {
 }
 
 impl PreparedTest {
-    fn run(&self, window: &[f64]) -> Result<GofReport, StatsError> {
+    /// Test `window`, whose mean is `m` and variance about it `var`.
+    /// The χ² test reuses those moments; Lilliefors and Jarque–Bera
+    /// compute their own.
+    fn run(&self, window: &[f64], m: f64, var: f64) -> Result<GofReport, StatsError> {
         match self {
-            PreparedTest::ChiSquared(test) => test.test(window),
+            PreparedTest::ChiSquared(test) => test.test_moments(window, m, var),
             PreparedTest::Lilliefors(significance) => {
                 LillieforsTest.test_normality(window, *significance)
             }
@@ -166,22 +169,16 @@ impl GaussianityStudy {
         if windows.is_empty() {
             return Ok(report);
         }
-        // The test's data-independent constants, built once per study.
-        let test = match self.test {
-            NormalityTest::ChiSquared => PreparedTest::ChiSquared(
-                ChiSquaredGof::new(Self::bins_for(window))?.prepare(self.significance)?,
-            ),
-            NormalityTest::Lilliefors => PreparedTest::Lilliefors(self.significance),
-            NormalityTest::JarqueBera => {
-                PreparedTest::JarqueBera(PreparedJarqueBera::new(self.significance)?)
-            }
-        };
+        let test = self.prepare(window)?;
         let mut ng_var_sum = 0.0;
         let mut ng_count = 0usize;
         let mut var_sum = 0.0;
         for w in windows {
-            let outcome = test.run(w)?;
-            let v = variance(w);
+            // One pass for the mean and one for the variance about it,
+            // shared by the χ² test and the variance sums.
+            let m = mean(w);
+            let v = variance_about(w, m);
+            let outcome = test.run(w, m, v)?;
             var_sum += v;
             report.tested += 1;
             match outcome.decision {
@@ -206,11 +203,26 @@ impl GaussianityStudy {
         };
         Ok(report)
     }
+
+    /// The test's data-independent constants for `window`-cycle
+    /// windows, built once per study.
+    fn prepare(&self, window: usize) -> Result<PreparedTest, StatsError> {
+        Ok(match self.test {
+            NormalityTest::ChiSquared => PreparedTest::ChiSquared(
+                ChiSquaredGof::new(Self::bins_for(window))?.prepare(self.significance)?,
+            ),
+            NormalityTest::Lilliefors => PreparedTest::Lilliefors(self.significance),
+            NormalityTest::JarqueBera => {
+                PreparedTest::JarqueBera(PreparedJarqueBera::new(self.significance)?)
+            }
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use didt_stats::variance;
 
     fn xorshift_gaussianish(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed | 1;
@@ -313,5 +325,82 @@ mod tests {
         // Flat windows have ~zero variance, dragging the non-Gaussian
         // mean below the overall mean — the Figure 7 observation.
         assert!(r.non_gaussian_variance < r.overall_variance);
+    }
+
+    #[test]
+    fn classify_matches_a_per_window_fold_bit_for_bit() {
+        // Gaussian, bursty and flat stretches, so every outcome occurs.
+        let mut trace = xorshift_gaussianish(8_000, 11);
+        trace.extend((0..6_000).map(|i| if i % 97 < 4 { 80.0 } else { 13.0 }));
+        trace.extend(std::iter::repeat_n(5.0, 6_000));
+        for kind in [
+            NormalityTest::ChiSquared,
+            NormalityTest::Lilliefors,
+            NormalityTest::JarqueBera,
+        ] {
+            for window in [32, 64, 128] {
+                let study = GaussianityStudy::new(0.95, 9).with_test(kind);
+                let got = study.classify(&trace, window, 400).unwrap();
+
+                // The fold as the study ran before it shared moments: each
+                // test sums its window itself, then `variance` sums it again.
+                let test = study.prepare(window).unwrap();
+                let mut want = GaussianityReport {
+                    window,
+                    tested: 0,
+                    accepted: 0,
+                    rejected: 0,
+                    degenerate: 0,
+                    non_gaussian_variance: 0.0,
+                    overall_variance: 0.0,
+                };
+                let (mut ng_var_sum, mut ng_count, mut var_sum) = (0.0, 0usize, 0.0);
+                for w in WindowSampler::new(window, 9).sample(&trace, 400).unwrap() {
+                    let outcome = match &test {
+                        PreparedTest::ChiSquared(chi) => chi.test(w),
+                        // These ignore the moments handed to them.
+                        other => other.run(w, f64::NAN, f64::NAN),
+                    }
+                    .unwrap();
+                    let v = variance(w);
+                    var_sum += v;
+                    want.tested += 1;
+                    match outcome.decision {
+                        GofOutcome::Accepted => want.accepted += 1,
+                        GofOutcome::Rejected => want.rejected += 1,
+                        GofOutcome::Degenerate => want.degenerate += 1,
+                    }
+                    if !outcome.is_gaussian() {
+                        ng_var_sum += v;
+                        ng_count += 1;
+                    }
+                }
+                want.overall_variance = var_sum / want.tested as f64;
+                if ng_count > 0 {
+                    want.non_gaussian_variance = ng_var_sum / ng_count as f64;
+                }
+
+                let label = format!("{kind:?} at window {window}");
+                assert_eq!(
+                    (got.tested, got.accepted, got.rejected, got.degenerate),
+                    (want.tested, want.accepted, want.rejected, want.degenerate),
+                    "{label}"
+                );
+                assert!(
+                    got.accepted > 0 && got.rejected > 0 && got.degenerate > 0,
+                    "{label}"
+                );
+                assert_eq!(
+                    got.overall_variance.to_bits(),
+                    want.overall_variance.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    got.non_gaussian_variance.to_bits(),
+                    want.non_gaussian_variance.to_bits(),
+                    "{label}"
+                );
+            }
+        }
     }
 }

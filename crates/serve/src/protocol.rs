@@ -246,6 +246,15 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
     })
 }
 
+/// Most bytes one `read` call of a [`FrameReader`] asks for once the
+/// frame's length is known (64 KiB).
+const READ_STEP: usize = 64 * 1024;
+
+/// Bytes a [`FrameReader`] asks for while a frame's length prefix is
+/// not yet in: enough for a small frame in one call, while a connection
+/// that only ever sends small frames keeps a small buffer.
+const FIRST_READ: usize = 4 * 1024;
+
 /// A resumable frame decoder over any [`Read`].
 ///
 /// Partial frames survive short reads and read timeouts: bytes received
@@ -253,6 +262,13 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
 /// picks up exactly where the stream left off. Timeouts
 /// (`WouldBlock`/`TimedOut`) are not errors — they poll the caller's
 /// abort predicate and keep waiting.
+///
+/// Each `read` call lands straight in the stream buffer. Once a frame's
+/// length prefix is in, a call asks for the bytes the frame still needs,
+/// at most [`READ_STEP`] of them, so a large frame arrives in few calls
+/// while the buffer grows only as bytes arrive: a prefix declaring more
+/// than was sent costs at most one step of memory, never the declared
+/// length. Until the prefix is in, a call asks for [`FIRST_READ`] bytes.
 ///
 /// Both the stream buffer and the payload scratch persist across
 /// frames on a connection: after the first request of a given size,
@@ -262,7 +278,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
+    /// Stream bytes in `buf[..filled]`; the rest of `buf` is zeroed or
+    /// stale space that later reads overwrite, so it is zero-filled only
+    /// once, when the buffer first grows to that length.
     buf: Vec<u8>,
+    filled: usize,
     payload: Vec<u8>,
 }
 
@@ -272,6 +292,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
+            filled: 0,
             payload: Vec::new(),
         }
     }
@@ -319,23 +340,27 @@ impl<R: Read> FrameReader<R> {
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<&[u8], FrameError> {
         static BUF_REUSE: OnceLock<Arc<Counter>> = OnceLock::new();
-        let mut chunk = [0u8; 4096];
         loop {
-            if self.buf.len() >= 4 {
+            // The frame's full length (prefix + payload) once its prefix
+            // is in.
+            let mut frame_end = None;
+            if self.filled >= 4 {
                 let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
                     as usize;
                 if len > max_len {
                     return Err(FrameError::TooLarge { len, max: max_len });
                 }
-                if self.buf.len() >= 4 + len {
+                let end = 4 + len;
+                if self.filled >= end {
                     // Copy the payload into the reusable scratch (its
                     // capacity survives across frames — no per-request
-                    // allocation once warmed) and shift the remainder
-                    // of the stream buffer down in place.
+                    // allocation once warmed) and shift the rest of the
+                    // stream down in place.
                     let reused = self.payload.capacity() >= len;
                     self.payload.clear();
-                    self.payload.extend_from_slice(&self.buf[4..4 + len]);
-                    self.buf.drain(..4 + len);
+                    self.payload.extend_from_slice(&self.buf[4..end]);
+                    self.buf.copy_within(end..self.filled, 0);
+                    self.filled -= end;
                     if reused {
                         BUF_REUSE
                             .get_or_init(|| {
@@ -345,29 +370,25 @@ impl<R: Read> FrameReader<R> {
                     }
                     return Ok(&self.payload);
                 }
+                frame_end = Some(end);
             }
-            match self.inner.read(&mut chunk) {
+            let step = frame_end.map_or(FIRST_READ, |end| (end - self.filled).min(READ_STEP));
+            if self.buf.len() == self.filled {
+                self.buf.resize(self.filled + step, 0);
+            }
+            let space = self.buf.len().min(self.filled + step);
+            match self.inner.read(&mut self.buf[self.filled..space]) {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if self.filled == 0 {
                         Err(FrameError::Closed)
                     } else {
-                        let expected = if self.buf.len() >= 4 {
-                            4 + u32::from_be_bytes([
-                                self.buf[0],
-                                self.buf[1],
-                                self.buf[2],
-                                self.buf[3],
-                            ]) as usize
-                        } else {
-                            4
-                        };
                         Err(FrameError::Truncated {
-                            expected,
-                            got: self.buf.len(),
+                            expected: frame_end.unwrap_or(4),
+                            got: self.filled,
                         })
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.filled += n,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -1963,14 +1984,7 @@ mod tests {
         write_frame(&mut wire, &json).unwrap();
         // A reader that returns one byte at a time forces maximal
         // fragmentation.
-        struct OneByte(std::io::Cursor<Vec<u8>>);
-        impl Read for OneByte {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                let take = 1.min(buf.len());
-                self.0.read(&mut buf[..take])
-            }
-        }
-        let mut r = FrameReader::new(OneByte(std::io::Cursor::new(wire)));
+        let mut r = FrameReader::new(Paced::new(wire, 1));
         let mut no = || false;
         assert_eq!(r.read_frame(1024, &mut no).unwrap(), json);
         assert_eq!(r.read_frame(1024, &mut no).unwrap(), json);
@@ -1985,7 +1999,8 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_be_bytes());
         wire.extend_from_slice(b"whatever");
-        let mut r = FrameReader::new(std::io::Cursor::new(wire));
+        // The prefix arrives alone, so any later read would be payload.
+        let mut r = FrameReader::new(Paced::new(wire, 4));
         let mut no = || false;
         match r.read_frame(1024, &mut no) {
             Err(FrameError::TooLarge { len, max }) => {
@@ -1994,6 +2009,7 @@ mod tests {
             }
             other => panic!("expected TooLarge, got {other:?}"),
         }
+        assert_eq!((r.inner.reads, r.inner.wire.position()), (1, 4));
     }
 
     #[test]
@@ -2022,5 +2038,127 @@ mod tests {
             r.read_frame(1024, &mut no),
             Err(FrameError::Json(_))
         ));
+    }
+
+    /// A stream over `wire` that hands out at most `most` bytes per
+    /// `read` call, fails the first call at byte `stall_at` with
+    /// `WouldBlock`, and counts the calls it answers with bytes or with
+    /// the end of the stream.
+    struct Paced {
+        wire: std::io::Cursor<Vec<u8>>,
+        most: usize,
+        stall_at: Option<u64>,
+        reads: usize,
+    }
+
+    impl Paced {
+        fn new(wire: Vec<u8>, most: usize) -> Self {
+            Paced {
+                wire: std::io::Cursor::new(wire),
+                most,
+                stall_at: None,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Paced {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let pos = self.wire.position();
+            let mut take = self.most.min(buf.len());
+            match self.stall_at {
+                Some(at) if at == pos => {
+                    self.stall_at = None;
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                Some(at) => take = take.min((at - pos) as usize),
+                None => {}
+            }
+            self.reads += 1;
+            self.wire.read(&mut buf[..take])
+        }
+    }
+
+    /// A `Characterize` carrying 16,384 samples, written as a block
+    /// frame of about 131 KB.
+    fn large_block_frame() -> (Vec<u8>, Request) {
+        let samples: Vec<f64> = (0..16_384).map(|i| f64::from(i) * 0.37 - 900.0).collect();
+        let body = RequestBody::Characterize(CharacterizeSpec {
+            trace: TraceSource::Inline(samples),
+            ..CharacterizeSpec::default()
+        });
+        let (wire, request) = through_wire(&body, true);
+        assert!(wire.len() > 131_000, "{} bytes", wire.len());
+        (wire, request)
+    }
+
+    #[test]
+    fn frame_reader_decodes_a_block_frame_however_it_is_split() {
+        let (wire, request) = large_block_frame();
+        let mut no = || false;
+        // One byte per read.
+        let mut r = FrameReader::new(Paced::new(wire.clone(), 1));
+        assert_eq!(
+            decode_request(r.read_payload(MAX_FRAME_LEN, &mut no).unwrap()).unwrap(),
+            request
+        );
+        assert_eq!(r.inner.reads, wire.len());
+        // As fast as the reader asks: the prefix arrives with the first
+        // read, and the rest of the frame takes two 64 KiB steps at most.
+        let mut r = FrameReader::new(Paced::new(wire.clone(), usize::MAX));
+        assert_eq!(
+            decode_request(r.read_payload(MAX_FRAME_LEN, &mut no).unwrap()).unwrap(),
+            request
+        );
+        assert_eq!(r.inner.reads, 3);
+        assert!(matches!(
+            r.read_payload(MAX_FRAME_LEN, &mut no),
+            Err(FrameError::Closed)
+        ));
+    }
+
+    #[test]
+    fn frame_reader_resumes_after_a_timeout_mid_payload() {
+        let (mut wire, request) = large_block_frame();
+        let frame_len = wire.len();
+        let ping = Json::obj(vec![("id", Json::num(5.0)), ("kind", Json::str("ping"))]);
+        write_frame(&mut wire, &ping).unwrap();
+        let mut stream = Paced::new(wire, 10_000);
+        stream.stall_at = Some(frame_len as u64 / 2);
+        let mut r = FrameReader::new(stream);
+        assert!(matches!(
+            r.read_payload(MAX_FRAME_LEN, &mut || true),
+            Err(FrameError::Aborted)
+        ));
+        let mut no = || false;
+        assert_eq!(
+            decode_request(r.read_payload(MAX_FRAME_LEN, &mut no).unwrap()).unwrap(),
+            request
+        );
+        assert_eq!(r.read_frame(MAX_FRAME_LEN, &mut no).unwrap(), ping);
+        assert!(matches!(
+            r.read_frame(MAX_FRAME_LEN, &mut no),
+            Err(FrameError::Closed)
+        ));
+    }
+
+    #[test]
+    fn frame_reader_grows_by_what_arrives_not_by_what_the_prefix_declares() {
+        let declared = 16 * 1024 * 1024;
+        let mut wire = (declared as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&[7; 10]);
+        let mut r = FrameReader::new(std::io::Cursor::new(wire));
+        let before = r.buf_capacity();
+        match r.read_payload(MAX_FRAME_LEN, &mut || false) {
+            Err(FrameError::Truncated { expected, got }) => {
+                assert_eq!((expected, got), (4 + declared, 14));
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        assert!(
+            r.buf_capacity() - before <= READ_STEP,
+            "stream buffer grew to {} bytes",
+            r.buf_capacity()
+        );
     }
 }

