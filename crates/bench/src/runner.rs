@@ -1458,13 +1458,16 @@ impl SweepContext {
     }
 
     /// [`Self::run_replay`] straight from a `.dtrc` reader: each data
-    /// chunk's `current`, `power` and `committed` columns are decoded
-    /// into one reused buffer and fed to the pass, so no whole
-    /// recording and no [`Record`] is ever built. The header's
-    /// `pre_roll` is the warm-in. The result has `run_replay`'s bits
-    /// over the file's records, and it comes back only after the end
-    /// chunk has verified the stream (record count, pre-roll, no
-    /// trailing bytes); a rejected file counts no `trace.replay_cycles`.
+    /// chunk's `current`, `power` and `committed` columns are fed to the
+    /// pass as [`TraceReader::for_each_columns`] hands them over, so no
+    /// whole recording and no [`Record`] is ever built. A helper thread
+    /// decodes the next chunk while this one scores the current chunk;
+    /// the scoring stays on this thread in file order, so the bits do
+    /// not depend on the overlap. The header's `pre_roll` is the
+    /// warm-in. The result has `run_replay`'s bits over the file's
+    /// records, and it comes back only after the end chunk has verified
+    /// the stream (record count, pre-roll, no trailing bytes); a
+    /// rejected file counts no `trace.replay_cycles`.
     ///
     /// The deadline is checked after every chunk. When the point cannot
     /// be set up, the rest of the file is still read, so a bad file is
@@ -1472,10 +1475,11 @@ impl SweepContext {
     ///
     /// # Errors
     ///
-    /// [`StreamReplayError::Trace`] for every reader rejection;
-    /// [`StreamReplayError::Replay`] for PDN and monitor errors and for
-    /// [`DidtError::DeadlineExceeded`].
-    pub fn run_replay_stream<R: std::io::Read>(
+    /// [`StreamReplayError::Trace`] for every reader rejection and for
+    /// a read-ahead thread that cannot be started
+    /// ([`TraceError::ReadAhead`]); [`StreamReplayError::Replay`] for
+    /// PDN and monitor errors and for [`DidtError::DeadlineExceeded`].
+    pub fn run_replay_stream<R: std::io::Read + Send>(
         &self,
         point: &SweepPoint,
         run: RunParams,
@@ -1483,23 +1487,23 @@ impl SweepContext {
         deadline: Option<std::time::Instant>,
     ) -> Result<PointResult, StreamReplayError> {
         let pre_roll = usize::try_from(reader.meta().pre_roll).unwrap_or(usize::MAX);
-        let mut columns = ReplayColumns::new();
         let mut set_up = false;
         let outcome = self.replay_point(point, run, pre_roll, |replay| {
             set_up = true;
             let mut fed = 0u64;
-            while reader.next_columns(&mut columns)? {
-                replay.feed(&columns);
+            reader.for_each_columns(|columns| {
+                replay.feed(columns);
                 fed += columns.len() as u64;
                 if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
                     return Err(StreamReplayError::Replay(DidtError::DeadlineExceeded {
                         after_cycles: fed,
                     }));
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         });
         if outcome.is_err() && !set_up {
+            let mut columns = ReplayColumns::new();
             while reader.next_columns(&mut columns)? {}
         }
         outcome
@@ -2105,5 +2109,59 @@ mod tests {
         // Fresh context, same points: bit-identical results.
         let ctx2 = SweepContext::standard().unwrap();
         assert_eq!(r2, ctx2.run_point(&wavelet, run).unwrap());
+    }
+
+    #[test]
+    fn streamed_replay_stops_at_its_deadline_after_the_first_chunk() {
+        use didt_trace::{RecordKind, TraceMeta, TraceWriter};
+        const CHUNK: usize = 512;
+        let ctx = SweepContext::standard().unwrap();
+        let point = SweepPoint {
+            benchmark: Benchmark::Gzip,
+            pdn_pct: 200.0,
+            monitor_terms: 13,
+            controller: ControllerSpec::AnalogThreshold {
+                low: 0.985,
+                high: 1.015,
+                hysteresis: 0.004,
+            },
+        };
+        let run = RunParams {
+            instructions: 3_000,
+            warmup_cycles: 800,
+        };
+        // Five chunks, and one: the deadline is also checked after the
+        // last chunk.
+        for records in [4 * CHUNK + 100, CHUNK - 12] {
+            let meta = TraceMeta::new(RecordKind::Full, "deadline");
+            let mut w = TraceWriter::with_chunk_records(Vec::new(), &meta, CHUNK).unwrap();
+            for i in 0..records {
+                w.push(Record {
+                    current: 20.0 + 5.0 * (i as f64 * 0.05).sin(),
+                    power: 30.0,
+                    committed: (i % 4) as u16,
+                    l2_misses: 0,
+                    mispredicts: 0,
+                })
+                .unwrap();
+            }
+            let bytes = w.finish().unwrap();
+            // A deadline that has passed stops the pass after the first
+            // fed chunk, with the read-ahead thread joined by the return.
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            let deadline = Some(std::time::Instant::now());
+            match ctx.run_replay_stream(&point, run, &mut reader, deadline) {
+                Err(StreamReplayError::Replay(DidtError::DeadlineExceeded { after_cycles })) => {
+                    assert_eq!(after_cycles, records.min(CHUNK) as u64);
+                }
+                other => panic!("expected DeadlineExceeded, got {other:?}"),
+            }
+            // The same file without a deadline replays whole.
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            let whole = ctx
+                .run_replay_stream(&point, run, &mut reader, None)
+                .unwrap();
+            assert_eq!(whole.controlled.cycles, records as u64);
+        }
     }
 }

@@ -24,7 +24,15 @@
 //!   `read_all`'s current, power and committed bits for every stream,
 //!   and rejects every stream `read_all` rejects with the same error —
 //!   payload edits under a repaired CRC included, so the decoders'
-//!   own checks are compared, not only the CRC's.
+//!   own checks are compared, not only the CRC's;
+//! * the read-ahead loop (`TraceReader::for_each_columns`) hands over
+//!   the chunks a `next_columns` loop reads, in order and bit for bit,
+//!   then ends with the same error, on the same edited streams; a
+//!   consumer that stops after any chunk gets its own error back.
+
+use std::io::Read;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use didt_trace::{
     read_all, Crc32, Record, RecordKind, ReplayColumns, TraceError, TraceMeta, TraceReader,
@@ -335,10 +343,157 @@ fn decode_columns(bytes: &[u8]) -> Result<ColumnBits, TraceError> {
     Ok(out)
 }
 
-/// `bytes` with data chunk `which` (modulo the chunk count) re-framed:
-/// `edit` changes its payload, and the length field and CRC are
-/// rewritten to match, so only the payload decoders can object.
-fn edit_chunk(bytes: &[u8], which: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+/// One chunk's columns as `next_columns` or `for_each_columns` hands
+/// them over, by bits.
+fn chunk_bits(columns: &ReplayColumns) -> ColumnBits {
+    (
+        columns.current().iter().map(|x| x.to_bits()).collect(),
+        columns.power().iter().map(|x| x.to_bits()).collect(),
+        columns.committed().to_vec(),
+    )
+}
+
+/// What a consumer saw of a stream: each chunk in order, then how the
+/// read ended (the error text on a rejection).
+type Seen = (Vec<ColumnBits>, Result<(), String>);
+
+/// Every chunk through a serial `next_columns` loop.
+fn serial_chunks(bytes: &[u8]) -> Seen {
+    let mut chunks = Vec::new();
+    let mut reader = match TraceReader::new(bytes) {
+        Ok(reader) => reader,
+        Err(e) => return (chunks, Err(e.to_string())),
+    };
+    let mut columns = ReplayColumns::new();
+    loop {
+        match reader.next_columns(&mut columns) {
+            Ok(true) => chunks.push(chunk_bits(&columns)),
+            Ok(false) => return (chunks, Ok(())),
+            Err(e) => return (chunks, Err(e.to_string())),
+        }
+    }
+}
+
+/// Why a read-ahead consumer stopped: on its own after `n` chunks, or
+/// because the reader rejected the stream.
+#[derive(Debug, PartialEq)]
+enum Stop {
+    After(usize),
+    Reader(String),
+}
+
+impl From<TraceError> for Stop {
+    fn from(e: TraceError) -> Self {
+        Stop::Reader(e.to_string())
+    }
+}
+
+/// Every chunk of `source` through `for_each_columns`, with a consumer
+/// that stops after chunk `stop_after` (never when `None`), first
+/// calling `before_stop`.
+fn read_ahead_chunks<R: Read + Send>(
+    source: R,
+    stop_after: Option<usize>,
+    mut before_stop: impl FnMut(),
+) -> (Vec<ColumnBits>, Result<(), Stop>) {
+    let mut chunks = Vec::new();
+    let result = TraceReader::new(source)
+        .map_err(Stop::from)
+        .and_then(|mut reader| {
+            reader.for_each_columns(|columns| {
+                chunks.push(chunk_bits(columns));
+                if stop_after == Some(chunks.len()) {
+                    before_stop();
+                    return Err(Stop::After(chunks.len()));
+                }
+                Ok(())
+            })
+        });
+    (chunks, result)
+}
+
+/// A stream over `bytes` that reports once, on `tripped`, when its
+/// reader has taken `trip_at` bytes.
+struct Tripwire<'a> {
+    bytes: &'a [u8],
+    trip_at: usize,
+    tripped: Option<mpsc::Sender<()>>,
+}
+
+impl Read for Tripwire<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.bytes.read(buf)?;
+        self.trip_at = self.trip_at.saturating_sub(n);
+        if self.trip_at == 0 {
+            if let Some(tripped) = self.tripped.take() {
+                tripped.send(()).unwrap();
+            }
+        }
+        Ok(n)
+    }
+}
+
+/// One generated record of the mutation proptests: `((current bits,
+/// power bits), (committed, l2_misses, mispredicts))`.
+type RawRecord = ((u64, u64), (u16, u16, u16));
+
+/// Records for the mutation proptests: `raw` as full records, or its
+/// currents alone as kind-1 records.
+fn mutation_records(raw: Vec<RawRecord>, full: bool) -> (RecordKind, Vec<Record>) {
+    let raw: Vec<_> = raw
+        .into_iter()
+        .map(|((c, p), (co, l2, mi))| (c, p, co, l2, mi))
+        .collect();
+    if full {
+        (RecordKind::Full, full_records(&with_specials(raw)))
+    } else {
+        let currents = with_specials(raw)
+            .iter()
+            .map(|r| Record::current_only(f64::from_bits(r.0)))
+            .collect();
+        (RecordKind::Current, currents)
+    }
+}
+
+/// `good` after stream mutation `mutation` (0 keeps it intact):
+/// truncated, a byte flipped, a byte appended, or one chunk's payload
+/// flipped, overwritten, cut or extended under a repaired CRC. The
+/// edit lands at `at_frac` of the stream or payload.
+fn mutate(good: Vec<u8>, mutation: u8, at_frac: f64, flip: u8, which: usize) -> Vec<u8> {
+    let at = |len: usize| ((len as f64) * at_frac) as usize;
+    match mutation {
+        0 => good,
+        1 => good[..at(good.len())].to_vec(),
+        2 => {
+            let mut bad = good;
+            let pos = at(bad.len());
+            bad[pos] ^= flip;
+            bad
+        }
+        3 => [&good[..], &[flip]].concat(),
+        4 => edit_chunk(&good, which, |p| {
+            if !p.is_empty() {
+                let i = at(p.len());
+                p[i] ^= flip;
+            }
+        }),
+        5 => edit_chunk(&good, which, |p| {
+            if !p.is_empty() {
+                let i = at(p.len());
+                p[i] = 9.max(flip);
+            }
+        }),
+        6 => edit_chunk(&good, which, |p| {
+            let i = at(p.len());
+            p.truncate(i);
+        }),
+        _ => edit_chunk(&good, which, |p| p.extend_from_slice(&[flip, 0, flip])),
+    }
+}
+
+/// Where each data chunk of a well-formed stream starts, with its
+/// payload length.
+fn data_chunks(bytes: &[u8]) -> Vec<(usize, usize)> {
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     let mut at = 33 + bytes[32] as usize + 4;
     let mut chunks = Vec::new();
@@ -347,6 +502,14 @@ fn edit_chunk(bytes: &[u8], which: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Ve
         chunks.push((at, len));
         at += 8 + len + 4;
     }
+    chunks
+}
+
+/// `bytes` with data chunk `which` (modulo the chunk count) re-framed:
+/// `edit` changes its payload, and the length field and CRC are
+/// rewritten to match, so only the payload decoders can object.
+fn edit_chunk(bytes: &[u8], which: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let chunks = data_chunks(bytes);
     let Some(&(start, len)) = chunks.get(which % chunks.len().max(1)) else {
         return bytes.to_vec();
     };
@@ -514,30 +677,8 @@ proptest! {
         flip in 1u8..=255,
         which in 0usize..8,
     ) {
-        let raw: Vec<_> = raw.into_iter().map(|((c, p), (co, l2, mi))| (c, p, co, l2, mi)).collect();
-        let (kind, records) = if full {
-            (RecordKind::Full, full_records(&with_specials(raw)))
-        } else {
-            let currents = with_specials(raw).iter().map(|r| Record::current_only(f64::from_bits(r.0))).collect();
-            (RecordKind::Current, currents)
-        };
-        let good = encode(&records, kind, chunk);
-        let at = |len: usize| ((len as f64) * at_frac) as usize;
-        let bytes = match mutation {
-            0 => good,
-            1 => good[..at(good.len())].to_vec(),
-            2 => {
-                let mut bad = good;
-                let pos = at(bad.len());
-                bad[pos] ^= flip;
-                bad
-            }
-            3 => [&good[..], &[flip]].concat(),
-            4 => edit_chunk(&good, which, |p| if !p.is_empty() { let i = at(p.len()); p[i] ^= flip; }),
-            5 => edit_chunk(&good, which, |p| if !p.is_empty() { let i = at(p.len()); p[i] = 9.max(flip); }),
-            6 => edit_chunk(&good, which, |p| { let i = at(p.len()); p.truncate(i); }),
-            _ => edit_chunk(&good, which, |p| p.extend_from_slice(&[flip, 0, flip])),
-        };
+        let (kind, records) = mutation_records(raw, full);
+        let bytes = mutate(encode(&records, kind, chunk), mutation, at_frac, flip, which);
         match (read_all(&bytes[..]), decode_columns(&bytes)) {
             (Ok((_, want)), Ok((current, power, committed))) => {
                 prop_assert!(mutation != 0 || want.len() == records.len());
@@ -556,6 +697,102 @@ proptest! {
                 want.map(|(_, r)| r.len()),
                 got.map(|c| c.0.len())
             ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `for_each_columns` against a serial `next_columns` loop, for both
+    /// kinds and any chunk size, on the intact and mutated streams of
+    /// `column_decoder_matches_read_all_on_accepts_and_rejects`: the
+    /// consumer gets the same chunks, in order and bit for bit, and the
+    /// call ends as the loop did, with the same error text. A consumer
+    /// that stops after chunk `stop` gets its own error back after
+    /// exactly those chunks.
+    #[test]
+    fn read_ahead_hands_over_what_the_serial_loop_reads(
+        raw in prop::collection::vec(
+            ((0u64..=u64::MAX - 1, 0u64..=u64::MAX - 1),
+             (0u16..=u16::MAX, 0u16..=u16::MAX, 0u16..=u16::MAX)),
+            0..=120,
+        ),
+        full in any::<bool>(),
+        chunk in 1usize..=48,
+        mutation in 0u8..8,
+        at_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        which in 0usize..8,
+        stop in 1usize..=12,
+    ) {
+        let (kind, records) = mutation_records(raw, full);
+        let bytes = mutate(encode(&records, kind, chunk), mutation, at_frac, flip, which);
+        let (want_chunks, want_end) = serial_chunks(&bytes);
+        let want_end = want_end.map_err(Stop::Reader);
+        let (got_chunks, got_end) = read_ahead_chunks(&bytes[..], None, || {});
+        prop_assert!(got_chunks == want_chunks, "mutation {}: chunks differ", mutation);
+        prop_assert_eq!(&got_end, &want_end);
+
+        let (got_chunks, got_end) =
+            read_ahead_chunks(&bytes[..], Some(stop), || {});
+        if stop <= want_chunks.len() {
+            prop_assert!(got_chunks[..] == want_chunks[..stop]);
+            prop_assert_eq!(got_end, Err(Stop::After(stop)));
+        } else {
+            prop_assert!(got_chunks == want_chunks);
+            prop_assert_eq!(got_end, want_end);
+        }
+    }
+}
+
+/// A consumer that stops after chunk `k`, for every `k`, once the
+/// helper has taken chunk `k + 1` (or the end chunk) off the stream, so
+/// the helper is decoding it or parked on the full hand-off: the call
+/// returns the consumer's error after exactly `k` chunks, so the helper
+/// was stopped and joined.
+#[test]
+fn read_ahead_stops_after_any_chunk_with_the_helper_parked() {
+    for kind in [RecordKind::Current, RecordKind::Full] {
+        let records: Vec<Record> = (0..40u16)
+            .map(|i| Record {
+                current: 20.0 + f64::from(i) * 0.25,
+                power: if kind == RecordKind::Full {
+                    30.0 - f64::from(i)
+                } else {
+                    0.0
+                },
+                committed: if kind == RecordKind::Full { i % 5 } else { 0 },
+                l2_misses: 0,
+                mispredicts: 0,
+            })
+            .collect();
+        for chunk in [1, 7, 48] {
+            let bytes = encode(&records, kind, chunk);
+            let (want, end) = serial_chunks(&bytes);
+            assert_eq!(end, Ok(()));
+            let frames = data_chunks(&bytes);
+            assert_eq!(frames.len(), want.len());
+            for k in 1..=want.len() {
+                let trip_at = frames
+                    .get(k)
+                    .map_or(bytes.len(), |&(start, len)| start + 8 + len + 4);
+                let (tx, rx) = mpsc::channel();
+                let source = Tripwire {
+                    bytes: &bytes,
+                    trip_at,
+                    tripped: Some(tx),
+                };
+                let (got, end) = read_ahead_chunks(source, Some(k), || {
+                    rx.recv_timeout(Duration::from_secs(30))
+                        .expect("the helper reads the next chunk");
+                });
+                assert_eq!(end, Err(Stop::After(k)), "{kind:?}, chunks of {chunk}");
+                assert!(
+                    got[..] == want[..k],
+                    "{kind:?}, chunks of {chunk}, stop {k}"
+                );
+            }
         }
     }
 }

@@ -771,6 +771,10 @@ impl Service {
                     .ctx
                     .run_replay_stream(&point, run, &mut reader, deadline)
                     .map_err(|e| match e {
+                        StreamReplayError::Trace(TraceError::ReadAhead(_)) => (
+                            ErrorCode::Internal,
+                            "the replay could not start its read-ahead thread".to_string(),
+                        ),
                         StreamReplayError::Trace(e) => recorded_error(path, &e),
                         StreamReplayError::Replay(e) => didt_err(&e),
                     })?;
@@ -867,7 +871,9 @@ fn parse_benchmark(name: &str) -> Result<Benchmark, (ErrorCode, String)> {
 /// rejection (missing file, bad magic, CRC mismatch, truncation, ...),
 /// here or at any later chunk, is the *client's* problem — it named the
 /// file — so the whole [`TraceError`] taxonomy maps to `BadRequest`
-/// ([`recorded_error`]).
+/// ([`recorded_error`]). The one exception is
+/// [`TraceError::ReadAhead`], a host that cannot start a thread, which
+/// a replay answers as `Internal`.
 fn open_recorded(path: &str) -> Result<TraceReader<BufReader<File>>, (ErrorCode, String)> {
     TraceReader::open(std::path::Path::new(path)).map_err(|e| recorded_error(path, &e))
 }

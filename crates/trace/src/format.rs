@@ -23,6 +23,9 @@
 //! columns into a reused [`ReplayColumns`], builds no [`Record`], and
 //! length-checks the two event columns replay never reads, so it
 //! rejects exactly what `next_chunk` rejects, with the same error.
+//! [`TraceReader::for_each_columns`] runs that loop one chunk ahead on
+//! a helper thread, so the next chunk is decoded while the caller
+//! consumes the current one.
 //! [`read_all`] runs the same per-chunk step but decodes each chunk
 //! straight onto the end of its result vector, growing it by the
 //! chunk's announced (already limit-checked) record count, so a
@@ -35,7 +38,7 @@
 
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use didt_telemetry::{Counter, MetricsRegistry};
 
@@ -144,6 +147,9 @@ pub enum TraceError {
     /// Writer-side misuse: name too long, chunk size out of range, or a
     /// record carrying fields its kind cannot store.
     Unwritable(&'static str),
+    /// [`TraceReader::for_each_columns`] could not start its read-ahead
+    /// thread. Says nothing about the stream.
+    ReadAhead(io::Error),
 }
 
 impl std::fmt::Display for TraceError {
@@ -173,6 +179,7 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::TrailingData => write!(f, "bytes present after the end chunk"),
             TraceError::Unwritable(what) => write!(f, "cannot write trace: {what}"),
+            TraceError::ReadAhead(e) => write!(f, "cannot start the read-ahead thread: {e}"),
         }
     }
 }
@@ -180,7 +187,7 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TraceError::Io(e) => Some(e),
+            TraceError::Io(e) | TraceError::ReadAhead(e) => Some(e),
             _ => None,
         }
     }
@@ -345,6 +352,15 @@ impl ReplayColumns {
     #[must_use]
     pub fn new() -> Self {
         ReplayColumns::default()
+    }
+
+    /// Empty columns with room for `records` records each.
+    fn with_capacity(records: usize) -> Self {
+        ReplayColumns {
+            current: Vec::with_capacity(records),
+            power: Vec::with_capacity(records),
+            committed: Vec::with_capacity(records),
+        }
     }
 
     /// Records in the chunk.
@@ -798,6 +814,89 @@ impl<R: Read> TraceReader<R> {
         let mut records = Vec::new();
         while self.append_chunk(&mut records)? {}
         Ok((self.meta, records))
+    }
+}
+
+impl<R: Read + Send> TraceReader<R> {
+    /// Hand every remaining data chunk's replay columns to `f`, in file
+    /// order and on the calling thread, while a helper thread reads,
+    /// CRC-checks and decodes the chunk after the one `f` is given.
+    ///
+    /// `f` sees exactly the columns a [`TraceReader::next_columns`]
+    /// loop would, chunk for chunk: the helper only runs that method.
+    /// The calling thread decodes the first chunk itself, which sizes
+    /// the payload scratch, and sizes the second column buffer to it
+    /// before it starts the helper, so the helper allocates nothing
+    /// while no chunk is longer than the first. The two column buffers
+    /// then take turns: the helper fills one while `f` reads the other.
+    ///
+    /// `Ok(())` means the end chunk verified the stream. The first
+    /// reader error comes back after `f` has seen every chunk before
+    /// it, where the serial loop would have returned it. When `f`
+    /// returns `Err`, the call stops the helper, waits for it and
+    /// returns that error; the helper may by then have read one chunk
+    /// past the last one `f` saw, so the reader should be dropped.
+    ///
+    /// # Errors
+    ///
+    /// Any reader variant of [`TraceError`], [`TraceError::ReadAhead`]
+    /// when the helper thread cannot be started, or `f`'s own error.
+    pub fn for_each_columns<E: From<TraceError>>(
+        &mut self,
+        mut f: impl FnMut(&ReplayColumns) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut columns = ReplayColumns::new();
+        if !self.next_columns(&mut columns)? {
+            return Ok(());
+        }
+        let spare = ReplayColumns::with_capacity(columns.len());
+        std::thread::scope(|scope| {
+            // `filled` is a rendezvous: the helper parks holding a
+            // decoded chunk until the caller takes it. `empty` brings
+            // the scored buffer back; with two buffers it never blocks.
+            let (filled_tx, filled_rx) = mpsc::sync_channel(0);
+            let (empty_tx, empty_rx) = mpsc::sync_channel(1);
+            let helper = std::thread::Builder::new()
+                .spawn_scoped(scope, move || self.read_ahead(spare, &filled_tx, &empty_rx))
+                .map_err(TraceError::ReadAhead)?;
+            loop {
+                // On `Err` the channel ends drop here, which wakes a
+                // parked helper; the scope then joins it.
+                f(&columns)?;
+                // A helper that has finished no longer takes buffers.
+                let _ = empty_tx.send(columns);
+                match filled_rx.recv() {
+                    Ok(next) => columns = next,
+                    Err(_) => break,
+                }
+            }
+            match helper.join() {
+                Ok(result) => result.map_err(E::from),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        })
+    }
+
+    /// The helper's loop: decode the next chunk into `spare`, hand it
+    /// over, take the buffer the caller has finished with, repeat. It
+    /// stops at the end chunk, at the first reader error, or when the
+    /// caller has stopped listening.
+    fn read_ahead(
+        &mut self,
+        mut spare: ReplayColumns,
+        filled: &mpsc::SyncSender<ReplayColumns>,
+        empty: &mpsc::Receiver<ReplayColumns>,
+    ) -> Result<(), TraceError> {
+        while self.next_columns(&mut spare)? {
+            if filled.send(spare).is_err() {
+                break;
+            }
+            match empty.recv() {
+                Ok(next) => spare = next,
+                Err(_) => break,
+            }
+        }
+        Ok(())
     }
 }
 
