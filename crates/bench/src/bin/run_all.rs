@@ -26,7 +26,9 @@ use std::path::Path;
 use std::process::Command;
 
 use didt_bench::runner::MONITOR_WINDOW;
-use didt_bench::{ControllerSpec, Experiment, ExperimentRunner, RunParams, Sweep, SweepContext};
+use didt_bench::{
+    ControllerSpec, Experiment, ExperimentRunner, RunParams, Sweep, SweepContext, SweepPoint,
+};
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_uarch::Benchmark;
 
@@ -212,8 +214,19 @@ fn run_smoke(serial: bool) -> Result<(), Box<dyn std::error::Error>> {
         return Err("smoke sweep passes disagree — determinism broken".into());
     }
     // Offline leg: the characterization caches (captured traces,
-    // per-scale gains) are off the closed-loop path, so exercise them
-    // directly — two rounds, the second must be all hits.
+    // per-scale gains, the prepared χ² test) and the full-convolution
+    // monitor are off this grid's path, so exercise them directly — two
+    // rounds, the second must be all hits.
+    let full_conv = SweepPoint {
+        benchmark: Benchmark::Gzip,
+        pdn_pct: 150.0,
+        monitor_terms: 13,
+        controller: ControllerSpec::FullConvolution {
+            low: 0.975,
+            high: 1.025,
+            hysteresis: 0.004,
+        },
+    };
     for _ in 0..2 {
         for bench in [Benchmark::Gzip, Benchmark::Swim] {
             let _ = ctx.trace(bench, ctx.system().processor(), 0xD1D7, 1_000, 4_096);
@@ -221,6 +234,8 @@ fn run_smoke(serial: bool) -> Result<(), Box<dyn std::error::Error>> {
         }
         ctx.gain_model(150.0, 64, 0xCAB1)?;
         ctx.gain_model_family(150.0, 64, 0xCAB1, WaveletFamily::Db3)?;
+        ctx.gof_test(8, 0.95)?;
+        ctx.controller(&full_conv)?;
     }
     exp.points(&first, &first_times);
     exp.points(&second, &second_times);

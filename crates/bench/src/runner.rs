@@ -42,6 +42,7 @@ use didt_core::monitor::{
 use didt_core::{DidtError, DidtSystem};
 use didt_dsp::{BoundaryMode, WaveletFamily};
 use didt_pdn::SecondOrderPdn;
+use didt_stats::{ChiSquaredGof, PreparedGof};
 use didt_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use didt_trace::{Record, ReplayColumns, TraceError, TraceReader};
 use didt_uarch::{
@@ -930,6 +931,10 @@ pub struct CacheStats {
     pub gains: usize,
     /// Non-Haar per-scale gain calibrations run.
     pub family_gains: usize,
+    /// Prepared χ² goodness-of-fit tests built.
+    pub gof_tests: usize,
+    /// Full-convolution monitors built.
+    pub full_convs: usize,
     /// Uncontrolled baselines simulated.
     pub baselines: usize,
 }
@@ -947,6 +952,9 @@ pub struct SweepContext {
     records: MemoCache<TraceKey, Vec<Record>>,
     gains: MemoCache<(u64, usize, u64), ScaleGainModel>,
     family_gains: MemoCache<(u64, usize, u64, &'static str), ScaleGainModel>,
+    /// Keyed by (bins, significance bits).
+    gof_tests: MemoCache<(usize, u64), PreparedGof>,
+    full_convs: MemoCache<u64, FullConvolutionMonitor>,
     baselines: MemoCache<BaselineKey, Result<ClosedLoopResult, DidtError>>,
 }
 
@@ -998,6 +1006,8 @@ impl SweepContext {
             records: MemoCache::new(),
             gains: MemoCache::new(),
             family_gains: MemoCache::new(),
+            gof_tests: MemoCache::new(),
+            full_convs: MemoCache::new(),
             baselines: MemoCache::new(),
         })
     }
@@ -1021,6 +1031,8 @@ impl SweepContext {
             records: self.records.computations(),
             gains: self.gains.computations(),
             family_gains: self.family_gains.computations(),
+            gof_tests: self.gof_tests.computations(),
+            full_convs: self.full_convs.computations(),
             baselines: self.baselines.computations(),
         }
     }
@@ -1048,6 +1060,8 @@ impl SweepContext {
             rec("records", &self.records),
             rec("gains", &self.gains),
             rec("family_gains", &self.family_gains),
+            rec("gof_tests", &self.gof_tests),
+            rec("full_convs", &self.full_convs),
             rec("baselines", &self.baselines),
         ]
     }
@@ -1201,6 +1215,40 @@ impl SweepContext {
         })
     }
 
+    /// The χ² goodness-of-fit test with `bins` equiprobable bins at
+    /// `significance`, prepared once per distinct (bins, significance
+    /// bits): its critical value and bin quantiles depend on nothing
+    /// else.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ChiSquaredGof::new`]'s and
+    /// [`ChiSquaredGof::prepare`]'s errors.
+    pub fn gof_test(&self, bins: usize, significance: f64) -> Result<Arc<PreparedGof>, DidtError> {
+        self.gof_tests
+            .try_get_or_compute((bins, significance.to_bits()), || {
+                let _span = didt_telemetry::span("cache.fill.gof_tests");
+                ChiSquaredGof::new(bins)?.prepare(significance)
+            })
+            .map_err(DidtError::from)
+    }
+
+    /// The paper-default full-convolution monitor against the `pct`
+    /// network, built once per distinct percentage (sizing its taps
+    /// simulates an 8,192-sample impulse response); each controller
+    /// takes a fresh clone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates PDN errors.
+    fn full_conv(&self, pct: f64) -> Result<Arc<FullConvolutionMonitor>, DidtError> {
+        let pdn = self.pdn(pct)?;
+        Ok(self.full_convs.get_or_compute(pct_millis(pct), || {
+            let _span = didt_telemetry::span("cache.fill.full_convs");
+            FullConvolutionMonitor::paper_default(&pdn)
+        }))
+    }
+
     /// Export completed gain-model calibrations (both the Haar cache
     /// and the family cache) for cache warming a peer, newest-key-last
     /// order unspecified, truncated to `max` entries. Only finished
@@ -1323,15 +1371,12 @@ impl SweepContext {
                 low,
                 high,
                 hysteresis,
-            } => {
-                let pdn = self.pdn(point.pdn_pct)?;
-                Box::new(ThresholdController::new(
-                    FullConvolutionMonitor::paper_default(&pdn),
-                    low,
-                    high,
-                    hysteresis,
-                ))
-            }
+            } => Box::new(ThresholdController::new(
+                (*self.full_conv(point.pdn_pct)?).clone(),
+                low,
+                high,
+                hysteresis,
+            )),
             ControllerSpec::PipelineDamping { window, max_delta } => {
                 Box::new(PipelineDamping::new(window, max_delta))
             }
@@ -2077,6 +2122,72 @@ mod tests {
         let d2 = ctx.monitor_design(150.0, 64).unwrap();
         assert!(Arc::ptr_eq(&d1, &d2));
         assert_eq!(ctx.designs.computations(), 1);
+    }
+
+    #[test]
+    fn gof_test_memo_matches_a_fresh_prepare_field_by_field() {
+        let ctx = SweepContext::standard().unwrap();
+        let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for bins in [4, 8] {
+            for significance in [0.9, 0.95, 0.99] {
+                let memo = ctx.gof_test(bins, significance).unwrap();
+                assert!(Arc::ptr_eq(
+                    &memo,
+                    &ctx.gof_test(bins, significance).unwrap()
+                ));
+                let fresh = ChiSquaredGof::new(bins)
+                    .unwrap()
+                    .prepare(significance)
+                    .unwrap();
+                assert_eq!(memo.bins(), fresh.bins());
+                assert_eq!(memo.dof(), fresh.dof());
+                assert_eq!(
+                    memo.critical_value().to_bits(),
+                    fresh.critical_value().to_bits()
+                );
+                assert_eq!(bits(memo.quantiles()), bits(fresh.quantiles()));
+            }
+        }
+        assert_eq!(ctx.cache_stats().gof_tests, 6);
+        // Failures are not memoized: each call fails as a fresh build.
+        for (bins, significance) in [(3, 0.95), (8, 1.0), (8, f64::NAN)] {
+            assert!(ctx.gof_test(bins, significance).is_err());
+        }
+        assert_eq!(ctx.cache_stats().gof_tests, 6);
+    }
+
+    #[test]
+    fn full_convolution_monitor_is_built_once_per_network() {
+        use didt_core::monitor::{CycleSense, VoltageMonitor};
+        let ctx = SweepContext::standard().unwrap();
+        let point = |pdn_pct| SweepPoint {
+            benchmark: Benchmark::Gzip,
+            pdn_pct,
+            monitor_terms: 13,
+            controller: ControllerSpec::FullConvolution {
+                low: 0.97,
+                high: 1.03,
+                hysteresis: 0.002,
+            },
+        };
+        for pct in [150.0, 150.0, 125.0, 150.0] {
+            ctx.controller(&point(pct)).unwrap();
+        }
+        assert_eq!(ctx.cache_stats().full_convs, 2);
+        // A memoized monitor scores exactly as a freshly built one.
+        let mut memo = (*ctx.full_conv(150.0).unwrap()).clone();
+        let mut fresh = FullConvolutionMonitor::paper_default(&ctx.pdn(150.0).unwrap());
+        for n in 0..3000 {
+            let sense = CycleSense {
+                current: 30.0 + 10.0 * (f64::from(n) * 0.21).sin(),
+                voltage: 1.0,
+            };
+            assert_eq!(
+                memo.observe(sense).to_bits(),
+                fresh.observe(sense).to_bits()
+            );
+        }
+        assert!(ctx.controller(&point(-1.0)).is_err());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Gaussianity classification of execution windows (paper §4.1,
 //! Figures 6, 7 and 12).
 
+use std::borrow::Cow;
+
 use crate::characterize::WindowSampler;
 use crate::DidtError;
-use didt_stats::chi_squared::{ChiSquaredGof, GofOutcome, GofReport, PreparedGof};
-use didt_stats::{mean, variance_about, LillieforsTest, PreparedJarqueBera, StatsError};
+use didt_stats::chi_squared::{ChiSquaredGof, GofOutcome, PreparedGof};
+use didt_stats::{window_moments, LillieforsTest, PreparedJarqueBera, StatsError};
 
 /// Which normality test classifies the windows.
 ///
@@ -23,24 +25,28 @@ pub enum NormalityTest {
 }
 
 /// A [`NormalityTest`] at one significance, ready to run per window.
-enum PreparedTest {
-    ChiSquared(PreparedGof),
+/// The χ² constants are either built for one study or borrowed from a
+/// caller that keeps them across studies.
+enum PreparedTest<'a> {
+    ChiSquared(Cow<'a, PreparedGof>),
     Lilliefors(f64),
     JarqueBera(PreparedJarqueBera),
 }
 
-impl PreparedTest {
-    /// Test `window`, whose mean is `m` and variance about it `var`.
-    /// The χ² test reuses those moments; Lilliefors and Jarque–Bera
-    /// compute their own.
-    fn run(&self, window: &[f64], m: f64, var: f64) -> Result<GofReport, StatsError> {
-        match self {
-            PreparedTest::ChiSquared(test) => test.test_moments(window, m, var),
+impl PreparedTest<'_> {
+    /// Decide `window`, whose mean is `m` and variance about it `var`.
+    /// The χ² test reuses those moments and skips the p-value the study
+    /// never reads; Lilliefors and Jarque–Bera compute their own.
+    fn run(&self, window: &[f64], m: f64, var: f64) -> Result<GofOutcome, StatsError> {
+        Ok(match self {
+            PreparedTest::ChiSquared(test) => test.decide(window, m, var)?,
             PreparedTest::Lilliefors(significance) => {
-                LillieforsTest.test_normality(window, *significance)
+                LillieforsTest
+                    .test_normality(window, *significance)?
+                    .decision
             }
-            PreparedTest::JarqueBera(test) => test.test(window),
-        }
+            PreparedTest::JarqueBera(test) => test.test(window)?.decision,
+        })
     }
 }
 
@@ -130,11 +136,13 @@ impl GaussianityStudy {
         self.test
     }
 
-    /// Bin count used for a given window length: a fixed 8 equiprobable
-    /// bins (dof 5) for windows of 64+ cycles — one procedure across the
-    /// paper's three window sizes — dropping to 4 bins for 32-cycle
-    /// windows where 8 bins would leave expected counts of only 4.
-    fn bins_for(window: usize) -> usize {
+    /// Bin count of the χ² test for a given window length: a fixed 8
+    /// equiprobable bins (dof 5) for windows of 64+ cycles — one
+    /// procedure across the paper's three window sizes — dropping to 4
+    /// bins for 32-cycle windows where 8 bins would leave expected
+    /// counts of only 4.
+    #[must_use]
+    pub fn bins_for(window: usize) -> usize {
         if window >= 64 {
             8
         } else {
@@ -153,6 +161,40 @@ impl GaussianityStudy {
         window: usize,
         count: usize,
     ) -> Result<GaussianityReport, DidtError> {
+        self.classify_by(trace, window, count, || self.prepare(window))
+    }
+
+    /// [`classify`](Self::classify) by the χ² test, with its constants
+    /// built by the caller, who may keep them across studies: the report
+    /// is bit-identical to a χ² study's `classify` when `test` is
+    /// `ChiSquaredGof::new(Self::bins_for(window))?.prepare(significance)`
+    /// at this study's significance. The study's own
+    /// [`test`](Self::test) choice plays no part.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sampling and test errors ([`DidtError`]).
+    pub fn classify_prepared(
+        &self,
+        trace: &[f64],
+        window: usize,
+        count: usize,
+        test: &PreparedGof,
+    ) -> Result<GaussianityReport, DidtError> {
+        self.classify_by(trace, window, count, || {
+            Ok(PreparedTest::ChiSquared(Cow::Borrowed(test)))
+        })
+    }
+
+    /// The classification fold. `test` runs only once a window is
+    /// sampled, so a study over no windows never checks its significance.
+    fn classify_by<'a>(
+        &self,
+        trace: &[f64],
+        window: usize,
+        count: usize,
+        test: impl FnOnce() -> Result<PreparedTest<'a>, StatsError>,
+    ) -> Result<GaussianityReport, DidtError> {
         let sampler = WindowSampler::new(window, self.seed);
         let windows = sampler.sample(trace, count)?;
         let mut report = GaussianityReport {
@@ -164,24 +206,20 @@ impl GaussianityStudy {
             non_gaussian_variance: 0.0,
             overall_variance: 0.0,
         };
-        // A study over no windows runs no test, so it never checks its
-        // significance either.
         if windows.is_empty() {
             return Ok(report);
         }
-        let test = self.prepare(window)?;
+        let test = test()?;
         let mut ng_var_sum = 0.0;
         let mut ng_count = 0usize;
         let mut var_sum = 0.0;
-        for w in windows {
-            // One pass for the mean and one for the variance about it,
-            // shared by the χ² test and the variance sums.
-            let m = mean(w);
-            let v = variance_about(w, m);
+        // Each window's mean and variance about it, shared by the χ² test
+        // and the variance sums; the windows are summed side by side.
+        for (w, (m, v)) in windows.iter().zip(window_moments(&windows)) {
             let outcome = test.run(w, m, v)?;
             var_sum += v;
             report.tested += 1;
-            match outcome.decision {
+            match outcome {
                 GofOutcome::Accepted => report.accepted += 1,
                 GofOutcome::Rejected => {
                     report.rejected += 1;
@@ -206,11 +244,11 @@ impl GaussianityStudy {
 
     /// The test's data-independent constants for `window`-cycle
     /// windows, built once per study.
-    fn prepare(&self, window: usize) -> Result<PreparedTest, StatsError> {
+    fn prepare(&self, window: usize) -> Result<PreparedTest<'static>, StatsError> {
         Ok(match self.test {
-            NormalityTest::ChiSquared => PreparedTest::ChiSquared(
+            NormalityTest::ChiSquared => PreparedTest::ChiSquared(Cow::Owned(
                 ChiSquaredGof::new(Self::bins_for(window))?.prepare(self.significance)?,
-            ),
+            )),
             NormalityTest::Lilliefors => PreparedTest::Lilliefors(self.significance),
             NormalityTest::JarqueBera => {
                 PreparedTest::JarqueBera(PreparedJarqueBera::new(self.significance)?)
@@ -357,20 +395,19 @@ mod tests {
                 let (mut ng_var_sum, mut ng_count, mut var_sum) = (0.0, 0usize, 0.0);
                 for w in WindowSampler::new(window, 9).sample(&trace, 400).unwrap() {
                     let outcome = match &test {
-                        PreparedTest::ChiSquared(chi) => chi.test(w),
+                        PreparedTest::ChiSquared(chi) => chi.test(w).unwrap().decision,
                         // These ignore the moments handed to them.
-                        other => other.run(w, f64::NAN, f64::NAN),
-                    }
-                    .unwrap();
+                        other => other.run(w, f64::NAN, f64::NAN).unwrap(),
+                    };
                     let v = variance(w);
                     var_sum += v;
                     want.tested += 1;
-                    match outcome.decision {
+                    match outcome {
                         GofOutcome::Accepted => want.accepted += 1,
                         GofOutcome::Rejected => want.rejected += 1,
                         GofOutcome::Degenerate => want.degenerate += 1,
                     }
-                    if !outcome.is_gaussian() {
+                    if outcome != GofOutcome::Accepted {
                         ng_var_sum += v;
                         ng_count += 1;
                     }

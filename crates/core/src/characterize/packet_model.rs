@@ -208,7 +208,6 @@ impl WindowModel for PacketVarianceModel {
             v_mean: self.vdd - i_mean * self.resistance,
             v_variance,
             i_mean,
-            i_variance: variance(window),
         })
     }
 }

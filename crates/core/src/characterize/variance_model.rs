@@ -15,7 +15,7 @@
 use crate::characterize::ScaleGainModel;
 use crate::DidtError;
 use didt_dsp::{dwt_boundary_into, scale_variance, BoundaryMode, DwtScratch, WaveletDecomposition};
-use didt_stats::{mean, variance_about, Normal};
+use didt_stats::{mean, Normal};
 
 /// Reusable buffers for [`VarianceModel::estimate_with`].
 ///
@@ -36,7 +36,12 @@ impl EstimateScratch {
     }
 }
 
-/// Per-window estimate produced by the variance model.
+/// Per-window estimate produced by the variance model: the Gaussian
+/// voltage model's two moments (step 5) and the mean current they come
+/// from. The window's current variance is not part of it; the voltage
+/// variance comes from the per-scale wavelet variances instead, and
+/// [`didt_stats::variance`] gives the current variance where a caller
+/// needs it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowEstimate {
     /// Estimated mean voltage: `Vdd − I_mean · R`.
@@ -45,8 +50,6 @@ pub struct WindowEstimate {
     pub v_variance: f64,
     /// Mean current over the window (A).
     pub i_mean: f64,
-    /// Current variance over the window (A²).
-    pub i_variance: f64,
 }
 
 impl WindowEstimate {
@@ -214,12 +217,10 @@ impl VarianceModel {
             v_variance += gain * sv.variance;
         }
         let i_mean = mean(window);
-        let i_variance = variance_about(window, i_mean);
         Ok(WindowEstimate {
             v_mean: self.gains.vdd() - i_mean * self.gains.resistance(),
             v_variance,
             i_mean,
-            i_variance,
         })
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::transform::WaveletDecomposition;
 use crate::DspError;
-use didt_stats::lag_correlation;
 
 /// Variance attributed to one wavelet scale, plus the adjacency
 /// correlation of its detail coefficients.
@@ -69,21 +68,48 @@ pub fn scale_variances(decomp: &WaveletDecomposition) -> Result<Vec<ScaleVarianc
 
 /// The [`ScaleVariance`] of one detail row at `level`, for a signal of
 /// `signal_len` samples: `Σ d[k]² / signal_len`, and the lag-1
-/// correlation of adjacent coefficients.
+/// correlation of adjacent coefficients (`didt_stats::lag_correlation`).
+///
+/// Bit-identical to computing the two apart, in two passes instead of
+/// four: `Σ d²` runs beside the mean's `Σ d`, then the lag-1 numerator
+/// beside its denominator. Each sum keeps its own order and start value
+/// (`-0.0` where `Iterator::sum` ran, `0.0` for the numerator's loop);
+/// running them side by side only lets their add chains overlap.
 #[must_use]
 pub fn scale_variance(level: usize, detail: &[f64], signal_len: usize) -> ScaleVariance {
-    let variance = detail.iter().map(|x| x * x).sum::<f64>() / signal_len as f64;
+    let (mut squares, mut sum) = (-0.0, -0.0);
+    for &x in detail {
+        squares += x * x;
+        sum += x;
+    }
     // Correlation needs at least 3 coefficients; coarser rows report 0.
     let adjacent_correlation = if detail.len() >= 3 {
-        lag_correlation(detail).unwrap_or(0.0)
+        lag1_correlation(detail, sum / detail.len() as f64)
     } else {
         0.0
     };
     ScaleVariance {
         level,
         span: 1usize << level,
-        variance,
+        variance: squares / signal_len as f64,
         adjacent_correlation,
+    }
+}
+
+/// Lag-1 autocorrelation of `row` (at least 2 long) about its mean `m`.
+fn lag1_correlation(row: &[f64], m: f64) -> f64 {
+    let (mut num, mut den) = (0.0, -0.0);
+    for pair in row.windows(2) {
+        let d = pair[0] - m;
+        num += d * (pair[1] - m);
+        den += d * d;
+    }
+    let last = row[row.len() - 1] - m;
+    den += last * last;
+    if den <= 0.0 {
+        0.0
+    } else {
+        (num / den).clamp(-1.0, 1.0)
     }
 }
 

@@ -3,13 +3,67 @@
 //! transform linearity and convolution consistency.
 
 use didt_dsp::{
-    convolve_full, dwt, fir_filter, idwt, scale_variances, subband_decompose, WaveletFamily,
+    convolve_full, dwt, fir_filter, idwt, scale_variance, scale_variances, subband_decompose,
+    ScaleVariance, WaveletFamily,
 };
+use didt_stats::lag_correlation;
 use proptest::prelude::*;
 
 /// Signals of power-of-two length 8..=256 with bounded values.
 fn signal_strategy() -> impl Strategy<Value = Vec<f64>> {
     (3u32..=8).prop_flat_map(|log_n| prop::collection::vec(-100.0..100.0f64, 1usize << log_n))
+}
+
+/// `scale_variance` as first written, four serial passes: `Σ d²`, then
+/// `lag_correlation`'s mean, lag-1 numerator and denominator.
+fn reference_scale_variance(level: usize, detail: &[f64], signal_len: usize) -> ScaleVariance {
+    ScaleVariance {
+        level,
+        span: 1usize << level,
+        variance: detail.iter().map(|x| x * x).sum::<f64>() / signal_len as f64,
+        adjacent_correlation: if detail.len() >= 3 {
+            lag_correlation(detail).unwrap_or(0.0)
+        } else {
+            0.0
+        },
+    }
+}
+
+fn assert_scale_variance_bits(level: usize, detail: &[f64], signal_len: usize) {
+    let got = scale_variance(level, detail, signal_len);
+    let want = reference_scale_variance(level, detail, signal_len);
+    assert_eq!((got.level, got.span), (want.level, want.span));
+    assert_eq!(
+        got.variance.to_bits(),
+        want.variance.to_bits(),
+        "{detail:?}"
+    );
+    assert_eq!(
+        got.adjacent_correlation.to_bits(),
+        want.adjacent_correlation.to_bits(),
+        "{detail:?}"
+    );
+}
+
+#[test]
+fn fused_scale_variance_is_bit_identical_on_edge_rows() {
+    for len in 0..=6 {
+        // Constant rows (`den <= 0` reports 0.0), rows of signed zeros,
+        // and a short ramp, at every length around the 3-coefficient
+        // cut-off.
+        for row in [
+            vec![2.5; len],
+            vec![-0.0; len],
+            (0..len)
+                .map(|i| if i % 2 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+            (0..len).map(|i| i as f64 - 1.5).collect(),
+        ] {
+            assert_scale_variance_bits(1, &row, 2 * len.max(1));
+        }
+    }
+    assert_scale_variance_bits(3, &[1e-300, -1e-300, 1e-300], 24);
+    assert_scale_variance_bits(2, &[f64::MAX / 4.0, 1.0, -f64::MAX / 4.0], 12);
 }
 
 proptest! {
@@ -52,6 +106,22 @@ proptest! {
         for t in 0..s.len() {
             let sum: f64 = bands.iter().map(|b| b[t]).sum();
             prop_assert!((sum - s[t]).abs() < 1e-7);
+        }
+    }
+
+    #[test]
+    fn fused_scale_variance_is_bit_identical(
+        row in prop::collection::vec(-100.0..100.0f64, 0..300),
+        level in 1usize..10,
+    ) {
+        assert_scale_variance_bits(level, &row, row.len() << level);
+        // Every detail row of a real decomposition too.
+        if row.len() >= 8 {
+            let n = 1usize << (usize::BITS - 1 - row.len().leading_zeros());
+            let d = dwt(&row[..n], WaveletFamily::Haar, n.trailing_zeros() as usize).expect("dwt");
+            for (i, detail) in d.detail_rows().enumerate() {
+                assert_scale_variance_bits(i + 1, detail, n);
+            }
         }
     }
 

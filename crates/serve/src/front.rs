@@ -128,7 +128,13 @@ fn accept_loop<H: Handler>(
             .name(format!("{name}-conn"))
             .spawn(move || connection_loop(&*handler, stream, max_frame_len));
         if let Ok(handle) = spawned {
-            conns.lock().expect("conns poisoned").push(handle);
+            let mut conns = conns.lock().expect("conns poisoned");
+            // A thread that has exited keeps its stack mapped until it
+            // is joined, so join the finished ones now, not at `stop`.
+            for finished in conns.extract_if(.., |h| h.is_finished()) {
+                let _ = finished.join();
+            }
+            conns.push(handle);
         }
     }
 }
@@ -189,5 +195,55 @@ fn connection_loop<H: Handler>(handler: &H, stream: TcpStream, max_frame_len: us
         if should_abort() {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::Shutdown;
+    use std::time::Instant;
+
+    /// A handler that answers nothing: the test only opens and closes
+    /// connections.
+    #[derive(Default)]
+    struct Silent(AtomicBool);
+
+    impl Handler for Silent {
+        fn shutdown_flag(&self) -> &AtomicBool {
+            &self.0
+        }
+
+        fn handle(&self, _request: Request, _writer: &ConnWriter) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined_on_accept() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut front = Front::start(listener, "reap", 1024, Arc::new(Silent::default())).unwrap();
+        let held = |front: &Front<Silent>| front.conns.lock().unwrap().len();
+        let mut most = 0;
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(front.local_addr()).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            // The front closes its side only when the connection's
+            // thread has seen the end of input and is returning, so at
+            // most a couple of connection threads ever run at once.
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while front.conns.lock().unwrap().iter().any(|h| !h.is_finished()) {
+                assert!(Instant::now() < deadline, "a connection thread never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            most = most.max(held(&front));
+        }
+        front.stop();
+        assert_eq!(held(&front), 0);
+        // Without the reaping every one of the 200 handles stays held
+        // until `stop`.
+        assert!(most <= 2, "the front held {most} connection handles");
     }
 }

@@ -265,10 +265,11 @@ const FIRST_READ: usize = 4 * 1024;
 ///
 /// Each `read` call lands straight in the stream buffer. Once a frame's
 /// length prefix is in, a call asks for the bytes the frame still needs,
-/// at most [`READ_STEP`] of them, so a large frame arrives in few calls
-/// while the buffer grows only as bytes arrive: a prefix declaring more
-/// than was sent costs at most one step of memory, never the declared
-/// length. Until the prefix is in, a call asks for [`FIRST_READ`] bytes.
+/// at most 64 KiB (`READ_STEP`) of them, so a large frame arrives in few
+/// calls while the buffer grows only as bytes arrive: a prefix declaring
+/// more than was sent costs at most one step of memory, never the
+/// declared length. Until the prefix is in, a call asks for 4 KiB
+/// (`FIRST_READ`).
 ///
 /// Both the stream buffer and the payload scratch persist across
 /// frames on a connection: after the first request of a given size,

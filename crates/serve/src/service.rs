@@ -553,8 +553,12 @@ impl Service {
 
         // χ² Gaussianity verdict over sampled windows (paper §4.2).
         check_deadline(deadline)?;
+        let chi = self
+            .ctx
+            .gof_test(GaussianityStudy::bins_for(spec.window), spec.significance)
+            .map_err(|e| didt_err(&e))?;
         let gauss = GaussianityStudy::new(spec.significance, GAIN_CALIBRATION_SEED)
-            .classify(trace, spec.window, spec.gauss_windows)
+            .classify_prepared(trace, spec.window, spec.gauss_windows, &chi)
             .map_err(|e| didt_err(&e))?;
 
         // Gaussian emergency-fraction estimate (paper §4.3 step 5).

@@ -270,8 +270,29 @@ pub struct PreparedGof {
 }
 
 impl PreparedGof {
-    fn bins(&self) -> usize {
+    /// Number of equiprobable bins.
+    #[must_use]
+    pub fn bins(&self) -> usize {
         self.z.len() + 1
+    }
+
+    /// Degrees of freedom (bins − 1 − 2 estimated parameters).
+    #[must_use]
+    pub fn dof(&self) -> usize {
+        self.dof
+    }
+
+    /// The χ² critical value a statistic is compared against.
+    #[must_use]
+    pub fn critical_value(&self) -> f64 {
+        self.critical_value
+    }
+
+    /// The standard-normal quantiles at `i / bins` for `i` in `1..bins`:
+    /// a window's bin edges are `mean + std_dev * z_i`.
+    #[must_use]
+    pub fn quantiles(&self) -> &[f64] {
+        &self.z
     }
 
     /// Test whether `data` is consistent with a normal distribution whose
@@ -293,17 +314,56 @@ impl PreparedGof {
     /// `test(data)`. A caller that needs the variance itself (as the
     /// Gaussianity study does) sums the window once instead of twice.
     ///
+    /// # Errors
+    ///
+    /// As [`test`](Self::test).
+    pub fn test_moments(&self, data: &[f64], m: f64, var: f64) -> Result<GofReport, StatsError> {
+        let statistic = self.statistic(data, m, var)?;
+        let decision = self.outcome(statistic);
+        let (statistic, p_value) = match statistic {
+            Some(statistic) => (statistic, self.chi.sf(statistic)),
+            None => (0.0, 1.0),
+        };
+        Ok(GofReport {
+            decision,
+            statistic,
+            critical_value: self.critical_value,
+            dof: self.dof,
+            p_value,
+        })
+    }
+
+    /// The decision [`test_moments`](Self::test_moments) reports, without
+    /// the p-value it also evaluates: the same statistic compared against
+    /// the same critical value, so the outcome always equals
+    /// `test_moments(data, m, var)?.decision`.
+    ///
+    /// # Errors
+    ///
+    /// As [`test`](Self::test).
+    pub fn decide(&self, data: &[f64], m: f64, var: f64) -> Result<GofOutcome, StatsError> {
+        Ok(self.outcome(self.statistic(data, m, var)?))
+    }
+
+    /// The outcome of a statistic; `None` marks a degenerate window.
+    fn outcome(&self, statistic: Option<f64>) -> GofOutcome {
+        match statistic {
+            None => GofOutcome::Degenerate,
+            Some(s) if s <= self.critical_value => GofOutcome::Accepted,
+            Some(_) => GofOutcome::Rejected,
+        }
+    }
+
+    /// The χ² statistic of a window with moments `m` and `var`, or `None`
+    /// for a degenerate (near-zero-variance) window.
+    ///
     /// Each bin is counted from two edge counts: with
     /// `above[i] = #{x : edge_i <= x}`, bin `b` holds
     /// `above[b - 1] - above[b]`. The edges `m + s * z_i` never decrease
     /// (`z` ascends, `s > 0`, and rounding is monotone), so this is the
     /// count a per-sample search for the first edge above `x` gives,
     /// ties on an edge included.
-    ///
-    /// # Errors
-    ///
-    /// As [`test`](Self::test).
-    pub fn test_moments(&self, data: &[f64], m: f64, var: f64) -> Result<GofReport, StatsError> {
+    fn statistic(&self, data: &[f64], m: f64, var: f64) -> Result<Option<f64>, StatsError> {
         let bins = self.bins();
         let needed = 4 * bins;
         if data.len() < needed {
@@ -312,16 +372,8 @@ impl PreparedGof {
                 got: data.len(),
             });
         }
-        let (dof, critical_value) = (self.dof, self.critical_value);
-
         if var < ChiSquaredGof::DEGENERATE_VARIANCE {
-            return Ok(GofReport {
-                decision: GofOutcome::Degenerate,
-                statistic: 0.0,
-                critical_value,
-                dof,
-                p_value: 1.0,
-            });
+            return Ok(None);
         }
         let fitted = Normal::new(m, var.sqrt())?;
         let (mu, sd) = (fitted.mean(), fitted.std_dev());
@@ -343,20 +395,7 @@ impl PreparedGof {
             above_prev = above;
         }
         statistic += term(above_prev);
-
-        let p_value = self.chi.sf(statistic);
-        let decision = if statistic <= critical_value {
-            GofOutcome::Accepted
-        } else {
-            GofOutcome::Rejected
-        };
-        Ok(GofReport {
-            decision,
-            statistic,
-            critical_value,
-            dof,
-            p_value,
-        })
+        Ok(Some(statistic))
     }
 }
 

@@ -58,6 +58,62 @@ pub fn variance_about(data: &[f64], mean: f64) -> f64 {
     data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / data.len() as f64
 }
 
+/// Windows [`window_moments`] sums side by side, one accumulator each.
+const LANES: usize = 8;
+
+/// The [`mean`] of each window and its [`variance_about`] that mean,
+/// bit-identical to calling the two on every window in turn.
+///
+/// A serial `f64` sum is one chain of dependent adds, so it runs at the
+/// add latency; here `LANES` (8) equal-length windows are summed side
+/// by side, each in its own accumulator. Every accumulator starts at
+/// `-0.0`, as `Iterator::sum` does, and adds its own window's terms in
+/// order, so no sum is reassociated: the lanes only let independent
+/// chains overlap. The last `windows.len() % LANES` windows, and any
+/// group whose lengths differ, are summed one window at a time.
+///
+/// # Examples
+///
+/// ```
+/// let (a, b) = ([1.0, 2.0, 3.0], [2.0, 2.0, 5.0]);
+/// let moments = didt_stats::window_moments(&[&a, &b]);
+/// assert_eq!(moments, vec![(2.0, 2.0 / 3.0), (3.0, 2.0)]);
+/// ```
+#[must_use]
+pub fn window_moments(windows: &[&[f64]]) -> Vec<(f64, f64)> {
+    let one = |w: &[f64]| {
+        let m = mean(w);
+        (m, variance_about(w, m))
+    };
+    let mut out = Vec::with_capacity(windows.len());
+    let mut groups = windows.chunks_exact(LANES);
+    for group in groups.by_ref() {
+        let n = group[0].len();
+        if n == 0 || group.iter().any(|w| w.len() != n) {
+            out.extend(group.iter().map(|w| one(w)));
+            continue;
+        }
+        let rows: [&[f64]; LANES] = std::array::from_fn(|l| &group[l][..n]);
+        let len = n as f64;
+        let mut sum = [-0.0; LANES];
+        for i in 0..n {
+            for (acc, row) in sum.iter_mut().zip(&rows) {
+                *acc += row[i];
+            }
+        }
+        let means = sum.map(|s| s / len);
+        let mut sq = [-0.0; LANES];
+        for i in 0..n {
+            for ((acc, row), &m) in sq.iter_mut().zip(&rows).zip(&means) {
+                *acc += (row[i] - m) * (row[i] - m);
+            }
+        }
+        out.extend(means.iter().zip(sq).map(|(&m, s)| (m, s / len)));
+    }
+    out.extend(groups.remainder().iter().map(|w| one(w)));
+    out
+}
+
 /// Population standard deviation.
 ///
 /// # Examples

@@ -47,7 +47,7 @@ mod error;
 
 pub use chi_squared::{ChiSquared, ChiSquaredGof, GofOutcome, GofReport, PreparedGof};
 pub use correlation::{autocorrelation, lag_correlation, pearson};
-pub use descriptive::{max, mean, min, std_dev, variance, variance_about, Summary};
+pub use descriptive::{max, mean, min, std_dev, variance, variance_about, window_moments, Summary};
 pub use error::StatsError;
 pub use histogram::Histogram;
 pub use lilliefors::LillieforsTest;

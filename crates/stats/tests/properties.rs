@@ -2,7 +2,10 @@
 
 use didt_stats::chi_squared::{ChiSquared, ChiSquaredGof, GofOutcome, GofReport};
 use didt_stats::normal::{erf, erfc};
-use didt_stats::{autocorrelation, mean, pearson, variance, Histogram, Normal, Summary};
+use didt_stats::{
+    autocorrelation, mean, pearson, variance, variance_about, window_moments, Histogram, Normal,
+    Summary,
+};
 use proptest::prelude::*;
 
 /// Bin edges of the χ² test's fitted normal, as [`reference_test`]
@@ -164,6 +167,70 @@ fn prepared_test_is_bit_identical_to_per_window_reference() {
     assert_eq!(seen.len(), 3, "every outcome must be exercised: {seen:?}");
 }
 
+/// `window_moments` against `mean` and `variance_about` window by
+/// window, by bits.
+fn assert_moments_match(windows: &[&[f64]]) {
+    let got = window_moments(windows);
+    assert_eq!(got.len(), windows.len());
+    for (k, (w, &(m, v))) in windows.iter().zip(&got).enumerate() {
+        let want_m = mean(w);
+        assert_eq!(m.to_bits(), want_m.to_bits(), "mean of window {k}");
+        let want_v = variance_about(w, want_m);
+        assert_eq!(v.to_bits(), want_v.to_bits(), "variance of window {k}");
+    }
+}
+
+#[test]
+fn window_moments_are_the_per_window_sums_bit_for_bit() {
+    let mut next = xorshift_unit(0x9E37_79B9_7F4A_7C15);
+    for len in [1, 2, 3, 32, 64, 257] {
+        let rows: Vec<Vec<f64>> = (0..21)
+            .map(|k| match k % 5 {
+                // Signed zeros: the sums start at -0.0, as `Iterator::sum`.
+                0 => vec![-0.0; len],
+                1 => (0..len)
+                    .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+                2 => vec![3.25; len],
+                3 => (0..len).map(|_| 1e3 * next() - 500.0).collect(),
+                _ => (0..len).map(|_| 1e-9 * next() + 7.0).collect(),
+            })
+            .collect();
+        // Every count from none to past two full groups of lanes.
+        for count in 0..=rows.len() {
+            let windows: Vec<&[f64]> = rows[..count].iter().map(Vec::as_slice).collect();
+            assert_moments_match(&windows);
+        }
+    }
+    // A group whose lengths differ, and empty windows.
+    let mixed: Vec<Vec<f64>> = (0..10).map(|k| vec![k as f64; k * 3]).collect();
+    let windows: Vec<&[f64]> = mixed.iter().map(Vec::as_slice).collect();
+    assert_moments_match(&windows);
+    assert_moments_match(&[&[], &[], &[], &[], &[], &[], &[], &[]]);
+}
+
+#[test]
+fn decide_is_the_reported_decision() {
+    let mut seen = std::collections::HashSet::new();
+    for bins in [4, 8] {
+        let prepared = ChiSquaredGof::new(bins).unwrap().prepare(0.95).unwrap();
+        for shape in 0..4 {
+            for seed in 1..40u64 {
+                let w = gof_window(shape, bins, 4 * bins + 7 * seed as usize, seed, 3.0, 0.5);
+                let m = mean(&w);
+                let v = variance_about(&w, m);
+                let got = prepared.decide(&w, m, v).unwrap();
+                assert_eq!(got, prepared.test_moments(&w, m, v).unwrap().decision);
+                seen.insert(got);
+            }
+        }
+        // Both refuse a short window alike.
+        let short = vec![1.0; 4 * bins - 1];
+        assert!(prepared.decide(&short, 1.0, 0.0).is_err());
+    }
+    assert_eq!(seen.len(), 3, "every outcome must be exercised: {seen:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -283,8 +350,12 @@ proptest! {
         let len = 4 * bins + extra;
         let w = gof_window(shape, bins, len, seed, offset, 10f64.powf(log_scale));
         let gof = ChiSquaredGof::new(bins).expect("test");
-        let got = gof.prepare(significance).expect("prepare").test(&w).expect("gof");
+        let prepared = gof.prepare(significance).expect("prepare");
+        let got = prepared.test(&w).expect("gof");
         let want = reference_test(bins, &w, significance);
         prop_assert!(same_report_bits(&got, &want), "{:?} vs {:?}", got, want);
+        let m = mean(&w);
+        let decided = prepared.decide(&w, m, variance_about(&w, m)).expect("gof");
+        prop_assert_eq!(decided, want.decision);
     }
 }

@@ -572,6 +572,8 @@ fn intern_cache_name(name: &str) -> Result<&'static str, String> {
         "records",
         "gains",
         "family_gains",
+        "gof_tests",
+        "full_convs",
         "baselines",
     ];
     KNOWN
