@@ -499,6 +499,9 @@ pub fn dwt_boundary_into(
     Ok(levels)
 }
 
+/// Coefficients [`periodic_analysis_step`] computes side by side.
+const STEP_LANES: usize = 8;
+
 /// One periodic analysis step, the filter-bank split shared by the
 /// pyramid and the packet tree:
 /// `lo[k] = Σ h[m]·x[(2k+m) % n]`, `hi[k] = Σ g[m]·x[(2k+m) % n]` for
@@ -506,9 +509,12 @@ pub fn dwt_boundary_into(
 /// bit-load-bearing for every pin downstream.
 ///
 /// Coefficients whose taps all fall inside `x` (`2k + taps <= n`, the
-/// first `inner` of them) read the slice `x[2k..2k + taps]` directly;
-/// only the last few, whose filter wraps past the end, pay the modulo.
-/// Both loops perform the same multiplies and adds in the same order.
+/// first `inner` of them) read the slice `x[2k..2k + taps]` directly,
+/// [`STEP_LANES`] coefficients side by side: each coefficient is a short
+/// serial sum over the taps, and running eight of them at once lets
+/// their add chains overlap. Only the last few, whose filter wraps past
+/// the end, pay the modulo. Every loop performs each coefficient's
+/// multiplies and adds in the same order, from `0.0`.
 pub(crate) fn periodic_analysis_step(
     x: &[f64],
     h: &[f64],
@@ -525,7 +531,29 @@ pub(crate) fn periodic_analysis_step(
     };
     let (lo_inner, lo_wrap) = lo.split_at_mut(inner);
     let (hi_inner, hi_wrap) = hi.split_at_mut(inner);
-    for (k, (lo_k, hi_k)) in lo_inner.iter_mut().zip(hi_inner.iter_mut()).enumerate() {
+    let mut lo_blocks = lo_inner.chunks_exact_mut(STEP_LANES);
+    let mut hi_blocks = hi_inner.chunks_exact_mut(STEP_LANES);
+    for (b, (lo_b, hi_b)) in lo_blocks.by_ref().zip(hi_blocks.by_ref()).enumerate() {
+        // Coefficient `k = STEP_LANES * b + j` reads `xs[2j..2j + taps]`.
+        let xs = &x[2 * STEP_LANES * b..][..2 * (STEP_LANES - 1) + taps];
+        let mut sl = [0.0; STEP_LANES];
+        let mut sh = [0.0; STEP_LANES];
+        for (m, (&hm, &gm)) in h.iter().zip(g).enumerate() {
+            for (j, (l, hj)) in sl.iter_mut().zip(&mut sh).enumerate() {
+                let xm = xs[2 * j + m];
+                *l += hm * xm;
+                *hj += gm * xm;
+            }
+        }
+        lo_b.copy_from_slice(&sl);
+        hi_b.copy_from_slice(&sh);
+    }
+    let blocked = inner - inner % STEP_LANES;
+    let rest = lo_blocks
+        .into_remainder()
+        .iter_mut()
+        .zip(hi_blocks.into_remainder());
+    for (k, (lo_k, hi_k)) in (blocked..).zip(rest) {
         let mut sl = 0.0;
         let mut sh = 0.0;
         for ((&hm, &gm), &xm) in h.iter().zip(g).zip(&x[2 * k..2 * k + taps]) {
@@ -709,6 +737,39 @@ mod tests {
 
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < tol)
+    }
+
+    #[test]
+    fn periodic_step_is_the_per_coefficient_sum_bit_for_bit() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0
+        };
+        for family in WaveletFamily::ALL {
+            let (h, g) = (family.lowpass(), family.highpass());
+            // Lengths around every block boundary, the filter length and
+            // below it (all coefficients wrap).
+            for n in (2..=80).step_by(2) {
+                let x: Vec<f64> = (0..n).map(|_| next()).collect();
+                let (mut lo, mut hi) = (vec![0.0; n / 2], vec![0.0; n / 2]);
+                periodic_analysis_step(&x, h, g, &mut lo, &mut hi);
+                for k in 0..n / 2 {
+                    // `lo[k] = Σ h[m]·x[(2k+m) % n]`, one coefficient at
+                    // a time, taps ascending from 0.0.
+                    let (mut sl, mut sh) = (0.0, 0.0);
+                    for m in 0..h.len() {
+                        sl += h[m] * x[(2 * k + m) % n];
+                        sh += g[m] * x[(2 * k + m) % n];
+                    }
+                    let at = format!("{} n={n} k={k}", family.name());
+                    assert_eq!(lo[k].to_bits(), sl.to_bits(), "{at}");
+                    assert_eq!(hi[k].to_bits(), sh.to_bits(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
